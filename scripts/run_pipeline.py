@@ -71,8 +71,8 @@ def main():
         print(f"  {condition[0]}-{condition[1]}: EER {eer:6.2f}%   "
               f"probe acc speaker {rows[0].probe_speaker:.3f} "
               f"gender {rows[0].probe_gender:.3f} accent {rows[0].probe_accent:.3f}")
-    oo = sum(r.eer_pct for r in by_condition[("o", "o")]) / 2
-    aa = sum(r.eer_pct for r in by_condition[("a", "a")]) / 2
+    oo = sum(r.eer_pct for r in by_condition[("o", "o")]) / len(by_condition[("o", "o")])
+    aa = sum(r.eer_pct for r in by_condition[("a", "a")]) / len(by_condition[("a", "a")])
     print(f"\nboth-sides anonymization raises EER by {aa - oo:.1f} points "
           f"({oo:.2f}% -> {aa:.2f}%) while the speaker probe drops from "
           f"{by_condition[('o', 'o')][0].probe_speaker:.3f} to "

@@ -46,6 +46,8 @@ from .neural import (
 
 CHECKPOINT_MAGIC = b"AAN1"
 CHECKPOINT_VERSION = 1
+# magic, version, 7 dims, lam
+CHECKPOINT_HEADER_SIZE = 4 + 4 + 7 * 4 + 8
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,9 @@ def _corpus_tensors(corpus: Corpus, dims: AanDims):
     return x, g, a, s
 
 
+# Divergence is caught by the explicit finite checks on losses and gradients,
+# so numpy's overflow and invalid-value warnings along the way are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
           config: TrainConfig) -> tuple[AanModel, list[EpochStats]]:
     """Minibatch adversarial training, deterministic under config.seed.
@@ -392,30 +397,51 @@ def save_model(model: AanModel, path: str | Path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _checkpoint_size(d: AanDims) -> int:
+    """Bytes in a checkpoint of this architecture (header plus parameters)."""
+    layers = [(d.input_dim, d.hidden), (d.hidden, d.latent),
+              (d.latent, d.hidden), (d.hidden, d.input_dim)]
+    for n_classes in (d.n_genders, d.n_accents, d.n_speakers):
+        layers += [(d.latent, d.branch_hidden), (d.branch_hidden, n_classes)]
+    return CHECKPOINT_HEADER_SIZE + 8 * sum((n_in + 1) * n_out for n_in, n_out in layers)
+
+
 def load_model(path: str | Path) -> AanModel:
-    """Read a checkpoint; round-trips save_model bit-exactly."""
+    """Read a checkpoint; round-trips save_model bit-exactly.
+
+    The header is validated, and the file size checked against the size
+    its dims imply, before any parameter array is allocated.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, not an AAN checkpoint")
-    offset = 4
-    (version,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    if len(raw) < CHECKPOINT_HEADER_SIZE:
+        raise ValueError(f"{path}: truncated checkpoint header, {len(raw)} bytes "
+                         f"of {CHECKPOINT_HEADER_SIZE}")
+    version, *dims_fields = struct.unpack_from("<8I", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    dims = AanDims(*struct.unpack_from("<7I", raw, offset))
-    offset += 28
-    (lam,) = struct.unpack_from("<d", raw, offset)
-    offset += 8
-    model = build_aan(dims, lam, seed=0)
-    for name, param in model.parameters().items():
-        nbytes = param.size * 8
-        if offset + nbytes > len(raw):
-            raise ValueError(f"{path}: truncated checkpoint at parameter {name!r}")
+    (lam,) = struct.unpack_from("<d", raw, 36)
+    dims = AanDims(*dims_fields)
+    try:
+        dims.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    expected = _checkpoint_size(dims)
+    if len(raw) < expected:
+        raise ValueError(f"{path}: truncated checkpoint, {len(raw)} bytes where "
+                         f"its header implies {expected}")
+    if len(raw) > expected:
+        raise ValueError(f"{path}: {len(raw) - expected} trailing bytes, corrupt checkpoint")
+    try:
+        model = build_aan(dims, lam, seed=0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    offset = CHECKPOINT_HEADER_SIZE
+    for param in model.parameters().values():
         values = np.frombuffer(raw, dtype="<f8", count=param.size, offset=offset)
         param[...] = values.reshape(param.shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes, corrupt checkpoint")
+        offset += param.size * 8
     return model
 
 

@@ -254,6 +254,9 @@ def _train_once(cfg: RunConfig, lam: float, checkpoint: Path, history_path: Path
     config = dataclasses.replace(cfg.train, lam=lam,
                                  seed=derive_seed(cfg.seed, "train"))
     model, history = train(model, train_corpus, valid_corpus, config)
+    if not history:
+        raise DivergenceError(f"training diverged in epoch 1 (lambda={lam:g}, "
+                              f"lr={config.lr:g}); no checkpoint written")
     save_model(model, checkpoint)
     _history_csv(history, history_path)
     return [train_path, valid_path], history
@@ -293,7 +296,7 @@ def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
             if require_flags:
                 raise ValueError(f"method {kind!r} requires --pool")
             pool_path = str(out / "train.csv")
-        pool = pool_from_corpus(read_corpus(pool_path), source=str(pool_path))
+        pool = pool_from_corpus(read_corpus(pool_path))
     return AnonymizationMethod(kind=kind, model=model, pool=pool,
                                top_k=cfg.anonymize_top_k if top_k is None else top_k)
 
@@ -328,7 +331,7 @@ def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, suffix: str = ""
     trials = make_trials(test_corpus, valid_corpus, cfg.n_nontarget_per_target, seed)
     report = evaluate_conditions(train_corpus, test_corpus, valid_corpus, method,
                                  cfg.n_nontarget_per_target, seed,
-                                 dataset_tag=cfg.dataset_tag)
+                                 dataset_tag=cfg.dataset_tag, trials=trials)
     trials_path = out / f"trials{suffix}.csv"
     report_csv = out / f"report{suffix}.csv"
     report_txt = out / f"report{suffix}.txt"

@@ -270,16 +270,18 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as CSV (see module layout note); raises on empty corpus."""
     if len(corpus.embeddings) == 0:
         raise ValueError("empty corpus")
+    bad = ~np.isfinite(corpus.matrix()).all(axis=1)
+    if bad.any():
+        e = corpus.embeddings[int(bad.argmax())]
+        raise ValueError(f"utterance {e.utterance_id!r}: non-finite vector entries")
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["utterance_id", "speaker_id", "gender", "accent"]
                         + [f"v{i}" for i in range(corpus.dim)])
         for e in corpus.embeddings:
-            if not np.all(np.isfinite(e.vector)):
-                raise ValueError(f"utterance {e.utterance_id!r}: non-finite vector entries")
             writer.writerow([e.utterance_id, e.speaker_id, e.gender, e.accent]
-                            + [f"{x:.17g}" for x in e.vector])
+                            + [f"{x:.17g}" for x in e.vector.tolist()])
 
 
 def read_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:

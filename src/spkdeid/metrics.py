@@ -285,17 +285,21 @@ CONDITIONS = (("o", "o"), ("o", "a"), ("a", "a"))
 def evaluate_conditions(train_corpus: Corpus, enroll_corpus: Corpus,
                         trial_corpus: Corpus, method: AnonymizationMethod,
                         n_nontarget_per_target: int, seed: int,
-                        dataset_tag: str = "synth") -> MetricsReport:
+                        dataset_tag: str = "synth",
+                        trials: list[Trial] | None = None) -> MetricsReport:
     """Score the o-o, o-a, and a-a condition cells per gender.
 
     The same trial list is reused across conditions (anonymization keeps
     ids and labels); only the vectors behind each side change.  Probe
     columns report attribute leakage of the trial-side embeddings, so the
     o-o row carries the original-corpus probes and the anonymized rows the
-    anonymized-corpus probes.
+    anonymized-corpus probes.  ``trials``, when given, must be the list
+    make_trials builds from these corpora and arguments; a caller that also
+    writes the list out passes it to save building it twice.
     """
     method.validate()
-    trials = make_trials(enroll_corpus, trial_corpus, n_nontarget_per_target, seed)
+    if trials is None:
+        trials = make_trials(enroll_corpus, trial_corpus, n_nontarget_per_target, seed)
     corpora = {
         ("enroll", "o"): enroll_corpus,
         ("trial", "o"): trial_corpus,

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from spkdeid import aan as aan_module
 from spkdeid.aan import (
     AanDims,
     TrainConfig,
@@ -240,6 +243,29 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
+
+    def test_short_header_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "short.aan"
+        path.write_bytes(b"AAN1")
+        with pytest.raises(ValueError, match="truncated checkpoint header") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("dims, message", [
+        ((2 ** 32 - 1,) * 7, "truncated"),
+        ((8, 8, 0, 8, 2, 3, 5), "latent"),
+    ])
+    def test_bad_header_dims_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                        dims, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("parameters allocated before the size check")
+
+        monkeypatch.setattr(aan_module, "build_aan", no_build)
+        path = tmp_path / "huge.aan"
+        path.write_bytes(b"AAN1" + struct.pack("<8Id", 1, *dims, 1.0) + bytes(64))
+        with pytest.raises(ValueError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
 
 
 def tiny_corpus(seed=3):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spkdeid.aan import AanDims, build_aan
+from spkdeid.dataset import Embedding, make_corpus
 from spkdeid.anonymize import (
+    _BLOCK_ELEMENTS,
     AnonymizationMethod,
     PseudoPool,
+    _farthest,
     anonymize_aan1,
     anonymize_aan2,
     anonymize_corpus,
@@ -97,6 +100,66 @@ class TestBaseline:
             atol=1e-12)
 
 
+def stable_argsort_oracle(pool_vectors, x, top_k):
+    """The per-query reference: full stable argsort of the cosine similarities."""
+    pool_norms = np.linalg.norm(pool_vectors, axis=1)
+    sims = (pool_vectors @ x) / (pool_norms * np.linalg.norm(x))
+    farthest = np.sort(np.argsort(sims, kind="stable")[:top_k])
+    return farthest, pool_vectors[farthest].mean(axis=0)
+
+
+class TestFarthestSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_partition_matches_stable_argsort_under_ties(self, data):
+        # few distinct integer values per row: nearly every k-th value is tied
+        rows = data.draw(st.integers(min_value=1, max_value=6))
+        width = data.draw(st.integers(min_value=1, max_value=40))
+        values = data.draw(st.integers(min_value=1, max_value=4))
+        top_k = data.draw(st.sampled_from(sorted({1, width, (width + 1) // 2})))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 31))
+        sims = np.random.default_rng(seed).integers(0, values, size=(rows, width))
+        chosen = _farthest(sims.astype(np.float64), top_k)
+        for row, got in zip(sims, chosen):
+            np.testing.assert_array_equal(
+                got, np.sort(np.argsort(row, kind="stable")[:top_k]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_baseline_matches_oracle_with_duplicated_pool_rows(self, data):
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 31))
+        r = np.random.default_rng(seed)
+        dim = data.draw(st.integers(min_value=1, max_value=4))
+        distinct = r.integers(-2, 3, size=(data.draw(st.integers(1, 6)), dim))
+        distinct[np.abs(distinct).sum(axis=1) == 0, 0] = 1
+        pool_vectors = distinct[r.integers(0, len(distinct),
+                                           size=data.draw(st.integers(1, 30)))]
+        pool_vectors = pool_vectors.astype(np.float64)
+        top_k = data.draw(st.sampled_from(sorted({1, len(pool_vectors),
+                                                  (len(pool_vectors) + 1) // 2})))
+        queries = r.integers(-2, 3, size=(data.draw(st.integers(1, 8)), dim))
+        queries[np.abs(queries).sum(axis=1) == 0, 0] = -1
+        queries = queries.astype(np.float64)
+        out = baseline_anonymize(PseudoPool(pool_vectors), queries, top_k)
+        for x, got in zip(queries, out):
+            np.testing.assert_array_equal(
+                got, stable_argsort_oracle(pool_vectors, x, top_k)[1])
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_similarity_rejected(self):
+        pool = PseudoPool(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="degenerate"):
+            baseline_anonymize(pool, np.array([np.inf, 1.0]), top_k=1)
+
+    def test_one_vector_and_matrix_shapes(self):
+        pool = PseudoPool(rng.normal(size=(6, 3)))
+        x = rng.normal(size=(4, 3))
+        assert baseline_anonymize(pool, x[0], 2).shape == (3,)
+        assert baseline_anonymize(pool, x, 2).shape == (4, 3)
+        with pytest.raises(ValueError, match="pool dim"):
+            baseline_anonymize(pool, x[None], 2)
+
+
 class TestAanPipelines:
     def test_zero_model_returns_decoder_bias(self):
         model = zeroed_model()
@@ -182,6 +245,36 @@ class TestAnonymizeCorpus:
             np.testing.assert_array_equal(
                 after.vector,
                 anonymize_aan2(small_trained_model, pool, before.vector, 4))
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 31),
+           top_k=st.sampled_from([1, 7, 3000]))
+    def test_all_methods_match_per_vector_calls_across_blocks(
+            self, small_trained_model, seed, top_k):
+        r = np.random.default_rng(seed)
+        dim = small_trained_model.dims.input_dim
+        pool = PseudoPool(r.normal(size=(3000, dim)))
+        corpus = make_corpus([Embedding(f"u{i}", f"s{i % 4}", "fm"[i % 2], "a", v)
+                              for i, v in enumerate(r.normal(size=(60, dim)))])
+        rows_per_block = _BLOCK_ELEMENTS // max(len(pool), top_k * dim)
+        assert len(corpus) > rows_per_block
+        per_vector = {
+            "identity": lambda v: v,
+            "baseline_farthest": lambda v: baseline_anonymize(pool, v, top_k),
+            "aan1": lambda v: anonymize_aan1(small_trained_model, v),
+            "aan2": lambda v: anonymize_aan2(small_trained_model, pool, v, top_k),
+        }
+        for kind, one in per_vector.items():
+            method = AnonymizationMethod(kind, model=small_trained_model, pool=pool,
+                                         top_k=top_k)
+            out = anonymize_corpus(corpus, method)
+            for before, after in zip(corpus.embeddings, out.embeddings):
+                np.testing.assert_array_equal(after.vector, one(before.vector))
+            if kind in ("baseline_farthest", "aan2"):
+                base = baseline_anonymize(pool, corpus.matrix(), top_k)
+                for x, got in zip(corpus.matrix(), base):
+                    np.testing.assert_array_equal(
+                        got, stable_argsort_oracle(pool.vectors, x, top_k)[1])
 
     def test_missing_parameters_rejected(self):
         with pytest.raises(ValueError, match="model"):

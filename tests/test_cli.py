@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ class TestTrain:
         run_cli("train", "--config", config_path, "--lambda", "2.5")
         assert load_model(out / "model.aan").lam == 2.5
 
+    def test_divergence_in_first_epoch_is_one_error_line(self, tmp_path, capsys):
+        config = dict(TINY_CONFIG, out_dir=str(tmp_path / "run"))
+        config["train"] = dict(config["train"], lr=1e300)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        run_cli("gen-data", "--config", path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("train", "--config", path) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "diverged" in err[0]
+        assert not (tmp_path / "run" / "manifest_train.json").exists()
+        assert not (tmp_path / "run" / "model.aan").exists()
+
     def test_rerun_identical_checkpoint(self, tiny_run):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
@@ -123,6 +139,17 @@ class TestAnonymize:
                 "--model", out / "model.aan",
                 "--in", out / "test.csv", "--out", out / "anon.csv")
         assert len(read_corpus(out / "anon.csv")) == len(read_corpus(out / "test.csv"))
+
+    def test_short_checkpoint_is_one_error_line(self, tiny_run, capsys):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        (out / "short.aan").write_bytes(b"AAN1")
+        capsys.readouterr()
+        assert run_cli("anonymize", "--config", config_path, "--method", "aan1",
+                       "--model", out / "short.aan",
+                       "--in", out / "test.csv", "--out", out / "anon.csv") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "short.aan" in err[0]
 
     def test_aan2_requires_model_and_pool_flags(self, tiny_run, capsys):
         config_path, out = tiny_run

@@ -156,6 +156,26 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             read_corpus(path)
 
+    def test_vector_text_is_numpy_17g(self, tmp_path):
+        corpus = generate_corpus(small_spec(dim=3))
+        special = [[-0.0, 5e-324, 1.0 / 3.0], [1e300, -2.5e-310, 0.1]]
+        vectors = corpus.matrix()
+        vectors[:2] = special
+        path = tmp_path / "corpus.csv"
+        write_corpus(corpus.with_vectors(vectors), path)
+        lines = path.read_text().splitlines()[1:]
+        for line, row in zip(lines, vectors):
+            assert line.split(",")[4:] == [format(v, ".17g") for v in row]
+
+    def test_non_finite_row_names_first_bad_utterance(self, tmp_path):
+        corpus = generate_corpus(small_spec(dim=3))
+        vectors = corpus.matrix()
+        vectors[[2, 4], 1] = np.nan
+        path = tmp_path / "corpus.csv"
+        with pytest.raises(ValueError, match=corpus.embeddings[2].utterance_id):
+            write_corpus(corpus.with_vectors(vectors), path)
+        assert not path.exists()
+
     def test_header_only_is_empty_corpus(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("utterance_id,speaker_id,gender,accent,v0\n")
