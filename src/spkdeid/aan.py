@@ -14,9 +14,13 @@ Checkpoint byte layout (little endian throughout):
     u32 x 7       input_dim, hidden, latent, branch_hidden,
                   n_genders, n_accents, n_speakers
     f64           lam
-    f64 x ...     parameter arrays, C order, in declaration order:
-                  encoder layers, decoder layers, gender head, accent
-                  head, speaker head; per layer weights then bias.
+    f64 x ...     the bytes of ``AanModel.flat``
+
+All parameters live in one contiguous float64 vector, ``AanModel.flat``, in
+checkpoint order: encoder layers, decoder layers, gender head, accent head,
+speaker head; per layer the weights (C order) then the bias.  Each layer's
+``weights`` and ``bias`` are views into it, so training updates, snapshots,
+restores and checkpoints the whole model with one vector operation each.
 """
 
 from __future__ import annotations
@@ -90,8 +94,27 @@ def desk_dims(corpus: Corpus, hidden: int = 128, latent: int = 8,
                    n_speakers=len(corpus.speaker_vocab))
 
 
+# Layer-list attribute and parameter-name prefix of each group, in
+# checkpoint order.
+GROUPS = (("encoder", "enc"), ("decoder", "dec"), ("gender_head", "gender"),
+          ("accent_head", "accent"), ("speaker_head", "speaker"))
+
+
+def _layer_params(prefix: str, layers: list[DenseLayer]) -> Params:
+    params: Params = {}
+    for i, layer in enumerate(layers):
+        params[f"{prefix}{i}.w"] = layer.weights
+        params[f"{prefix}{i}.b"] = layer.bias
+    return params
+
+
 class AanModel:
-    """Holds all trainable parameters plus the architecture descriptor."""
+    """Holds all trainable parameters plus the architecture descriptor.
+
+    The constructor copies the layers' arrays into one float64 vector,
+    ``flat``, in checkpoint order and rebinds every layer's ``weights`` and
+    ``bias`` to a view into it.
+    """
 
     def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer],
                  gender_head: list[DenseLayer], accent_head: list[DenseLayer],
@@ -103,33 +126,49 @@ class AanModel:
         self.speaker_head = speaker_head
         self.lam = lam
         self.dims = dims
+        self.flat = np.concatenate([p.ravel() for p in self.parameters().values()],
+                                   dtype=np.float64)
+        views = self._views(self.flat)
+        for prefix, layers in self.groups().items():
+            for i, layer in enumerate(layers):
+                layer.weights = views[f"{prefix}{i}.w"]
+                layer.bias = views[f"{prefix}{i}.b"]
+        self._names = tuple(views)
 
     def groups(self) -> dict[str, list[DenseLayer]]:
-        return {"enc": self.encoder, "dec": self.decoder,
-                "gender": self.gender_head, "accent": self.accent_head,
-                "speaker": self.speaker_head}
+        """Parameter-name prefix -> layer list, in checkpoint order."""
+        return {prefix: getattr(self, attr) for attr, prefix in GROUPS}
 
     def parameters(self) -> Params:
-        """Name -> array views, in declaration order (checkpoint order)."""
+        """Name -> view into ``flat``, in checkpoint order."""
         params: Params = {}
-        for group, layers in self.groups().items():
-            for i, layer in enumerate(layers):
-                params[f"{group}{i}.w"] = layer.weights
-                params[f"{group}{i}.b"] = layer.bias
+        for prefix, layers in self.groups().items():
+            params.update(_layer_params(prefix, layers))
         return params
 
     def group_params(self, group: str) -> Params:
-        prefix = {"encoder": "enc", "decoder": "dec", "gender_head": "gender",
-                  "accent_head": "accent", "speaker_head": "speaker"}[group]
-        return {k: v for k, v in self.parameters().items()
-                if k.split(".")[0].rstrip("0123456789") == prefix}
+        """The parameters of one layer list ("encoder", ..., "speaker_head")."""
+        return _layer_params(dict(GROUPS)[group], getattr(self, group))
+
+    def _views(self, buffer: np.ndarray) -> Params:
+        """Name -> view into ``buffer``, laid out like ``flat``."""
+        views: Params = {}
+        offset = 0
+        for name, p in self.parameters().items():
+            views[name] = buffer[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
+        return views
+
+    def pack(self, arrays: Params, out: np.ndarray) -> None:
+        """Copy a name -> array mapping into ``out`` in checkpoint order."""
+        np.concatenate([arrays[name].ravel() for name in self._names], out=out)
 
     def snapshot(self) -> Params:
-        return {k: v.copy() for k, v in self.parameters().items()}
+        """Name -> view into one copy of ``flat``."""
+        return self._views(self.flat.copy())
 
     def restore(self, snapshot: Params) -> None:
-        for name, p in self.parameters().items():
-            p[...] = snapshot[name]
+        self.pack(snapshot, self.flat)
 
 
 def build_aan(dims: AanDims, lam: float, seed: int,
@@ -211,10 +250,6 @@ class LossBreakdown:
     accent: float
     speaker: float
 
-    @property
-    def total_reported(self) -> float:
-        return self.recon + self.gender + self.accent + self.speaker
-
     def is_finite(self) -> bool:
         return bool(np.isfinite([self.recon, self.gender, self.accent,
                                  self.speaker]).all())
@@ -242,10 +277,11 @@ def aan_loss_and_grads(model: AanModel, x: np.ndarray,
         raise DivergenceError(f"divergence detected: non-finite loss {breakdown}")
 
     grads: Params = {}
+    groups = model.groups()
     d_latent = _chain_backward(model.decoder, caches["dec"], d_recon, "dec", grads)
     for branch, upstream in (("gender", d_gender), ("accent", d_accent),
                              ("speaker", d_speaker)):
-        head = model.groups()[branch]
+        head = groups[branch]
         d_branch_latent = _chain_backward(head, caches[branch], upstream, branch, grads)
         d_latent = d_latent + grl_backward(d_branch_latent, model.lam)
     _chain_backward(model.encoder, caches["enc"], d_latent, "enc", grads)
@@ -343,7 +379,10 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     x_train, g_train, a_train, s_train = _corpus_tensors(train_corpus, model.dims)
     x_valid, g_valid, a_valid, s_valid = _corpus_tensors(valid_corpus, model.dims)
 
-    params = model.parameters()
+    # the optimizer sees the whole model as one flat entry; the gradient
+    # buffer is filled from each step's name -> gradient mapping
+    params = {"flat": model.flat}
+    grads = {"flat": np.empty_like(model.flat)}
     adam_state = AdamState.for_params(params)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
@@ -359,8 +398,11 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                breakdown, grads = aan_loss_and_grads(
+                breakdown, layer_grads = aan_loss_and_grads(
                     model, x_train[idx], g_train[idx], a_train[idx], s_train[idx])
+                model.pack(layer_grads, grads["flat"])
+                # the flat buffer holds the gradients now; free the per-layer arrays
+                del layer_grads
                 if config.optimizer == "adam":
                     adam_step(params, grads, adam_state, lr=config.lr,
                               beta1=config.beta1, beta2=config.beta2, eps=config.eps)
@@ -392,8 +434,7 @@ def save_model(model: AanModel, path: str | Path) -> None:
     blob += struct.pack("<7I", d.input_dim, d.hidden, d.latent, d.branch_hidden,
                         d.n_genders, d.n_accents, d.n_speakers)
     blob += struct.pack("<d", model.lam)
-    for array in model.parameters().values():
-        blob += np.ascontiguousarray(array, dtype="<f8").tobytes()
+    blob += model.flat.astype("<f8").tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
@@ -437,11 +478,7 @@ def load_model(path: str | Path) -> AanModel:
         model = build_aan(dims, lam, seed=0)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    offset = CHECKPOINT_HEADER_SIZE
-    for param in model.parameters().values():
-        values = np.frombuffer(raw, dtype="<f8", count=param.size, offset=offset)
-        param[...] = values.reshape(param.shape)
-        offset += param.size * 8
+    model.flat[...] = np.frombuffer(raw, dtype="<f8", offset=CHECKPOINT_HEADER_SIZE)
     return model
 
 

@@ -16,12 +16,15 @@ print-config`):
       "split": {"n_heldout_per_speaker": 10},
       "model": {"hidden": 128, "latent": 8, "branch_hidden": 64},
       "train": {"lambda": 8.0, "epochs": 3000, "batch_size": 32, "lr": 0.005,
+                "beta1": 0.9, "beta2": 0.999, "eps": 1e-08,
                 "optimizer": "adam", "shuffle": true},
       "anonymize": {"method": "aan1", "top_k": 10},
       "trials": {"n_nontarget_per_target": 10}
     }
 
-Flags override file values.  All randomness flows from the top-level seed
+An unknown key, or a value of the wrong type (integers exclude booleans,
+floats must be finite), is an error naming the key.  Flags override file
+values.  All randomness flows from the top-level seed
 through named per-stage seeds (sha256 of "<seed>:<stage>"), so stages are
 independently reproducible; each command writes a manifest_<command>.json
 recording its config snapshot and the sha256 of every input and output
@@ -35,6 +38,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -58,7 +62,6 @@ from .anonymize import (
     pool_from_corpus,
 )
 from .dataset import (
-    AttributeStrength,
     CorpusSpec,
     generate_corpus,
     read_corpus,
@@ -102,76 +105,113 @@ class RunConfig:
     n_nontarget_per_target: int = 10
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "dataset_tag": self.dataset_tag,
-            "corpus": {
-                "n_speakers": self.corpus.n_speakers,
-                "n_genders": self.corpus.n_genders,
-                "n_accents": self.corpus.n_accents,
-                "utterances_per_speaker": self.corpus.utterances_per_speaker,
-                "dim": self.corpus.dim,
-                "attribute_strength": dataclasses.asdict(self.corpus.attribute_strength),
-                "noise_sigma": self.corpus.noise_sigma,
-            },
-            "split": {"n_heldout_per_speaker": self.n_heldout_per_speaker},
-            "model": {"hidden": self.model_hidden, "latent": self.model_latent,
-                      "branch_hidden": self.model_branch_hidden},
-            "train": {"lambda": self.train.lam, "epochs": self.train.epochs,
-                      "batch_size": self.train.batch_size, "lr": self.train.lr,
-                      "optimizer": self.train.optimizer, "shuffle": self.train.shuffle},
-            "anonymize": {"method": self.anonymize_method, "top_k": self.anonymize_top_k},
-            "trials": {"n_nontarget_per_target": self.n_nontarget_per_target},
-        }
+        data: dict = {}
+        for key, (attr, _) in CONFIG_FIELDS.items():
+            *sections, leaf = key.split(".")
+            node = data
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = _get_path(self, attr)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         cfg = cls()
-        known = {"seed", "out_dir", "dataset_tag", "corpus", "split", "model",
-                 "train", "anonymize", "trials"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.seed = data.get("seed", cfg.seed)
-        cfg.out_dir = data.get("out_dir", cfg.out_dir)
-        cfg.dataset_tag = data.get("dataset_tag", cfg.dataset_tag)
-        corpus = dict(data.get("corpus", {}))
-        strength = corpus.pop("attribute_strength", None)
-        try:
-            if strength is not None:
-                corpus["attribute_strength"] = AttributeStrength(**strength)
-            cfg.corpus = dataclasses.replace(cfg.corpus, **corpus)
-        except TypeError as exc:
-            raise ValueError(f"bad corpus config: {exc}") from None
-        def section(name, allowed):
-            values = data.get(name, {})
-            bad = set(values) - allowed
-            if bad:
-                raise ValueError(f"unknown {name} config keys: {sorted(bad)}")
-            return values
-
-        split = section("split", {"n_heldout_per_speaker"})
-        cfg.n_heldout_per_speaker = split.get("n_heldout_per_speaker",
-                                              cfg.n_heldout_per_speaker)
-        model = section("model", {"hidden", "latent", "branch_hidden"})
-        cfg.model_hidden = model.get("hidden", cfg.model_hidden)
-        cfg.model_latent = model.get("latent", cfg.model_latent)
-        cfg.model_branch_hidden = model.get("branch_hidden", cfg.model_branch_hidden)
-        train_section = dict(data.get("train", {}))
-        if "lambda" in train_section:
-            train_section["lam"] = train_section.pop("lambda")
-        try:
-            cfg.train = dataclasses.replace(cfg.train, **train_section)
-        except TypeError as exc:
-            raise ValueError(f"bad train config: {exc}") from None
-        anonymize = section("anonymize", {"method", "top_k"})
-        cfg.anonymize_method = anonymize.get("method", cfg.anonymize_method)
-        cfg.anonymize_top_k = anonymize.get("top_k", cfg.anonymize_top_k)
-        trials = section("trials", {"n_nontarget_per_target"})
-        cfg.n_nontarget_per_target = trials.get("n_nontarget_per_target",
-                                                cfg.n_nontarget_per_target)
+        for key, value in _config_items(data, ""):
+            if key in DERIVED_SEEDS:
+                raise ValueError(f"config key {key!r} is not settable: that seed is "
+                                 f"derived from the top-level seed")
+            if key not in CONFIG_FIELDS:
+                raise ValueError(f"unknown config key {key!r}")
+            attr, kind = CONFIG_FIELDS[key]
+            cfg = _replace_path(cfg, attr, _checked_value(key, value, kind))
         return cfg
+
+
+# Config file key -> (RunConfig attribute path, value type).  The order is
+# the order of print-config and of the manifests' config snapshots.
+CONFIG_FIELDS: dict[str, tuple[str, type]] = {
+    "seed": ("seed", int),
+    "out_dir": ("out_dir", str),
+    "dataset_tag": ("dataset_tag", str),
+    **{f"corpus.{name}": (f"corpus.{name}", int)
+       for name in ("n_speakers", "n_genders", "n_accents", "utterances_per_speaker",
+                    "dim")},
+    **{f"corpus.attribute_strength.{name}": (f"corpus.attribute_strength.{name}", float)
+       for name in ("speaker", "gender", "accent")},
+    "corpus.noise_sigma": ("corpus.noise_sigma", float),
+    "split.n_heldout_per_speaker": ("n_heldout_per_speaker", int),
+    "model.hidden": ("model_hidden", int),
+    "model.latent": ("model_latent", int),
+    "model.branch_hidden": ("model_branch_hidden", int),
+    "train.lambda": ("train.lam", float),
+    "train.epochs": ("train.epochs", int),
+    "train.batch_size": ("train.batch_size", int),
+    "train.lr": ("train.lr", float),
+    "train.beta1": ("train.beta1", float),
+    "train.beta2": ("train.beta2", float),
+    "train.eps": ("train.eps", float),
+    "train.optimizer": ("train.optimizer", str),
+    "train.shuffle": ("train.shuffle", bool),
+    "anonymize.method": ("anonymize_method", str),
+    "anonymize.top_k": ("anonymize_top_k", int),
+    "trials.n_nontarget_per_target": ("n_nontarget_per_target", int),
+}
+
+# Stage seeds come from derive_seed, so the config cannot set them.
+DERIVED_SEEDS = ("corpus.seed", "train.seed")
+
+_SECTIONS = {key.rsplit(".", 1)[0] for key in CONFIG_FIELDS if "." in key}
+
+
+def _config_items(data, prefix: str):
+    """(dotted key, value) for every leaf of a config object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object, "
+                         f"got {data!r}")
+    for key, value in data.items():
+        name = prefix + key
+        if name in _SECTIONS:
+            yield from _config_items(value, name + ".")
+        else:
+            yield name, value
+
+
+def _checked_value(key: str, value, kind: type):
+    """``value`` if it has the config type ``kind``; a ValueError naming
+    ``key`` otherwise.  Integers exclude bool; floats are finite reals."""
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        what = "an integer"
+    elif kind is float:
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float
+            ok = False
+        what = "a finite number"
+    elif kind is bool:
+        ok = isinstance(value, bool)
+        what = "true or false"
+    else:
+        ok = isinstance(value, str)
+        what = "a string"
+    if not ok:
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _get_path(obj, path: str):
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _replace_path(obj, path: str, value):
+    """Copy of the dataclass ``obj`` with the dotted attribute ``path`` set."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace_path(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:

@@ -4,7 +4,11 @@ gradient reversal, optimizers, and a finite-difference gradient checker.
 Plain numpy, float64 end to end.  Arrays follow the (batch, features)
 convention.  Every backward pass is an exact analytic derivative of its
 forward map; the test suite cross-checks them against central finite
-differences.
+differences.  ``adam_step`` updates parameters and moments in place through
+ufunc ``out=`` calls on scratch arrays held by its ``AdamState``, so the update
+allocates no temporaries; a model that keeps its parameters in one flat
+vector passes it as a one-entry mapping and pays one set of ufunc calls per
+step.
 """
 
 from __future__ import annotations
@@ -147,11 +151,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-def grl_forward(x: np.ndarray) -> np.ndarray:
-    """Gradient reversal layer forward pass: the identity."""
-    return x
-
-
 def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
     """Gradient reversal layer backward pass: -lam * upstream."""
     if not np.isfinite(lam) or lam < 0:
@@ -170,21 +169,37 @@ def _check_finite_grads(grads: Params) -> None:
 
 @dataclass
 class AdamState:
+    """Step count, first and second moments, and two scratch arrays per
+    parameter for the in-place update."""
+
     t: int
     m: Params
     v: Params
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def for_params(cls, params: Params) -> "AdamState":
         return cls(t=0,
                    m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+                   v={k: np.zeros_like(p) for k, p in params.items()},
+                   scratch={k: (np.empty_like(p), np.empty_like(p))
+                            for k, p in params.items()})
 
 
 def adam_step(params: Params, grads: Params, state: AdamState,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One Adam update with bias correction, in place on ``params``."""
+    """One Adam update with bias correction, in place on ``params``.
+
+    Per element this is
+
+        m = beta1 m + (1 - beta1) g
+        v = beta2 v + ((1 - beta2) g) g
+        p = p - (lr (m / (1 - beta1^t))) / (sqrt(v / (1 - beta2^t)) + eps)
+
+    evaluated in exactly that operation order, through in-place ufunc calls
+    on the state's scratch arrays, so the update allocates no arrays.
+    """
     if lr < 0 or not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0) or eps <= 0:
         raise ValueError(f"bad Adam hyperparameters lr={lr}, beta1={beta1}, "
                          f"beta2={beta2}, eps={eps}")
@@ -195,13 +210,21 @@ def adam_step(params: Params, grads: Params, state: AdamState,
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        step, denom = state.scratch[name]
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=step)
+        m += step
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1.0 - beta2, out=step)
+        step *= g
+        v += step
+        np.divide(v, 1.0 - beta2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, 1.0 - beta1 ** t, out=step)
+        step *= lr
+        step /= denom
+        p -= step
 
 
 def sgd_step(params: Params, grads: Params, lr: float) -> None:

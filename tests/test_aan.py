@@ -5,7 +5,12 @@ import pytest
 
 from spkdeid import aan as aan_module
 from spkdeid.aan import (
+    CHECKPOINT_HEADER_SIZE,
+    GROUPS,
     AanDims,
+    AanModel,
+    EpochStats,
+    LossBreakdown,
     TrainConfig,
     VOXCELEB_DIMS,
     aan_forward,
@@ -13,13 +18,15 @@ from spkdeid.aan import (
     aan_loss_and_grads,
     build_aan,
     desk_dims,
+    evaluate_model,
     load_model,
     sample_gradcheck_batch,
     save_model,
     train,
 )
 from spkdeid.dataset import AttributeStrength, CorpusSpec, generate_corpus, split_corpus
-from spkdeid.neural import DivergenceError
+from spkdeid.neural import DenseLayer, DivergenceError
+from test_neural import per_tensor_adam
 
 TINY_DIMS = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
                     n_genders=2, n_accents=3, n_speakers=5)
@@ -120,7 +127,8 @@ class TestLossAndGrads:
                                       np.concatenate([s, s]))
         assert once.recon == pytest.approx(twice.recon, rel=1e-12)
         assert once.speaker == pytest.approx(twice.speaker, rel=1e-12)
-        assert once.total_reported == pytest.approx(twice.total_reported, rel=1e-12)
+        assert once.gender == pytest.approx(twice.gender, rel=1e-12)
+        assert once.accent == pytest.approx(twice.accent, rel=1e-12)
 
     def test_gradient_check_all_groups(self):
         model = tiny_model(lam=8.0, seed=1)
@@ -268,6 +276,69 @@ class TestCheckpoint:
         assert str(path) in str(info.value)
 
 
+class TestFlatParameters:
+    def test_layers_view_flat_in_checkpoint_order(self):
+        model = tiny_model()
+        params = model.parameters()
+        assert model.flat.size == sum(p.size for p in params.values())
+        offset = 0
+        for p in params.values():
+            assert np.shares_memory(p, model.flat)
+            assert np.array_equal(p.ravel(), model.flat[offset:offset + p.size])
+            offset += p.size
+
+    def test_write_through_parameters_shows_in_flat(self):
+        model = tiny_model()
+        model.parameters()["gender1.b"][:] = [7.0, -7.0]
+        model.encoder[0].weights[0, 0] = 3.5
+        assert model.flat[0] == 3.5
+        # a snapshot copies flat, so it sees the write only if flat holds it
+        assert np.array_equal(model.snapshot()["gender1.b"], [7.0, -7.0])
+
+    def test_group_params_partition_parameters(self):
+        model = tiny_model()
+        merged = {}
+        for attr, _ in GROUPS:
+            merged.update(model.group_params(attr))
+        params = model.parameters()
+        assert list(merged) == list(params)
+        for name, p in params.items():
+            assert np.shares_memory(merged[name], p)
+
+    def test_snapshot_restore_round_trip(self):
+        model = tiny_model()
+        original = model.flat.copy()
+        snap = model.snapshot()
+        assert list(snap) == list(model.parameters())
+        model.flat[...] = 0.0
+        assert np.array_equal(np.concatenate([p.ravel() for p in snap.values()]),
+                              original)
+        model.restore(snap)
+        assert np.array_equal(model.flat, original)
+
+    def test_save_bytes_are_header_plus_flat(self, tmp_path):
+        model = tiny_model(seed=4)
+        path = tmp_path / "model.aan"
+        save_model(model, path)
+        raw = path.read_bytes()
+        assert len(raw) == CHECKPOINT_HEADER_SIZE + 8 * model.flat.size
+        assert raw[CHECKPOINT_HEADER_SIZE:] == model.flat.astype("<f8").tobytes()
+
+    def test_load_fills_flat_and_layers_view_it(self, tmp_path):
+        model = tiny_model(seed=4)
+        path = tmp_path / "model.aan"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.flat, model.flat)
+        for layers in loaded.groups().values():
+            for layer in layers:
+                assert np.shares_memory(layer.weights, loaded.flat)
+                assert np.shares_memory(layer.bias, loaded.flat)
+        loaded.speaker_head[1].bias[:] = 9.0
+        assert np.array_equal(loaded.flat[-loaded.dims.n_speakers:],
+                              np.full(loaded.dims.n_speakers, 9.0))
+
+
 def tiny_corpus(seed=3):
     spec = CorpusSpec(n_speakers=5, n_genders=2, n_accents=3,
                       utterances_per_speaker=9, dim=8,
@@ -326,6 +397,25 @@ class TestTrain:
             assert h.train.recon >= 0 and h.valid.recon >= 0
             assert 0 <= h.valid_speaker_acc <= 1
 
+    def test_matches_per_layer_reference_loop(self):
+        # oracle: the training loop over separate per-layer arrays and a
+        # per-tensor Adam; the flat-vector loop must agree bit for bit
+        train_c, valid_c, _ = tiny_corpus()
+        dims = desk_dims(train_c, hidden=8, latent=4, branch_hidden=4)
+        config = TrainConfig(lam=2.0, epochs=5, batch_size=7, lr=0.02, beta1=0.8,
+                             beta2=0.99, eps=1e-6, seed=3)
+        expected_params, expected_history = reference_train(
+            build_aan(dims, 2.0, seed=6), train_c, valid_c, config)
+        model, history = train(build_aan(dims, 2.0, seed=6), train_c, valid_c, config)
+        assert len(history) == len(expected_history) == 5
+        for got, want in zip(history, expected_history):
+            assert got.epoch == want.epoch
+            assert np.array_equal(history_values(got), history_values(want))
+        params = model.parameters()
+        assert list(params) == list(expected_params)
+        for name, p in params.items():
+            assert np.array_equal(p, expected_params[name]), name
+
     def test_corpus_model_dim_mismatch(self):
         train_c, valid_c, _ = tiny_corpus()
         model = tiny_model()  # input_dim 8 matches, speaker count does not
@@ -336,6 +426,62 @@ class TestTrain:
     def test_epochs_zero_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0).validate()
+
+
+class LayerListModel:
+    """The AAN with separate arrays per layer and no flat vector."""
+
+    groups = AanModel.groups
+    parameters = AanModel.parameters
+
+    def __init__(self, model: AanModel):
+        for attr, _ in GROUPS:
+            setattr(self, attr, [DenseLayer(layer.weights.copy(), layer.bias.copy(),
+                                            layer.activation)
+                                 for layer in getattr(model, attr)])
+        self.lam = model.lam
+        self.dims = model.dims
+
+
+def reference_train(model, train_c, valid_c, config):
+    """Per-layer, per-tensor-Adam training; returns (best parameters, history)."""
+    ref = LayerListModel(model)
+    ref.lam = config.lam
+    x = train_c.matrix()
+    labels = train_c.label_indices()
+    x_valid = valid_c.matrix()
+    valid_labels = valid_c.label_indices()
+    params = ref.parameters()
+    state = {"t": 0, "m": {k: np.zeros_like(p) for k, p in params.items()},
+             "v": {k: np.zeros_like(p) for k, p in params.items()}}
+    rng = np.random.default_rng(config.seed)
+    best_recon = np.inf
+    best = {k: p.copy() for k, p in params.items()}
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(x))
+        sums = np.zeros(4)
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            losses, grads = aan_loss_and_grads(ref, x[idx], *(y[idx] for y in labels))
+            per_tensor_adam(params, grads, state, config.lr, config.beta1,
+                            config.beta2, config.eps)
+            sums += len(idx) * np.array([losses.recon, losses.gender, losses.accent,
+                                         losses.speaker])
+        train_mean = LossBreakdown(*(float(v) for v in sums / len(x)))
+        valid_mean, accs = evaluate_model(ref, x_valid, *valid_labels)
+        history.append(EpochStats(epoch, train_mean, valid_mean, *accs))
+        if valid_mean.recon < best_recon:
+            best_recon = valid_mean.recon
+            best = {k: p.copy() for k, p in params.items()}
+    return best, history
+
+
+def history_values(stats):
+    return np.array([stats.train.recon, stats.train.gender, stats.train.accent,
+                     stats.train.speaker, stats.valid.recon, stats.valid.gender,
+                     stats.valid.accent, stats.valid.speaker, stats.valid_gender_acc,
+                     stats.valid_accent_acc, stats.valid_speaker_acc])
 
 
 @pytest.mark.slow

@@ -74,6 +74,37 @@ class TestGenData:
         assert run_cli("gen-data", "--config", path) == 2
         assert "sed" in capsys.readouterr().err
 
+    def test_derived_train_seed_rejected_naming_key(self, tmp_path, capsys):
+        config = dict(TINY_CONFIG, out_dir=str(tmp_path / "r"))
+        config["train"] = dict(config["train"], seed=5)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("gen-data", "--config", path) == 2
+        assert "train.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "train", "epochs", "abc"),
+    ("train", "train", "batch_size", True),
+    ("train", "train", "lr", float("nan")),
+    ("evaluate", "trials", "n_nontarget_per_target", "x"),
+])
+def test_mistyped_config_value_is_one_error_line(tmp_path, capsys, command, section,
+                                                  key, value):
+    out = tmp_path / "run"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(dict(TINY_CONFIG, out_dir=str(out))))
+    run_cli("gen-data", "--config", good)
+    run_cli("train", "--config", good)
+    config = dict(TINY_CONFIG, out_dir=str(out))
+    config[section] = dict(config[section], **{key: value})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_cli(command, "--config", bad) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"{section}.{key}" in err[0]
+
 
 class TestTrain:
     def test_checkpoint_history_manifest(self, tiny_run):
@@ -241,6 +272,26 @@ class TestManifest:
         run_cli("gen-data", "--config", replay_config)
         for name in ("train.csv", "valid.csv", "test.csv"):
             assert digest(tmp_path / "replay" / name) == digest(out / name)
+
+
+def test_manifest_replay_keeps_adam_hyperparameters(tmp_path):
+    def train_run(config, out):
+        path = tmp_path / f"{out.name}.json"
+        path.write_text(json.dumps(dict(config, out_dir=str(out))))
+        assert run_cli("gen-data", "--config", path) == 0
+        assert run_cli("train", "--config", path) == 0
+        return out / "model.aan"
+
+    config = dict(TINY_CONFIG, train=dict(TINY_CONFIG["train"], beta1=0.5, eps=1e-3))
+    first = train_run(config, tmp_path / "first")
+    manifest = json.loads((tmp_path / "first" / "manifest_train.json").read_text())
+    assert manifest["config"]["train"]["beta1"] == 0.5
+    assert manifest["config"]["train"]["eps"] == 1e-3
+    replay = train_run(manifest["config"], tmp_path / "replay")
+    assert replay.read_bytes() == first.read_bytes()
+    # the hyperparameters matter: the default ones give another model
+    default = train_run(TINY_CONFIG, tmp_path / "default")
+    assert default.read_bytes() != first.read_bytes()
 
 
 def test_print_config_round_trips(tmp_path, capsys):
