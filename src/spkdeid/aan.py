@@ -21,6 +21,15 @@ checkpoint order: encoder layers, decoder layers, gender head, accent head,
 speaker head; per layer the weights (C order) then the bias.  Each layer's
 ``weights`` and ``bias`` are views into it, so training updates, snapshots,
 restores and checkpoints the whole model with one vector operation each.
+
+Training computes only what it reads.  Each step's backward pass writes the
+weight and bias gradients straight into views of one flat gradient vector
+laid out like ``flat`` (no per-layer gradient arrays, no packing copy), and
+the encoder's input gradient is never computed.  The per-epoch validation
+pass (``evaluate_model``) keeps no backward caches and computes each head's
+loss and accuracy in place on its logits, so beside the forward outputs it
+holds no further array of the logits' size; with 1251 speakers the speaker
+logits dominate, and its peak is about one (rows, n_speakers) matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .neural import (
     DivergenceError,
     Params,
     adam_step,
+    cross_entropy_and_accuracy,
     dense_backward,
     dense_forward,
     finite_difference_check,
@@ -126,14 +136,19 @@ class AanModel:
         self.speaker_head = speaker_head
         self.lam = lam
         self.dims = dims
-        self.flat = np.concatenate([p.ravel() for p in self.parameters().values()],
-                                   dtype=np.float64)
+        params = self.parameters()
+        self.flat = np.concatenate([p.ravel() for p in params.values()], dtype=np.float64)
+        # (name, start, stop, shape) of each parameter's slice of ``flat``
+        self._layout = []
+        offset = 0
+        for name, p in params.items():
+            self._layout.append((name, offset, offset + p.size, p.shape))
+            offset += p.size
         views = self._views(self.flat)
         for prefix, layers in self.groups().items():
             for i, layer in enumerate(layers):
                 layer.weights = views[f"{prefix}{i}.w"]
                 layer.bias = views[f"{prefix}{i}.b"]
-        self._names = tuple(views)
 
     def groups(self) -> dict[str, list[DenseLayer]]:
         """Parameter-name prefix -> layer list, in checkpoint order."""
@@ -152,16 +167,12 @@ class AanModel:
 
     def _views(self, buffer: np.ndarray) -> Params:
         """Name -> view into ``buffer``, laid out like ``flat``."""
-        views: Params = {}
-        offset = 0
-        for name, p in self.parameters().items():
-            views[name] = buffer[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        return views
+        return {name: buffer[start:stop].reshape(shape)
+                for name, start, stop, shape in self._layout}
 
     def pack(self, arrays: Params, out: np.ndarray) -> None:
         """Copy a name -> array mapping into ``out`` in checkpoint order."""
-        np.concatenate([arrays[name].ravel() for name in self._names], out=out)
+        np.concatenate([arrays[name].ravel() for name, *_ in self._layout], out=out)
 
     def snapshot(self) -> Params:
         """Name -> view into one copy of ``flat``."""
@@ -215,11 +226,18 @@ def _chain_forward(layers: list[DenseLayer], x: np.ndarray):
 
 
 def _chain_backward(layers: list[DenseLayer], caches, upstream: np.ndarray,
-                    prefix: str, grads: Params) -> np.ndarray:
+                    prefix: str, grads: Params, input_grad: bool = True):
+    """Backward through a layer chain, gradients stored under their names.
+
+    An array already in ``grads`` under a parameter's name receives that
+    gradient in place; missing names get fresh arrays.  Returns the chain's
+    input gradient, or None when ``input_grad`` is false.
+    """
     for i in range(len(layers) - 1, -1, -1):
-        upstream, dw, db = dense_backward(layers[i], caches[i], upstream)
-        grads[f"{prefix}{i}.w"] = dw
-        grads[f"{prefix}{i}.b"] = db
+        w, b = f"{prefix}{i}.w", f"{prefix}{i}.b"
+        upstream, grads[w], grads[b] = dense_backward(
+            layers[i], caches[i], upstream, grads.get(w), grads.get(b),
+            input_grad=input_grad or i > 0)
     return upstream
 
 
@@ -237,8 +255,18 @@ def _forward_cached(model: AanModel, x: np.ndarray):
 
 
 def aan_forward(model: AanModel, x: np.ndarray) -> AanOutput:
-    output, _ = _forward_cached(model, np.asarray(x, dtype=np.float64))
-    return output
+    """All five outputs, keeping no backward caches: each layer's cache is
+    dropped as soon as the next layer has run."""
+
+    def chain(layers: list[DenseLayer], out: np.ndarray) -> np.ndarray:
+        for layer in layers:
+            out, _ = dense_forward(layer, out)
+        return out
+
+    latent = chain(model.encoder, np.asarray(x, dtype=np.float64))
+    return AanOutput(chain(model.decoder, latent), latent,
+                     chain(model.gender_head, latent), chain(model.accent_head, latent),
+                     chain(model.speaker_head, latent))
 
 
 @dataclass
@@ -257,7 +285,7 @@ class LossBreakdown:
 
 def aan_loss_and_grads(model: AanModel, x: np.ndarray,
                        gender_labels: np.ndarray, accent_labels: np.ndarray,
-                       speaker_labels: np.ndarray
+                       speaker_labels: np.ndarray, out: np.ndarray | None = None
                        ) -> tuple[LossBreakdown, Params]:
     """Losses plus gradients realizing the adversarial min-max split.
 
@@ -265,6 +293,11 @@ def aan_loss_and_grads(model: AanModel, x: np.ndarray,
     reconstruction gradient; the encoder gets the reconstruction gradient
     plus each branch's latent gradient reversed and scaled by -lam, i.e.
     exactly the gradient of recon_loss - lam * (sum of branch losses).
+
+    With ``out``, a vector laid out like ``model.flat``, the gradients are
+    written into it and the returned mapping holds views of it; without,
+    every call returns fresh arrays.  The encoder's input gradient is never
+    computed.
     """
     x = np.asarray(x, dtype=np.float64)
     output, caches = _forward_cached(model, x)
@@ -276,15 +309,16 @@ def aan_loss_and_grads(model: AanModel, x: np.ndarray,
     if not breakdown.is_finite():
         raise DivergenceError(f"divergence detected: non-finite loss {breakdown}")
 
-    grads: Params = {}
+    grads: Params = {} if out is None else model._views(out)
     groups = model.groups()
     d_latent = _chain_backward(model.decoder, caches["dec"], d_recon, "dec", grads)
     for branch, upstream in (("gender", d_gender), ("accent", d_accent),
                              ("speaker", d_speaker)):
         head = groups[branch]
         d_branch_latent = _chain_backward(head, caches[branch], upstream, branch, grads)
-        d_latent = d_latent + grl_backward(d_branch_latent, model.lam)
-    _chain_backward(model.encoder, caches["enc"], d_latent, "enc", grads)
+        d_latent += grl_backward(d_branch_latent, model.lam)
+    _chain_backward(model.encoder, caches["enc"], d_latent, "enc", grads,
+                    input_grad=False)
     return breakdown, grads
 
 
@@ -337,16 +371,21 @@ class EpochStats:
 def evaluate_model(model: AanModel, x: np.ndarray, gender_labels: np.ndarray,
                    accent_labels: np.ndarray, speaker_labels: np.ndarray
                    ) -> tuple[LossBreakdown, tuple[float, float, float]]:
-    """Full-pass losses and head accuracies, no gradients."""
+    """Full-pass losses and head accuracies, no gradients.
+
+    Each head's loss and accuracy are computed in place on its logits, so
+    besides the forward outputs the pass holds no array of the logits' size:
+    its peak is about one (rows, n_speakers) matrix.  The values have the
+    bits of ``softmax_cross_entropy`` losses and ``argmax`` accuracies.
+    """
     output = aan_forward(model, x)
     recon_loss, _ = mse_loss(output.reconstruction, x)
-    gender_loss, _ = softmax_cross_entropy(output.gender_logits, gender_labels)
-    accent_loss, _ = softmax_cross_entropy(output.accent_logits, accent_labels)
-    speaker_loss, _ = softmax_cross_entropy(output.speaker_logits, speaker_labels)
-    accs = (float((output.gender_logits.argmax(axis=1) == gender_labels).mean()),
-            float((output.accent_logits.argmax(axis=1) == accent_labels).mean()),
-            float((output.speaker_logits.argmax(axis=1) == speaker_labels).mean()))
-    return LossBreakdown(recon_loss, gender_loss, accent_loss, speaker_loss), accs
+    gender_loss, gender_acc = cross_entropy_and_accuracy(output.gender_logits, gender_labels)
+    accent_loss, accent_acc = cross_entropy_and_accuracy(output.accent_logits, accent_labels)
+    speaker_loss, speaker_acc = cross_entropy_and_accuracy(output.speaker_logits,
+                                                           speaker_labels)
+    return (LossBreakdown(recon_loss, gender_loss, accent_loss, speaker_loss),
+            (gender_acc, accent_acc, speaker_acc))
 
 
 def _corpus_tensors(corpus: Corpus, dims: AanDims):
@@ -379,8 +418,8 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     x_train, g_train, a_train, s_train = _corpus_tensors(train_corpus, model.dims)
     x_valid, g_valid, a_valid, s_valid = _corpus_tensors(valid_corpus, model.dims)
 
-    # the optimizer sees the whole model as one flat entry; the gradient
-    # buffer is filled from each step's name -> gradient mapping
+    # the optimizer sees the whole model as one flat entry; each step's
+    # gradients are written straight into the flat gradient buffer
     params = {"flat": model.flat}
     grads = {"flat": np.empty_like(model.flat)}
     adam_state = AdamState.for_params(params)
@@ -398,11 +437,9 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                breakdown, layer_grads = aan_loss_and_grads(
-                    model, x_train[idx], g_train[idx], a_train[idx], s_train[idx])
-                model.pack(layer_grads, grads["flat"])
-                # the flat buffer holds the gradients now; free the per-layer arrays
-                del layer_grads
+                breakdown, _ = aan_loss_and_grads(
+                    model, x_train[idx], g_train[idx], a_train[idx], s_train[idx],
+                    out=grads["flat"])
                 if config.optimizer == "adam":
                     adam_step(params, grads, adam_state, lr=config.lr,
                               beta1=config.beta1, beta2=config.beta2, eps=config.eps)

@@ -28,6 +28,7 @@ scores; Cllr is not (it reads the raw score values as LLRs).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .anonymize import AnonymizationMethod, anonymize_corpus
 from .dataset import Corpus
 from .neural import (
     AdamState,
+    DenseLayer,
     adam_step,
     dense_backward,
     dense_forward,
@@ -134,19 +136,41 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def _norms(vectors: list[np.ndarray]) -> np.ndarray:
+    # sqrt(v . v) is what np.linalg.norm computes for a 1-d array
+    return np.array([np.sqrt(v.dot(v)) for v in vectors], dtype=np.float64)
+
+
 def score_trials(trials: list[Trial], speaker_models: dict[str, np.ndarray],
                  trial_corpus: Corpus) -> ScoredTrials:
-    """Cosine score of each trial utterance against its enrollment model."""
+    """Cosine score of each trial utterance against its enrollment model.
+
+    Each model and each trial vector is normed once and each trial takes
+    one dot product, so the scores equal ``cosine_score`` bit for bit.  A
+    zero-norm vector is an error only if a trial uses it.
+    """
     vectors = {e.utterance_id: e.vector for e in trial_corpus.embeddings}
-    scores = np.empty(len(trials))
+    model_index = {speaker: i for i, speaker in enumerate(speaker_models)}
+    vector_index = {utterance: i for i, utterance in enumerate(vectors)}
+    model_rows = np.empty(len(trials), dtype=np.intp)
+    vector_rows = np.empty(len(trials), dtype=np.intp)
     for i, t in enumerate(trials):
-        if t.enroll_speaker not in speaker_models:
+        if t.enroll_speaker not in model_index:
             raise ValueError(f"no enrollment model for speaker {t.enroll_speaker!r}")
-        if t.trial_utterance not in vectors:
+        if t.trial_utterance not in vector_index:
             raise ValueError(f"trial utterance {t.trial_utterance!r} not in trial corpus")
-        scores[i] = cosine_score(speaker_models[t.enroll_speaker],
-                                 vectors[t.trial_utterance])
-    return ScoredTrials(list(trials), scores)
+        model_rows[i] = model_index[t.enroll_speaker]
+        vector_rows[i] = vector_index[t.trial_utterance]
+    models = list(speaker_models.values())
+    trial_vectors = list(vectors.values())
+    model_norms = _norms(models)[model_rows]
+    vector_norms = _norms(trial_vectors)[vector_rows]
+    if (model_norms == 0.0).any() or (vector_norms == 0.0).any():
+        raise ValueError("degenerate vector: zero norm, cosine score undefined")
+    dots = np.fromiter((np.dot(models[m], trial_vectors[v])
+                        for m, v in zip(model_rows.tolist(), vector_rows.tolist())),
+                       dtype=np.float64, count=len(trials))
+    return ScoredTrials(list(trials), dots / (model_norms * vector_norms))
 
 
 def _eer(tar: np.ndarray, non: np.ndarray) -> float:
@@ -247,17 +271,35 @@ def probe_attack(train_corpus: Corpus, test_corpus: Corpus, attribute: str,
     x_test = test_corpus.matrix()
     y_test = test_corpus.label_indices()[index]
 
-    rng = np.random.default_rng(seed)
-    layer = init_dense(train_corpus.dim, n_classes, "linear", rng)
-    params = {"w": layer.weights, "b": layer.bias}
-    state = AdamState.for_params(params)
-    for _ in range(epochs):
-        logits, cache = dense_forward(layer, x_train)
-        _, d_logits = softmax_cross_entropy(logits, y_train)
-        _, dw, db = dense_backward(layer, cache, d_logits)
-        adam_step(params, {"w": dw, "b": db}, state, lr=lr)
+    layer = _train_probe(x_train, y_train, n_classes, seed, epochs, lr)
     test_logits, _ = dense_forward(layer, x_test)
     return float((test_logits.argmax(axis=1) == y_test).mean())
+
+
+def _train_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, seed: int,
+                 epochs: int, lr: float) -> DenseLayer:
+    """Full-batch Adam training of a linear softmax layer.
+
+    The weights and the bias live in one flat vector that Adam updates as
+    one entry; each step's gradients are written into views of one flat
+    gradient vector, and the input gradient is never computed.
+    """
+    layer = init_dense(x.shape[1], n_classes, "linear", np.random.default_rng(seed))
+    n_weights = layer.weights.size
+    flat = np.concatenate([layer.weights.ravel(), layer.bias])
+    grad = np.empty_like(flat)
+    layer.weights = flat[:n_weights].reshape(layer.weights.shape)
+    layer.bias = flat[n_weights:]
+    weight_grad = grad[:n_weights].reshape(layer.weights.shape)
+    bias_grad = grad[n_weights:]
+    params, grads = {"flat": flat}, {"flat": grad}
+    state = AdamState.for_params(params)
+    for _ in range(epochs):
+        logits, cache = dense_forward(layer, x)
+        _, d_logits = softmax_cross_entropy(logits, labels)
+        dense_backward(layer, cache, d_logits, weight_grad, bias_grad, input_grad=False)
+        adam_step(params, grads, state, lr=lr)
+    return layer
 
 
 @dataclass
@@ -367,6 +409,8 @@ def read_trials(path: str | Path) -> list[Trial]:
 
 REPORT_COLUMNS = ["row", "dataset", "eer_pct", "min_cllr", "cllr", "enroll",
                   "trial", "gender", "probe_speaker", "probe_gender", "probe_accent"]
+REPORT_NUMERIC_COLUMNS = ("eer_pct", "min_cllr", "cllr", "probe_speaker",
+                          "probe_gender", "probe_accent")
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
@@ -380,6 +424,17 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
                              f"{r.probe_accent:.17g}"])
 
 
+def _report_number(path: str | Path, line: int, column: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: line {line}: column {column}: expected a finite "
+                         f"number, got {text!r}")
+    return value
+
+
 def read_report_csv(path: str | Path) -> MetricsReport:
     with Path(path).open("r", newline="") as fh:
         reader = csv.reader(fh)
@@ -390,11 +445,11 @@ def read_report_csv(path: str | Path) -> MetricsReport:
         for row in reader:
             if len(row) != len(REPORT_COLUMNS):
                 raise ValueError(f"{path}: line {reader.line_num}: bad report row")
-            rows.append(ReportRow(
-                dataset=row[1], enroll=row[5], trial=row[6], gender=row[7],
-                eer_pct=float(row[2]), min_cllr=float(row[3]), cllr=float(row[4]),
-                probe_speaker=float(row[8]), probe_gender=float(row[9]),
-                probe_accent=float(row[10])))
+            cells = dict(zip(REPORT_COLUMNS, row))
+            for column in REPORT_NUMERIC_COLUMNS:
+                cells[column] = _report_number(path, reader.line_num, column, cells[column])
+            del cells["row"]
+            rows.append(ReportRow(**cells))
     return MetricsReport(rows)
 
 

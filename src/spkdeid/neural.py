@@ -8,7 +8,11 @@ differences.  ``adam_step`` updates parameters and moments in place through
 ufunc ``out=`` calls on scratch arrays held by its ``AdamState``, so the update
 allocates no temporaries; a model that keeps its parameters in one flat
 vector passes it as a one-entry mapping and pays one set of ufunc calls per
-step.
+step.  ``dense_backward`` writes the weight and bias gradients into
+caller-given arrays (views of a flat gradient vector laid out like the
+parameters) and skips the input gradient when nothing reads it.  For a pass
+without gradients, ``cross_entropy_and_accuracy`` works on the logits in
+place, so it holds nothing of their size beyond the logits themselves.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, DenseCa
     x = _as_batch(x)
     if x.shape[1] != layer.n_in:
         raise ValueError(f"input has {x.shape[1]} features, layer expects {layer.n_in}")
-    pre = x @ layer.weights.T + layer.bias
+    pre = x @ layer.weights.T
+    pre += layer.bias
     if layer.activation == "tanh":
         out = np.tanh(pre)
     elif layer.activation == "relu":
@@ -85,24 +90,34 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, DenseCa
     return out, DenseCache(x=x, pre=pre, out=out)
 
 
-def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (input_grad, weight_grad, bias_grad) for the layer map."""
+def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
+                   weight_out: np.ndarray | None = None,
+                   bias_out: np.ndarray | None = None,
+                   input_grad: bool = True
+                   ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Returns (input_grad, weight_grad, bias_grad) for the layer map.
+
+    The weight and bias gradients are written into ``weight_out`` and
+    ``bias_out`` when given (same bits as fresh arrays).  With
+    ``input_grad=False`` the input gradient is not computed and None takes
+    its place.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.pre.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != layer output shape {cache.pre.shape}")
     if layer.activation == "tanh":
-        dpre = upstream * (1.0 - cache.out ** 2)
+        dpre = np.square(cache.out)
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= upstream
     elif layer.activation == "relu":
         # subgradient 0 at exactly-zero pre-activations
         dpre = upstream * (cache.pre > 0.0)
     else:
         dpre = upstream
-    weight_grad = dpre.T @ cache.x
-    bias_grad = dpre.sum(axis=0)
-    input_grad = dpre @ layer.weights
-    return input_grad, weight_grad, bias_grad
+    weight_grad = np.matmul(dpre.T, cache.x, out=weight_out)
+    bias_grad = dpre.sum(axis=0, out=bias_out)
+    return (dpre @ layer.weights if input_grad else None), weight_grad, bias_grad
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -113,6 +128,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _checked_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (logits.shape[0],):
+        raise ValueError(f"labels shape {labels.shape} != (batch,) = ({logits.shape[0]},)")
+    k = logits.shape[1]
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"labels must lie in [0, {k}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    return labels
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
                           ) -> tuple[float, np.ndarray]:
     """Mean negative log softmax probability of the labels (natural log).
@@ -121,13 +147,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     (softmax - one_hot) / batch, matching the mean reduction.
     """
     logits = _as_batch(logits)
-    labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(f"labels shape {labels.shape} != (batch,) = ({logits.shape[0]},)")
-    n, k = logits.shape
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
+    labels = _checked_labels(logits, labels)
+    n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = float(-log_probs[np.arange(n), labels].mean())
@@ -135,6 +156,27 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad
+
+
+def cross_entropy_and_accuracy(logits: np.ndarray, labels: np.ndarray
+                               ) -> tuple[float, float]:
+    """(mean softmax cross-entropy, top-1 accuracy) of float64 logits, in place.
+
+    ``logits`` is overwritten: the caller hands over an array it no longer
+    needs, and no other array of its size is allocated.  The loss has the
+    bits of ``softmax_cross_entropy``'s loss: each element is the shifted
+    label logit minus the log of the row's exp-sum, the subtraction that
+    its ``log_probs`` performs.  The argmax is taken first, so ties go to
+    the lowest index as in ``logits.argmax(axis=1)``.
+    """
+    logits = _as_batch(logits)
+    labels = _checked_labels(logits, labels)
+    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    logits -= logits.max(axis=1, keepdims=True)
+    label_logits = logits[np.arange(logits.shape[0]), labels]
+    np.exp(logits, out=logits)
+    log_sums = np.log(logits.sum(axis=1))
+    return float(-(label_logits - log_sums).mean()), accuracy
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

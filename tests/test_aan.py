@@ -1,7 +1,9 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spkdeid import aan as aan_module
 from spkdeid.aan import (
@@ -25,7 +27,7 @@ from spkdeid.aan import (
     train,
 )
 from spkdeid.dataset import AttributeStrength, CorpusSpec, generate_corpus, split_corpus
-from spkdeid.neural import DenseLayer, DivergenceError
+from spkdeid.neural import DenseLayer, DivergenceError, mse_loss, softmax_cross_entropy
 from test_neural import per_tensor_adam
 
 TINY_DIMS = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
@@ -143,6 +145,100 @@ class TestLossAndGrads:
         x, g, a, s = tiny_batch(model)
         with pytest.raises(ValueError, match="labels"):
             aan_loss_and_grads(model, x, g, a, np.full_like(s, 99))
+
+
+class TestGradientBuffer:
+    def test_out_buffer_gets_the_bits_of_fresh_arrays(self):
+        model = tiny_model()
+        x, g, a, s = tiny_batch(model, batch=5)
+        losses, fresh = aan_loss_and_grads(model, x, g, a, s)
+        expected = np.empty_like(model.flat)
+        model.pack(fresh, expected)
+        buf = np.full_like(model.flat, np.nan)
+        losses_out, views = aan_loss_and_grads(model, x, g, a, s, out=buf)
+        assert losses_out == losses
+        assert buf.tobytes() == expected.tobytes()
+        assert set(views) == set(fresh)
+        for name, view in views.items():
+            assert np.shares_memory(view, buf)
+            assert view.shape == fresh[name].shape
+
+    def test_calls_without_out_return_fresh_arrays(self):
+        model = tiny_model()
+        x, g, a, s = tiny_batch(model)
+        _, first = aan_loss_and_grads(model, x, g, a, s)
+        kept = {name: grad.copy() for name, grad in first.items()}
+        _, second = aan_loss_and_grads(model, x, g, a, s)
+        for name in first:
+            assert not np.shares_memory(first[name], second[name])
+            assert not np.shares_memory(first[name], model.flat)
+            assert np.array_equal(first[name], kept[name])
+
+
+def reference_evaluate(model, x, g, a, s):
+    """evaluate_model from the plain kernels: forward, losses, argmax."""
+    out = aan_forward(model, x)
+    recon, _ = mse_loss(out.reconstruction, x)
+    losses, accs = [recon], []
+    for logits, labels in ((out.gender_logits, g), (out.accent_logits, a),
+                           (out.speaker_logits, s)):
+        losses.append(softmax_cross_entropy(logits, labels)[0])
+        accs.append(float((logits.argmax(axis=1) == labels).mean()))
+    return LossBreakdown(*losses), tuple(accs)
+
+
+class TestEvaluateModel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_plain_kernels_exactly(self, data):
+        sizes = st.integers(min_value=1, max_value=9)
+        dims = AanDims(input_dim=data.draw(sizes), hidden=data.draw(sizes),
+                       latent=data.draw(sizes), branch_hidden=data.draw(sizes),
+                       n_genders=data.draw(sizes), n_accents=data.draw(sizes),
+                       n_speakers=data.draw(st.integers(min_value=1, max_value=40)))
+        seed = data.draw(st.integers(min_value=0, max_value=2**16))
+        case = data.draw(st.sampled_from(["random", "tie", "large"]))
+        model = build_aan(dims, lam=1.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        for attr, _ in GROUPS[2:]:
+            last = getattr(model, attr)[-1]
+            if case == "tie":
+                # equal logits in every row: the argmax tie goes to index 0
+                last.weights[...] = 0.0
+                last.bias[...] = rng.normal()
+            elif case == "large":
+                last.weights *= 1e6
+                last.bias[...] = rng.normal(scale=1e8, size=last.bias.shape)
+        rows = data.draw(st.integers(min_value=1, max_value=12))
+        x = rng.normal(size=(rows, dims.input_dim))
+        g = rng.integers(0, dims.n_genders, rows)
+        a = rng.integers(0, dims.n_accents, rows)
+        s = rng.integers(0, dims.n_speakers, rows)
+        if case == "tie":
+            g[0] = a[0] = s[0] = 0
+        losses, accs = evaluate_model(model, x, g, a, s)
+        ref_losses, ref_accs = reference_evaluate(model, x, g, a, s)
+        assert losses == ref_losses
+        assert accs == ref_accs
+        if case == "tie":
+            assert accs == tuple(float((labels == 0).mean()) for labels in (g, a, s))
+
+    def test_peak_memory_is_about_one_logits_matrix(self):
+        # the speaker logits dominate: 600 x 1500 float64 is 7.2 MB
+        dims = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
+                       n_genders=2, n_accents=3, n_speakers=1500)
+        model = build_aan(dims, lam=1.0, seed=2)
+        rng = np.random.default_rng(2)
+        rows = 600
+        x = rng.normal(size=(rows, dims.input_dim))
+        labels = [rng.integers(0, n, rows) for n in (2, 3, dims.n_speakers)]
+        tracemalloc.start()
+        try:
+            evaluate_model(model, x, *labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rows * dims.n_speakers * 8
 
 
 class TestGrlEquivalence:

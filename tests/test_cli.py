@@ -220,6 +220,21 @@ class TestEvaluate:
         assert (out / "report.txt").read_text() in text + "\n" or True
 
 
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_malformed_report_is_one_error_line(self, tmp_path, capsys, cell):
+        path = tmp_path / "report.csv"
+        path.write_text("row,dataset,eer_pct,min_cllr,cllr,enroll,trial,gender,"
+                        "probe_speaker,probe_gender,probe_accent\n"
+                        f"1,tiny,10.0,{cell},1.1,o,a,f,0.5,0.9,0.4\n")
+        capsys.readouterr()
+        assert run_cli("report", path) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0] and "line 2" in err[0] and "min_cllr" in err[0]
+
+
 class TestSweep:
     def test_sweep_emits_per_lambda_outputs(self, tiny_run):
         config_path, out = tiny_run

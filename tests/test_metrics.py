@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spkdeid.anonymize import AnonymizationMethod
 from spkdeid.dataset import AttributeStrength, CorpusSpec, Embedding, generate_corpus, \
     make_corpus, split_corpus
 from spkdeid.metrics import (
+    REPORT_COLUMNS,
     MetricsReport,
     ScoredTrials,
     Trial,
@@ -24,6 +27,15 @@ from spkdeid.metrics import (
     score_trials,
     write_report_csv,
     write_trials,
+    _train_probe,
+)
+from spkdeid.neural import (
+    AdamState,
+    adam_step,
+    dense_backward,
+    dense_forward,
+    init_dense,
+    softmax_cross_entropy,
 )
 
 rng = np.random.default_rng(314)
@@ -250,7 +262,86 @@ class TestScoreTrials:
         np.testing.assert_array_equal(shuffled.scores, base.scores[perm])
 
 
+class TestScoreTrialsMatchesCosineLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_cosine_score(self, data):
+        dim = data.draw(st.integers(min_value=1, max_value=8))
+        vector = hnp.arrays(np.float64, dim, elements=st.floats(-1e3, 1e3))
+        distinct = data.draw(st.lists(vector, min_size=1, max_size=5))
+        distinct = [v if np.linalg.norm(v) > 0 else np.ones(dim) for v in distinct]
+        pick = st.integers(min_value=0, max_value=len(distinct) - 1)
+        # equal vectors under several names, plus a zero vector on each side
+        # that no trial uses
+        n_models = data.draw(st.integers(min_value=1, max_value=6))
+        models = {f"s{i}": distinct[data.draw(pick)].copy() for i in range(n_models)}
+        models["zero"] = np.zeros(dim)
+        n_utts = data.draw(st.integers(min_value=1, max_value=8))
+        rows = [Embedding(f"u{i}", f"s{i}", "f", "a00", distinct[data.draw(pick)].copy())
+                for i in range(n_utts)]
+        rows.append(Embedding("uz", "sz", "f", "a00", np.zeros(dim)))
+        corpus = make_corpus(rows)
+        pairs = st.tuples(st.integers(0, n_models - 1), st.integers(0, n_utts - 1))
+        trials = [Trial(f"s{m}", f"u{u}", m == u, "f")
+                  for m, u in data.draw(st.lists(pairs, max_size=30))]
+        expected = [cosine_score(models[t.enroll_speaker],
+                                 corpus.embeddings[int(t.trial_utterance[1:])].vector)
+                    for t in trials]
+        result = score_trials(trials, models, corpus)
+        assert np.array_equal(result.scores, np.array(expected, dtype=np.float64))
+
+    @pytest.mark.parametrize("speaker, utterance", [("zero", "u0"), ("s0", "uz")])
+    def test_zero_vector_in_a_trial_rejected(self, speaker, utterance):
+        corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3)),
+                              Embedding("uz", "s1", "f", "a00", np.zeros(3))])
+        models = {"s0": np.ones(3), "zero": np.zeros(3)}
+        with pytest.raises(ValueError, match="degenerate"):
+            score_trials([Trial("s0", "u0", True, "f"), Trial(speaker, utterance, False, "f")],
+                         models, corpus)
+
+    def test_missing_speaker_and_utterance_named(self):
+        corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3))])
+        models = {"s0": np.ones(3)}
+        with pytest.raises(ValueError, match="'s9'"):
+            score_trials([Trial("s9", "u0", True, "f")], models, corpus)
+        with pytest.raises(ValueError, match="'u9'"):
+            score_trials([Trial("s0", "u9", True, "f")], models, corpus)
+
+
+def reference_probe(train_c, test_c, attribute, seed, epochs, lr):
+    """The probe as separate weight and bias arrays with fresh gradients:
+    (test accuracy, trained layer)."""
+    index = {"gender": 0, "accent": 1, "speaker": 2}[attribute]
+    x_train = train_c.matrix()
+    y_train = train_c.label_indices()[index]
+    n_classes = len(getattr(train_c, f"{attribute}_vocab"))
+    layer = init_dense(train_c.dim, n_classes, "linear", np.random.default_rng(seed))
+    params = {"w": layer.weights, "b": layer.bias}
+    state = AdamState.for_params(params)
+    for _ in range(epochs):
+        logits, cache = dense_forward(layer, x_train)
+        _, d_logits = softmax_cross_entropy(logits, y_train)
+        _, dw, db = dense_backward(layer, cache, d_logits)
+        adam_step(params, {"w": dw, "b": db}, state, lr=lr)
+    test_logits, _ = dense_forward(layer, test_c.matrix())
+    accuracy = float((test_logits.argmax(axis=1) == test_c.label_indices()[index]).mean())
+    return accuracy, layer
+
+
 class TestProbe:
+    @pytest.mark.parametrize("attribute", ["speaker", "gender", "accent"])
+    def test_flat_probe_matches_separate_arrays(self, attribute):
+        train_c, test_c = trial_corpora()
+        accuracy, ref_layer = reference_probe(train_c, test_c, attribute, seed=5,
+                                              epochs=80, lr=0.05)
+        assert probe_attack(train_c, test_c, attribute, seed=5, epochs=80,
+                            lr=0.05) == accuracy
+        index = {"gender": 0, "accent": 1, "speaker": 2}[attribute]
+        layer = _train_probe(train_c.matrix(), train_c.label_indices()[index],
+                             ref_layer.n_out, seed=5, epochs=80, lr=0.05)
+        assert np.array_equal(layer.weights, ref_layer.weights)
+        assert np.array_equal(layer.bias, ref_layer.bias)
+
     def test_speaker_probe_on_original_corpus(self, desk_splits):
         train_c, _, test_c = desk_splits
         assert probe_attack(train_c, test_c, "speaker", seed=3) >= 0.95
@@ -345,6 +436,19 @@ class TestFileFormats:
         write_report_csv(report, path)
         loaded = read_report_csv(path)
         assert loaded.rows == report.rows
+
+    @pytest.mark.parametrize("column, cell", [("min_cllr", "abc"), ("eer_pct", "nan"),
+                                              ("probe_accent", "inf"), ("cllr", "")])
+    def test_report_cell_must_be_a_finite_number(self, tmp_path, column, cell):
+        values = dict(zip(REPORT_COLUMNS, ["1", "synth", "10.0", "0.9", "1.1", "o",
+                                           "a", "f", "0.5", "0.9", "0.4"]))
+        values[column] = cell
+        path = tmp_path / "report.csv"
+        path.write_text(",".join(REPORT_COLUMNS) + "\n" + ",".join(values.values()) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report_csv(path)
+        message = str(info.value)
+        assert str(path) in message and "line 2" in message and column in message
 
     def test_table_layout(self):
         report = MetricsReport(rows=[])

@@ -10,6 +10,7 @@ from spkdeid.neural import (
     DenseLayer,
     DivergenceError,
     adam_step,
+    cross_entropy_and_accuracy,
     dense_backward,
     dense_forward,
     finite_difference_check,
@@ -61,6 +62,19 @@ class TestDenseBackward:
         assert np.array_equal(dx, np.zeros((1, 2)))
         assert np.array_equal(dw, np.zeros((2, 2)))
         assert np.array_equal(db, np.zeros(2))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
+    def test_out_arrays_get_the_bits_of_fresh_arrays(self, activation):
+        layer = init_dense(5, 3, activation, np.random.default_rng(2))
+        layer.bias[:] = np.random.default_rng(3).normal(size=3)
+        _, cache = dense_forward(layer, np.random.default_rng(4).normal(size=(7, 5)))
+        upstream = np.random.default_rng(5).normal(size=(7, 3))
+        dx, dw, db = dense_backward(layer, cache, upstream)
+        w_out, b_out = np.full((3, 5), np.nan), np.full(3, np.nan)
+        none, w_got, b_got = dense_backward(layer, cache, upstream, w_out, b_out,
+                                            input_grad=False)
+        assert none is None and w_got is w_out and b_got is b_out
+        assert w_out.tobytes() == dw.tobytes() and b_out.tobytes() == db.tobytes()
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
     def test_matches_finite_differences(self, activation):
@@ -129,6 +143,24 @@ class TestSoftmaxCrossEntropy:
     @given(hnp.arrays(np.float64, (3, 5), elements=st.floats(-50, 50)))
     def test_softmax_rows_sum_to_one(self, logits):
         np.testing.assert_allclose(softmax(logits).sum(axis=1), 1.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_in_place_loss_and_accuracy_match(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
+        logits = data.draw(hnp.arrays(np.float64, shape,
+                                      elements=st.floats(-1e300, 1e300)))
+        labels = data.draw(hnp.arrays(np.int64, shape[0],
+                                      elements=st.integers(0, shape[1] - 1)))
+        loss, _ = softmax_cross_entropy(logits, labels)
+        accuracy = float((logits.argmax(axis=1) == labels).mean())
+        got_loss, got_accuracy = cross_entropy_and_accuracy(logits.copy(), labels)
+        assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+        assert got_accuracy == accuracy
+
+    def test_in_place_rejects_bad_labels(self):
+        with pytest.raises(ValueError, match="labels"):
+            cross_entropy_and_accuracy(np.zeros((2, 3)), np.array([0, 3]))
 
     @settings(max_examples=50, deadline=None)
     @given(hnp.arrays(np.float64, (3, 5), elements=st.floats(-50, 50)),
