@@ -18,18 +18,21 @@ Checkpoint byte layout (little endian throughout):
 
 All parameters live in one contiguous float64 vector, ``AanModel.flat``, in
 checkpoint order: encoder layers, decoder layers, gender head, accent head,
-speaker head; per layer the weights (C order) then the bias.  Each layer's
-``weights`` and ``bias`` are views into it, so training updates, snapshots,
-restores and checkpoints the whole model with one vector operation each.
+speaker head; per layer the weights (C order) then the bias.  The gradients
+live in ``AanModel.grad``, laid out the same way.  Each layer's ``weights``,
+``bias``, ``weight_grad`` and ``bias_grad`` are views into the two vectors
+(``neural.flatten``), so the backward pass writes every gradient in place
+and training updates, snapshots, restores and checkpoints the whole model
+with one vector operation each.  Parameter names ("enc0.w", ...) exist only
+at the edges, in ``parameters()`` and ``gradients()`` for tests and the
+gradient check.
 
-Training computes only what it reads.  Each step's backward pass writes the
-weight and bias gradients straight into views of one flat gradient vector
-laid out like ``flat`` (no per-layer gradient arrays, no packing copy), and
-the encoder's input gradient is never computed.  The per-epoch validation
-pass (``evaluate_model``) keeps no backward caches and computes each head's
-loss and accuracy in place on its logits, so beside the forward outputs it
-holds no further array of the logits' size; with 1251 speakers the speaker
-logits dominate, and its peak is about one (rows, n_speakers) matrix.
+Training computes only what it reads: the encoder's input gradient is never
+computed.  The per-epoch validation pass (``evaluate_model``) keeps no
+backward caches and computes each head's loss and accuracy in place on its
+logits, so beside the forward outputs it holds no further array of the
+logits' size; with 1251 speakers the speaker logits dominate, and its peak
+is about one (rows, n_speakers) matrix.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .neural import (
     dense_backward,
     dense_forward,
     finite_difference_check,
+    flatten,
     grl_backward,
     init_dense,
     mse_loss,
@@ -110,20 +114,20 @@ GROUPS = (("encoder", "enc"), ("decoder", "dec"), ("gender_head", "gender"),
           ("accent_head", "accent"), ("speaker_head", "speaker"))
 
 
-def _layer_params(prefix: str, layers: list[DenseLayer]) -> Params:
-    params: Params = {}
+def _named(prefix: str, layers: list[DenseLayer], gradients: bool = False) -> Params:
+    named: Params = {}
     for i, layer in enumerate(layers):
-        params[f"{prefix}{i}.w"] = layer.weights
-        params[f"{prefix}{i}.b"] = layer.bias
-    return params
+        named[f"{prefix}{i}.w"] = layer.weight_grad if gradients else layer.weights
+        named[f"{prefix}{i}.b"] = layer.bias_grad if gradients else layer.bias
+    return named
 
 
 class AanModel:
     """Holds all trainable parameters plus the architecture descriptor.
 
-    The constructor copies the layers' arrays into one float64 vector,
-    ``flat``, in checkpoint order and rebinds every layer's ``weights`` and
-    ``bias`` to a view into it.
+    The constructor moves the layers' parameters into one float64 vector,
+    ``flat``, in checkpoint order, with a gradient vector ``grad`` of the
+    same layout (``neural.flatten``).
     """
 
     def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer],
@@ -136,50 +140,40 @@ class AanModel:
         self.speaker_head = speaker_head
         self.lam = lam
         self.dims = dims
-        params = self.parameters()
-        self.flat = np.concatenate([p.ravel() for p in params.values()], dtype=np.float64)
-        # (name, start, stop, shape) of each parameter's slice of ``flat``
-        self._layout = []
-        offset = 0
-        for name, p in params.items():
-            self._layout.append((name, offset, offset + p.size, p.shape))
-            offset += p.size
-        views = self._views(self.flat)
-        for prefix, layers in self.groups().items():
-            for i, layer in enumerate(layers):
-                layer.weights = views[f"{prefix}{i}.w"]
-                layer.bias = views[f"{prefix}{i}.b"]
+        self.flat, self.grad = flatten(self.layers())
 
     def groups(self) -> dict[str, list[DenseLayer]]:
         """Parameter-name prefix -> layer list, in checkpoint order."""
         return {prefix: getattr(self, attr) for attr, prefix in GROUPS}
 
+    def layers(self) -> list[DenseLayer]:
+        """Every layer, in checkpoint order."""
+        return [layer for attr, _ in GROUPS for layer in getattr(self, attr)]
+
     def parameters(self) -> Params:
         """Name -> view into ``flat``, in checkpoint order."""
         params: Params = {}
         for prefix, layers in self.groups().items():
-            params.update(_layer_params(prefix, layers))
+            params.update(_named(prefix, layers))
         return params
+
+    def gradients(self) -> Params:
+        """Name -> view into ``grad``, named like ``parameters()``."""
+        grads: Params = {}
+        for prefix, layers in self.groups().items():
+            grads.update(_named(prefix, layers, gradients=True))
+        return grads
 
     def group_params(self, group: str) -> Params:
         """The parameters of one layer list ("encoder", ..., "speaker_head")."""
-        return _layer_params(dict(GROUPS)[group], getattr(self, group))
+        return _named(dict(GROUPS)[group], getattr(self, group))
 
-    def _views(self, buffer: np.ndarray) -> Params:
-        """Name -> view into ``buffer``, laid out like ``flat``."""
-        return {name: buffer[start:stop].reshape(shape)
-                for name, start, stop, shape in self._layout}
+    def snapshot(self) -> np.ndarray:
+        """A copy of ``flat``."""
+        return self.flat.copy()
 
-    def pack(self, arrays: Params, out: np.ndarray) -> None:
-        """Copy a name -> array mapping into ``out`` in checkpoint order."""
-        np.concatenate([arrays[name].ravel() for name, *_ in self._layout], out=out)
-
-    def snapshot(self) -> Params:
-        """Name -> view into one copy of ``flat``."""
-        return self._views(self.flat.copy())
-
-    def restore(self, snapshot: Params) -> None:
-        self.pack(snapshot, self.flat)
+    def restore(self, snapshot: np.ndarray) -> None:
+        self.flat[...] = snapshot
 
 
 def build_aan(dims: AanDims, lam: float, seed: int,
@@ -216,57 +210,35 @@ class AanOutput:
     speaker_logits: np.ndarray
 
 
-def _chain_forward(layers: list[DenseLayer], x: np.ndarray):
-    caches = []
-    out = x
+def _chain(layers: list[DenseLayer], x: np.ndarray, caches: list | None = None
+           ) -> np.ndarray:
+    """Forward through a layer chain.  Each layer's backward cache is
+    appended to ``caches`` when given, and dropped once the next layer has
+    run when not."""
     for layer in layers:
-        out, cache = dense_forward(layer, out)
-        caches.append(cache)
-    return out, caches
+        x, cache = dense_forward(layer, x)
+        if caches is not None:
+            caches.append(cache)
+    return x
 
 
-def _chain_backward(layers: list[DenseLayer], caches, upstream: np.ndarray,
-                    prefix: str, grads: Params, input_grad: bool = True):
-    """Backward through a layer chain, gradients stored under their names.
-
-    An array already in ``grads`` under a parameter's name receives that
-    gradient in place; missing names get fresh arrays.  Returns the chain's
-    input gradient, or None when ``input_grad`` is false.
-    """
+def _chain_backward(layers: list[DenseLayer], caches: list, upstream: np.ndarray,
+                    input_grad: bool = True) -> np.ndarray | None:
+    """Backward through a layer chain; each layer's gradients land in its
+    ``weight_grad`` and ``bias_grad``.  Returns the chain's input gradient,
+    or None when ``input_grad`` is false."""
     for i in range(len(layers) - 1, -1, -1):
-        w, b = f"{prefix}{i}.w", f"{prefix}{i}.b"
-        upstream, grads[w], grads[b] = dense_backward(
-            layers[i], caches[i], upstream, grads.get(w), grads.get(b),
-            input_grad=input_grad or i > 0)
+        upstream, _, _ = dense_backward(layers[i], caches[i], upstream,
+                                        input_grad=input_grad or i > 0)
     return upstream
 
 
-def _forward_cached(model: AanModel, x: np.ndarray):
-    latent, enc_caches = _chain_forward(model.encoder, x)
-    recon, dec_caches = _chain_forward(model.decoder, latent)
-    # gradient reversal is the identity at forward time
-    gender_logits, g_caches = _chain_forward(model.gender_head, latent)
-    accent_logits, a_caches = _chain_forward(model.accent_head, latent)
-    speaker_logits, s_caches = _chain_forward(model.speaker_head, latent)
-    output = AanOutput(recon, latent, gender_logits, accent_logits, speaker_logits)
-    caches = {"enc": enc_caches, "dec": dec_caches,
-              "gender": g_caches, "accent": a_caches, "speaker": s_caches}
-    return output, caches
-
-
 def aan_forward(model: AanModel, x: np.ndarray) -> AanOutput:
-    """All five outputs, keeping no backward caches: each layer's cache is
-    dropped as soon as the next layer has run."""
-
-    def chain(layers: list[DenseLayer], out: np.ndarray) -> np.ndarray:
-        for layer in layers:
-            out, _ = dense_forward(layer, out)
-        return out
-
-    latent = chain(model.encoder, np.asarray(x, dtype=np.float64))
-    return AanOutput(chain(model.decoder, latent), latent,
-                     chain(model.gender_head, latent), chain(model.accent_head, latent),
-                     chain(model.speaker_head, latent))
+    """All five outputs, keeping no backward caches."""
+    latent = _chain(model.encoder, np.asarray(x, dtype=np.float64))
+    return AanOutput(_chain(model.decoder, latent), latent,
+                     _chain(model.gender_head, latent), _chain(model.accent_head, latent),
+                     _chain(model.speaker_head, latent))
 
 
 @dataclass
@@ -285,41 +257,39 @@ class LossBreakdown:
 
 def aan_loss_and_grads(model: AanModel, x: np.ndarray,
                        gender_labels: np.ndarray, accent_labels: np.ndarray,
-                       speaker_labels: np.ndarray, out: np.ndarray | None = None
-                       ) -> tuple[LossBreakdown, Params]:
-    """Losses plus gradients realizing the adversarial min-max split.
+                       speaker_labels: np.ndarray) -> LossBreakdown:
+    """Losses, with the gradients realizing the adversarial min-max split
+    written into the layers' gradient arrays (``model.grad``).
 
     Heads get the gradient of their own cross-entropy; the decoder gets the
     reconstruction gradient; the encoder gets the reconstruction gradient
     plus each branch's latent gradient reversed and scaled by -lam, i.e.
     exactly the gradient of recon_loss - lam * (sum of branch losses).
-
-    With ``out``, a vector laid out like ``model.flat``, the gradients are
-    written into it and the returned mapping holds views of it; without,
-    every call returns fresh arrays.  The encoder's input gradient is never
-    computed.
+    The encoder's input gradient is never computed.
     """
     x = np.asarray(x, dtype=np.float64)
-    output, caches = _forward_cached(model, x)
-    recon_loss, d_recon = mse_loss(output.reconstruction, x)
-    gender_loss, d_gender = softmax_cross_entropy(output.gender_logits, gender_labels)
-    accent_loss, d_accent = softmax_cross_entropy(output.accent_logits, accent_labels)
-    speaker_loss, d_speaker = softmax_cross_entropy(output.speaker_logits, speaker_labels)
+    caches = {attr: [] for attr, _ in GROUPS}
+    latent = _chain(model.encoder, x, caches["encoder"])
+    recon = _chain(model.decoder, latent, caches["decoder"])
+    # gradient reversal is the identity at forward time
+    gender_logits = _chain(model.gender_head, latent, caches["gender_head"])
+    accent_logits = _chain(model.accent_head, latent, caches["accent_head"])
+    speaker_logits = _chain(model.speaker_head, latent, caches["speaker_head"])
+    recon_loss, d_recon = mse_loss(recon, x)
+    gender_loss, d_gender = softmax_cross_entropy(gender_logits, gender_labels)
+    accent_loss, d_accent = softmax_cross_entropy(accent_logits, accent_labels)
+    speaker_loss, d_speaker = softmax_cross_entropy(speaker_logits, speaker_labels)
     breakdown = LossBreakdown(recon_loss, gender_loss, accent_loss, speaker_loss)
     if not breakdown.is_finite():
         raise DivergenceError(f"divergence detected: non-finite loss {breakdown}")
 
-    grads: Params = {} if out is None else model._views(out)
-    groups = model.groups()
-    d_latent = _chain_backward(model.decoder, caches["dec"], d_recon, "dec", grads)
-    for branch, upstream in (("gender", d_gender), ("accent", d_accent),
-                             ("speaker", d_speaker)):
-        head = groups[branch]
-        d_branch_latent = _chain_backward(head, caches[branch], upstream, branch, grads)
+    d_latent = _chain_backward(model.decoder, caches["decoder"], d_recon)
+    for attr, upstream in (("gender_head", d_gender), ("accent_head", d_accent),
+                           ("speaker_head", d_speaker)):
+        d_branch_latent = _chain_backward(getattr(model, attr), caches[attr], upstream)
         d_latent += grl_backward(d_branch_latent, model.lam)
-    _chain_backward(model.encoder, caches["enc"], d_latent, "enc", grads,
-                    input_grad=False)
-    return breakdown, grads
+    _chain_backward(model.encoder, caches["encoder"], d_latent, input_grad=False)
+    return breakdown
 
 
 @dataclass
@@ -414,15 +384,15 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     run and returns the last good checkpoint with the history so far.
     """
     config.validate()
+    for name in ("speaker", "gender", "accent"):
+        if getattr(train_corpus, f"{name}_vocab") != getattr(valid_corpus, f"{name}_vocab"):
+            raise ValueError(f"train and valid corpora must share vocabularies: "
+                             f"their {name} vocabularies differ")
     model.lam = float(config.lam)
     x_train, g_train, a_train, s_train = _corpus_tensors(train_corpus, model.dims)
     x_valid, g_valid, a_valid, s_valid = _corpus_tensors(valid_corpus, model.dims)
 
-    # the optimizer sees the whole model as one flat entry; each step's
-    # gradients are written straight into the flat gradient buffer
-    params = {"flat": model.flat}
-    grads = {"flat": np.empty_like(model.flat)}
-    adam_state = AdamState.for_params(params)
+    adam_state = AdamState.for_params(model.flat)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
 
@@ -437,14 +407,13 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                breakdown, _ = aan_loss_and_grads(
-                    model, x_train[idx], g_train[idx], a_train[idx], s_train[idx],
-                    out=grads["flat"])
+                breakdown = aan_loss_and_grads(
+                    model, x_train[idx], g_train[idx], a_train[idx], s_train[idx])
                 if config.optimizer == "adam":
-                    adam_step(params, grads, adam_state, lr=config.lr,
+                    adam_step(model.flat, model.grad, adam_state, lr=config.lr,
                               beta1=config.beta1, beta2=config.beta2, eps=config.eps)
                 else:
-                    sgd_step(params, grads, config.lr)
+                    sgd_step(model.flat, model.grad, config.lr)
                 sums += len(idx) * np.array([breakdown.recon, breakdown.gender,
                                              breakdown.accent, breakdown.speaker])
                 seen += len(idx)
@@ -528,15 +497,16 @@ def relu_margin(model: AanModel, x: np.ndarray) -> tuple[float, bool]:
     estimate is pure roundoff noise; gradient checks want a margin well
     above eps and no fully-dead units.
     """
-    _, caches = _forward_cached(model, np.asarray(x, dtype=np.float64))
+    caches = []
+    latent = _chain(model.encoder, np.asarray(x, dtype=np.float64), caches)
+    for attr, _ in GROUPS[1:]:
+        _chain(getattr(model, attr), latent, caches)
     margin = np.inf
     all_alive = True
-    for group, layers in model.groups().items():
-        for i, layer in enumerate(layers):
-            if layer.activation == "relu":
-                pre = caches[group][i].pre
-                margin = min(margin, float(np.abs(pre).min()))
-                all_alive = all_alive and bool((pre > 0).any(axis=0).all())
+    for layer, cache in zip(model.layers(), caches):
+        if layer.activation == "relu":
+            margin = min(margin, float(np.abs(cache.pre).min()))
+            all_alive = all_alive and bool((cache.pre > 0).any(axis=0).all())
     return margin, all_alive
 
 
@@ -571,14 +541,15 @@ def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray
 
     Encoder parameters are checked against recon_loss - lam * (sum of
     branch losses), the decoder against recon_loss, each head against its
-    own cross-entropy; the analytic side comes from aan_loss_and_grads.
+    own cross-entropy; the analytic side is what aan_loss_and_grads leaves
+    in the layers' gradient arrays.
     Returns the max relative error per group.
     """
     lam = model.lam
 
     def objective_for(group: str):
         def loss_and_grads():
-            breakdown, grads = aan_loss_and_grads(
+            breakdown = aan_loss_and_grads(
                 model, x, gender_labels, accent_labels, speaker_labels)
             if group == "encoder":
                 loss = breakdown.recon - lam * (breakdown.gender + breakdown.accent
@@ -587,7 +558,7 @@ def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray
                 loss = breakdown.recon
             else:
                 loss = getattr(breakdown, group.removesuffix("_head"))
-            return loss, grads
+            return loss, model.gradients()
         return loss_and_grads
 
     results = {}

@@ -42,6 +42,7 @@ from .neural import (
     adam_step,
     dense_backward,
     dense_forward,
+    flatten,
     init_dense,
     softmax_cross_entropy,
 )
@@ -280,24 +281,17 @@ def _train_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, seed: int,
                  epochs: int, lr: float) -> DenseLayer:
     """Full-batch Adam training of a linear softmax layer.
 
-    The weights and the bias live in one flat vector that Adam updates as
-    one entry; each step's gradients are written into views of one flat
-    gradient vector, and the input gradient is never computed.
+    The weights and the bias live in one flat vector that Adam updates in
+    one call, and each step's gradients land in one flat gradient vector
+    (``flatten``); the input gradient is never computed.
     """
     layer = init_dense(x.shape[1], n_classes, "linear", np.random.default_rng(seed))
-    n_weights = layer.weights.size
-    flat = np.concatenate([layer.weights.ravel(), layer.bias])
-    grad = np.empty_like(flat)
-    layer.weights = flat[:n_weights].reshape(layer.weights.shape)
-    layer.bias = flat[n_weights:]
-    weight_grad = grad[:n_weights].reshape(layer.weights.shape)
-    bias_grad = grad[n_weights:]
-    params, grads = {"flat": flat}, {"flat": grad}
+    params, grads = flatten([layer])
     state = AdamState.for_params(params)
     for _ in range(epochs):
         logits, cache = dense_forward(layer, x)
         _, d_logits = softmax_cross_entropy(logits, labels)
-        dense_backward(layer, cache, d_logits, weight_grad, bias_grad, input_grad=False)
+        dense_backward(layer, cache, d_logits, input_grad=False)
         adam_step(params, grads, state, lr=lr)
     return layer
 

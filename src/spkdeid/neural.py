@@ -4,20 +4,24 @@ gradient reversal, optimizers, and a finite-difference gradient checker.
 Plain numpy, float64 end to end.  Arrays follow the (batch, features)
 convention.  Every backward pass is an exact analytic derivative of its
 forward map; the test suite cross-checks them against central finite
-differences.  ``adam_step`` updates parameters and moments in place through
-ufunc ``out=`` calls on scratch arrays held by its ``AdamState``, so the update
-allocates no temporaries; a model that keeps its parameters in one flat
-vector passes it as a one-entry mapping and pays one set of ufunc calls per
-step.  ``dense_backward`` writes the weight and bias gradients into
-caller-given arrays (views of a flat gradient vector laid out like the
-parameters) and skips the input gradient when nothing reads it.  For a pass
-without gradients, ``cross_entropy_and_accuracy`` works on the logits in
-place, so it holds nothing of their size beyond the logits themselves.
+differences.
+
+Gradients live on the layers: each ``DenseLayer`` holds ``weight_grad`` and
+``bias_grad`` arrays shaped like its parameters, and ``dense_backward``
+writes into them (skipping the input gradient when nothing reads it).
+``flatten`` moves a list of layers into one parameter vector and one
+gradient vector, with every layer's four arrays rebound as views, so a
+model is trained by one ``adam_step`` on two flat arrays.  ``adam_step``
+updates the parameters and moments in place through ufunc ``out=`` calls on
+scratch arrays held by its ``AdamState``, so the update allocates nothing.
+For a pass without gradients, ``cross_entropy_and_accuracy`` works on the
+logits in place, so it holds nothing of their size beyond the logits
+themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,6 +38,13 @@ class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray     # (out,)
     activation: str = "linear"
+    # what the last dense_backward call wrote, shaped like weights and bias
+    weight_grad: np.ndarray = field(init=False, repr=False, compare=False)
+    bias_grad: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.weight_grad = np.empty(np.shape(self.weights))
+        self.bias_grad = np.empty(np.shape(self.bias))
 
     @property
     def n_in(self) -> int:
@@ -91,14 +102,12 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, DenseCa
 
 
 def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
-                   weight_out: np.ndarray | None = None,
-                   bias_out: np.ndarray | None = None,
                    input_grad: bool = True
                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Returns (input_grad, weight_grad, bias_grad) for the layer map.
 
-    The weight and bias gradients are written into ``weight_out`` and
-    ``bias_out`` when given (same bits as fresh arrays).  With
+    The weight and bias gradients are written into the layer's
+    ``weight_grad`` and ``bias_grad``, which are returned.  With
     ``input_grad=False`` the input gradient is not computed and None takes
     its place.
     """
@@ -115,17 +124,32 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
         dpre = upstream * (cache.pre > 0.0)
     else:
         dpre = upstream
-    weight_grad = np.matmul(dpre.T, cache.x, out=weight_out)
-    bias_grad = dpre.sum(axis=0, out=bias_out)
-    return (dpre @ layer.weights if input_grad else None), weight_grad, bias_grad
+    np.matmul(dpre.T, cache.x, out=layer.weight_grad)
+    dpre.sum(axis=0, out=layer.bias_grad)
+    return ((dpre @ layer.weights if input_grad else None),
+            layer.weight_grad, layer.bias_grad)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
-    logits = _as_batch(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def flatten(layers: list[DenseLayer]) -> tuple[np.ndarray, np.ndarray]:
+    """Move the layers' parameters into one float64 vector; returns it with
+    a gradient vector of the same layout.
+
+    The layout is layer order, per layer the weights (C order) then the
+    bias.  Each layer's ``weights``, ``bias``, ``weight_grad`` and
+    ``bias_grad`` are rebound to views of the two vectors.
+    """
+    params = np.concatenate([a.ravel() for layer in layers
+                             for a in (layer.weights, layer.bias)], dtype=np.float64)
+    grads = np.empty_like(params)
+    offset = 0
+    for layer in layers:
+        for attr, grad_attr in (("weights", "weight_grad"), ("bias", "bias_grad")):
+            array = getattr(layer, attr)
+            stop = offset + array.size
+            setattr(layer, attr, params[offset:stop].reshape(array.shape))
+            setattr(layer, grad_attr, grads[offset:stop].reshape(array.shape))
+            offset = stop
+    return params, grads
 
 
 def _checked_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -200,35 +224,28 @@ def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
     return -lam * np.asarray(upstream, dtype=np.float64)
 
 
-Params = dict[str, np.ndarray]
-
-
-def _check_finite_grads(grads: Params) -> None:
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"divergence detected: non-finite gradient for {name!r}")
+def _check_finite_grads(grads: np.ndarray) -> None:
+    if not np.all(np.isfinite(grads)):
+        raise DivergenceError("divergence detected: non-finite gradient")
 
 
 @dataclass
 class AdamState:
-    """Step count, first and second moments, and two scratch arrays per
-    parameter for the in-place update."""
+    """Step count, first and second moments, and two scratch arrays for the
+    in-place update, each shaped like the parameters."""
 
     t: int
-    m: Params
-    v: Params
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
 
     @classmethod
-    def for_params(cls, params: Params) -> "AdamState":
-        return cls(t=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()},
-                   scratch={k: (np.empty_like(p), np.empty_like(p))
-                            for k, p in params.items()})
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(t=0, m=np.zeros_like(params), v=np.zeros_like(params),
+                   scratch=(np.empty_like(params), np.empty_like(params)))
 
 
-def adam_step(params: Params, grads: Params, state: AdamState,
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
     """One Adam update with bias correction, in place on ``params``.
@@ -248,36 +265,33 @@ def adam_step(params: Params, grads: Params, state: AdamState,
     _check_finite_grads(grads)
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        step, denom = state.scratch[name]
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=step)
-        m += step
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=step)
-        step *= g
-        v += step
-        np.divide(v, 1.0 - beta2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        np.divide(m, 1.0 - beta1 ** t, out=step)
-        step *= lr
-        step /= denom
-        p -= step
+    m, v = state.m, state.v
+    step, denom = state.scratch
+    m *= beta1
+    np.multiply(grads, 1.0 - beta1, out=step)
+    m += step
+    v *= beta2
+    np.multiply(grads, 1.0 - beta2, out=step)
+    step *= grads
+    v += step
+    np.divide(v, 1.0 - beta2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - beta1 ** t, out=step)
+    step *= lr
+    step /= denom
+    params -= step
 
 
-def sgd_step(params: Params, grads: Params, lr: float) -> None:
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
     """Plain gradient-descent update, in place on ``params``."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     _check_finite_grads(grads)
-    for name, p in params.items():
-        p -= lr * grads[name]
+    params -= lr * grads
 
 
+Params = dict[str, np.ndarray]
 LossAndGradsFn = Callable[[], tuple[float, Params]]
 
 
@@ -286,14 +300,16 @@ def finite_difference_check(loss_and_grads: LossAndGradsFn, params: Params,
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_and_grads`` evaluates the scalar objective at the current
-    parameter values and returns (loss, analytic gradients); perturbed
-    evaluations only use the loss.  Parameters are perturbed in place and
-    restored.  Relative error uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator.
+    parameter values and returns (loss, analytic gradients by name); the
+    gradients are copied before any perturbed evaluation, which only uses
+    the loss, so they may live in buffers that the next call overwrites.
+    Parameters are perturbed in place and restored.  Relative error uses
+    max(|analytic|, |numeric|, 1e-8) as the denominator.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _, analytic = loss_and_grads()
+    _, grads = loss_and_grads()
+    analytic = {name: grads[name].copy() for name in params}
     worst = 0.0
     for name, p in params.items():
         flat = p.reshape(-1)

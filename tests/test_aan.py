@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 
@@ -26,7 +27,8 @@ from spkdeid.aan import (
     save_model,
     train,
 )
-from spkdeid.dataset import AttributeStrength, CorpusSpec, generate_corpus, split_corpus
+from spkdeid.dataset import (AttributeStrength, CorpusSpec, generate_corpus, make_corpus,
+                             split_corpus)
 from spkdeid.neural import DenseLayer, DivergenceError, mse_loss, softmax_cross_entropy
 from test_neural import per_tensor_adam
 
@@ -105,7 +107,8 @@ class TestLossAndGrads:
         # oracle: hand-rolled autoencoder-only backprop with the same shapes
         model = tiny_model(lam=0.0)
         x, g, a, s = tiny_batch(model)
-        _, grads = aan_loss_and_grads(model, x, g, a, s)
+        aan_loss_and_grads(model, x, g, a, s)
+        grads = model.gradients()
 
         h1 = np.tanh(x @ model.encoder[0].weights.T + model.encoder[0].bias)
         latent = np.tanh(h1 @ model.encoder[1].weights.T + model.encoder[1].bias)
@@ -122,8 +125,8 @@ class TestLossAndGrads:
     def test_duplicated_batch_keeps_losses(self):
         model = tiny_model()
         x, g, a, s = tiny_batch(model)
-        once, _ = aan_loss_and_grads(model, x, g, a, s)
-        twice, _ = aan_loss_and_grads(model, np.vstack([x, x]),
+        once = aan_loss_and_grads(model, x, g, a, s)
+        twice = aan_loss_and_grads(model, np.vstack([x, x]),
                                       np.concatenate([g, g]),
                                       np.concatenate([a, a]),
                                       np.concatenate([s, s]))
@@ -148,31 +151,20 @@ class TestLossAndGrads:
 
 
 class TestGradientBuffer:
-    def test_out_buffer_gets_the_bits_of_fresh_arrays(self):
+    def test_flat_grad_gets_the_bits_of_per_layer_arrays(self):
         model = tiny_model()
         x, g, a, s = tiny_batch(model, batch=5)
-        losses, fresh = aan_loss_and_grads(model, x, g, a, s)
-        expected = np.empty_like(model.flat)
-        model.pack(fresh, expected)
-        buf = np.full_like(model.flat, np.nan)
-        losses_out, views = aan_loss_and_grads(model, x, g, a, s, out=buf)
-        assert losses_out == losses
-        assert buf.tobytes() == expected.tobytes()
-        assert set(views) == set(fresh)
-        for name, view in views.items():
-            assert np.shares_memory(view, buf)
-            assert view.shape == fresh[name].shape
-
-    def test_calls_without_out_return_fresh_arrays(self):
-        model = tiny_model()
-        x, g, a, s = tiny_batch(model)
-        _, first = aan_loss_and_grads(model, x, g, a, s)
-        kept = {name: grad.copy() for name, grad in first.items()}
-        _, second = aan_loss_and_grads(model, x, g, a, s)
-        for name in first:
-            assert not np.shares_memory(first[name], second[name])
-            assert not np.shares_memory(first[name], model.flat)
-            assert np.array_equal(first[name], kept[name])
+        ref = LayerListModel(model)
+        expected = aan_loss_and_grads(ref, x, g, a, s)
+        model.grad[...] = np.nan
+        assert aan_loss_and_grads(model, x, g, a, s) == expected
+        assert model.grad.tobytes() == np.concatenate(
+            [grad.ravel() for grad in ref.gradients().values()]).tobytes()
+        grads = model.gradients()
+        assert list(grads) == list(model.parameters())
+        for name, grad in grads.items():
+            assert np.shares_memory(grad, model.grad)
+            assert not np.shares_memory(ref.gradients()[name], model.grad)
 
 
 def reference_evaluate(model, x, g, a, s):
@@ -253,8 +245,8 @@ class TestGrlEquivalence:
             reference = two_role_sgd_update(model, x, (g, a, s), lam=8.0, lr=lr)
 
             from spkdeid.neural import sgd_step
-            _, grads = aan_loss_and_grads(model, x, g, a, s)
-            sgd_step(model.parameters(), grads, lr)
+            aan_loss_and_grads(model, x, g, a, s)
+            sgd_step(model.flat, model.grad, lr)
             for name, p in model.parameters().items():
                 np.testing.assert_allclose(p, reference[name], rtol=0, atol=1e-10)
 
@@ -389,7 +381,9 @@ class TestFlatParameters:
         model.encoder[0].weights[0, 0] = 3.5
         assert model.flat[0] == 3.5
         # a snapshot copies flat, so it sees the write only if flat holds it
-        assert np.array_equal(model.snapshot()["gender1.b"], [7.0, -7.0])
+        sizes = [p.size for p in model.parameters().values()]
+        start = sum(sizes[:list(model.parameters()).index("gender1.b")])
+        assert np.array_equal(model.snapshot()[start:start + 2], [7.0, -7.0])
 
     def test_group_params_partition_parameters(self):
         model = tiny_model()
@@ -405,10 +399,9 @@ class TestFlatParameters:
         model = tiny_model()
         original = model.flat.copy()
         snap = model.snapshot()
-        assert list(snap) == list(model.parameters())
+        assert not np.shares_memory(snap, model.flat)
         model.flat[...] = 0.0
-        assert np.array_equal(np.concatenate([p.ravel() for p in snap.values()]),
-                              original)
+        assert np.array_equal(snap, original)
         model.restore(snap)
         assert np.array_equal(model.flat, original)
 
@@ -452,8 +445,7 @@ class TestTrain:
         _, history = train(model, train_c, valid_c,
                            TrainConfig(epochs=1, lr=0.0, seed=0))
         assert len(history) == 1
-        for name, p in model.parameters().items():
-            assert np.array_equal(p, before[name])
+        assert np.array_equal(model.flat, before)
 
     def test_deterministic_under_seed(self):
         train_c, valid_c, _ = tiny_corpus()
@@ -519,6 +511,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="dim"):
             train(bad, train_c, valid_c, TrainConfig(epochs=1, seed=0))
 
+    @pytest.mark.parametrize("attribute, field", [
+        ("speaker", "speaker_id"), ("gender", "gender"), ("accent", "accent")])
+    def test_valid_vocabulary_must_match_train(self, attribute, field):
+        # a label renamed in the valid file gives it its own vocabulary, with
+        # every index in range but shifted against the training corpus's
+        train_c, valid_c, _ = tiny_corpus()
+        first = min(getattr(valid_c, f"{attribute}_vocab"))
+        renamed = make_corpus([dataclasses.replace(e, **{field: "zz"})
+                               if getattr(e, field) == first else e
+                               for e in valid_c.embeddings], "valid")
+        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+                          1.0, seed=0)
+        with pytest.raises(ValueError, match=f"{attribute} vocabularies differ"):
+            train(model, train_c, renamed, TrainConfig(epochs=1, seed=0))
+
     def test_epochs_zero_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0).validate()
@@ -529,6 +536,7 @@ class LayerListModel:
 
     groups = AanModel.groups
     parameters = AanModel.parameters
+    gradients = AanModel.gradients
 
     def __init__(self, model: AanModel):
         for attr, _ in GROUPS:
@@ -559,8 +567,8 @@ def reference_train(model, train_c, valid_c, config):
         sums = np.zeros(4)
         for start in range(0, len(x), config.batch_size):
             idx = order[start:start + config.batch_size]
-            losses, grads = aan_loss_and_grads(ref, x[idx], *(y[idx] for y in labels))
-            per_tensor_adam(params, grads, state, config.lr, config.beta1,
+            losses = aan_loss_and_grads(ref, x[idx], *(y[idx] for y in labels))
+            per_tensor_adam(params, ref.gradients(), state, config.lr, config.beta1,
                             config.beta2, config.eps)
             sums += len(idx) * np.array([losses.recon, losses.gender, losses.accent,
                                          losses.speaker])

@@ -90,8 +90,8 @@ def test_criterion_2_grl_minmax_equivalence():
         model = build_aan(dims, lam=8.0, seed=seed, init_scale=0.1)
         x, g, a, s = sample_gradcheck_batch(model, batch_size=4, seed=seed + 1000)
         expected = two_role_sgd_update(model, x, (g, a, s), lam=8.0, lr=lr)
-        _, grads = aan_loss_and_grads(model, x, g, a, s)
-        sgd_step(model.parameters(), grads, lr)
+        aan_loss_and_grads(model, x, g, a, s)
+        sgd_step(model.flat, model.grad, lr)
         for name, p in model.parameters().items():
             worst = max(worst, float(np.max(np.abs(p - expected[name]))))
     elapsed = time.monotonic() - started

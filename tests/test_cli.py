@@ -144,6 +144,21 @@ class TestTrain:
         assert not (tmp_path / "run" / "manifest_train.json").exists()
         assert not (tmp_path / "run" / "model.aan").exists()
 
+    def test_valid_split_missing_a_speaker_is_one_error_line(self, tiny_run, capsys):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        with (out / "valid.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        first = min(row[1] for row in rows[1:])
+        with (out / "valid.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(row for row in rows if row[1] != first)
+        capsys.readouterr()
+        assert run_cli("train", "--config", config_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "speaker" in err[0]
+        assert not (out / "model.aan").exists()
+        assert not (out / "manifest_train.json").exists()
+
     def test_rerun_identical_checkpoint(self, tiny_run):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)

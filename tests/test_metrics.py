@@ -309,20 +309,21 @@ class TestScoreTrialsMatchesCosineLoop:
 
 
 def reference_probe(train_c, test_c, attribute, seed, epochs, lr):
-    """The probe as separate weight and bias arrays with fresh gradients:
-    (test accuracy, trained layer)."""
+    """The probe as separate weight and bias arrays, each with its own Adam
+    state: (test accuracy, trained layer)."""
     index = {"gender": 0, "accent": 1, "speaker": 2}[attribute]
     x_train = train_c.matrix()
     y_train = train_c.label_indices()[index]
     n_classes = len(getattr(train_c, f"{attribute}_vocab"))
     layer = init_dense(train_c.dim, n_classes, "linear", np.random.default_rng(seed))
-    params = {"w": layer.weights, "b": layer.bias}
-    state = AdamState.for_params(params)
+    w_state = AdamState.for_params(layer.weights)
+    b_state = AdamState.for_params(layer.bias)
     for _ in range(epochs):
         logits, cache = dense_forward(layer, x_train)
         _, d_logits = softmax_cross_entropy(logits, y_train)
         _, dw, db = dense_backward(layer, cache, d_logits)
-        adam_step(params, {"w": dw, "b": db}, state, lr=lr)
+        adam_step(layer.weights, dw, w_state, lr=lr)
+        adam_step(layer.bias, db, b_state, lr=lr)
     test_logits, _ = dense_forward(layer, test_c.matrix())
     accuracy = float((test_logits.argmax(axis=1) == test_c.label_indices()[index]).mean())
     return accuracy, layer

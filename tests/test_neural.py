@@ -14,11 +14,11 @@ from spkdeid.neural import (
     dense_backward,
     dense_forward,
     finite_difference_check,
+    flatten,
     grl_backward,
     init_dense,
     mse_loss,
     sgd_step,
-    softmax,
     softmax_cross_entropy,
 )
 
@@ -64,17 +64,26 @@ class TestDenseBackward:
         assert np.array_equal(db, np.zeros(2))
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
-    def test_out_arrays_get_the_bits_of_fresh_arrays(self, activation):
+    def test_gradients_land_in_the_layer_arrays(self, activation):
+        # oracle: the chain rule written out with fresh arrays
         layer = init_dense(5, 3, activation, np.random.default_rng(2))
         layer.bias[:] = np.random.default_rng(3).normal(size=3)
-        _, cache = dense_forward(layer, np.random.default_rng(4).normal(size=(7, 5)))
+        x = np.random.default_rng(4).normal(size=(7, 5))
+        out, cache = dense_forward(layer, x)
         upstream = np.random.default_rng(5).normal(size=(7, 3))
+        dpre = {"tanh": (1.0 - out ** 2) * upstream,
+                "relu": upstream * (cache.pre > 0.0),
+                "linear": upstream}[activation]
         dx, dw, db = dense_backward(layer, cache, upstream)
-        w_out, b_out = np.full((3, 5), np.nan), np.full(3, np.nan)
-        none, w_got, b_got = dense_backward(layer, cache, upstream, w_out, b_out,
-                                            input_grad=False)
-        assert none is None and w_got is w_out and b_got is b_out
-        assert w_out.tobytes() == dw.tobytes() and b_out.tobytes() == db.tobytes()
+        assert dw is layer.weight_grad and db is layer.bias_grad
+        assert dx.tobytes() == (dpre @ layer.weights).tobytes()
+        for input_grad in (True, False):
+            layer.weight_grad[...] = np.nan
+            layer.bias_grad[...] = np.nan
+            dx, _, _ = dense_backward(layer, cache, upstream, input_grad=input_grad)
+            assert (dx is None) == (not input_grad)
+            assert layer.weight_grad.tobytes() == (dpre.T @ x).tobytes()
+            assert layer.bias_grad.tobytes() == dpre.sum(axis=0).tobytes()
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
     def test_matches_finite_differences(self, activation):
@@ -138,11 +147,6 @@ class TestSoftmaxCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="labels"):
             softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(hnp.arrays(np.float64, (3, 5), elements=st.floats(-50, 50)))
-    def test_softmax_rows_sum_to_one(self, logits):
-        np.testing.assert_allclose(softmax(logits).sum(axis=1), 1.0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -224,40 +228,39 @@ class TestGradientReversal:
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        params = {"w": rng.normal(size=(3, 2))}
-        before = params["w"].copy()
+        params = rng.normal(size=(3, 2))
+        before = params.copy()
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros((3, 2))}, state)
-        assert np.array_equal(params["w"], before)
+        adam_step(params, np.zeros((3, 2)), state)
+        assert np.array_equal(params, before)
 
     def test_single_step_matches_hand_formula(self):
         # fresh-state Adam: theta -= lr * g / (|g| + eps) after bias correction
         g = np.array([0.3, -1.2, 4.0])
-        params = {"w": np.array([1.0, 2.0, 3.0])}
-        expected = params["w"] - 0.1 * g / (np.abs(g) + 1e-8)
-        adam_step(params, {"w": g}, AdamState.for_params(params), lr=0.1)
-        np.testing.assert_allclose(params["w"], expected, atol=1e-15)
+        params = np.array([1.0, 2.0, 3.0])
+        expected = params - 0.1 * g / (np.abs(g) + 1e-8)
+        adam_step(params, g, AdamState.for_params(params), lr=0.1)
+        np.testing.assert_allclose(params, expected, atol=1e-15)
 
     def test_constant_gradient_step_approaches_lr_sign(self):
-        g = {"w": np.array([0.5, -2.0])}
-        params = {"w": np.zeros(2)}
+        g = np.array([0.5, -2.0])
+        params = np.zeros(2)
         state = AdamState.for_params(params)
         for _ in range(10_000):
-            previous = params["w"].copy()
+            previous = params.copy()
             adam_step(params, g, state, lr=0.1)
-        step = params["w"] - previous
-        np.testing.assert_allclose(step, -0.1 * np.sign(g["w"]), atol=1e-3)
+        step = params - previous
+        np.testing.assert_allclose(step, -0.1 * np.sign(g), atol=1e-3)
 
     def test_non_finite_gradient_raises(self):
-        params = {"w": np.zeros(2)}
+        params = np.zeros(2)
         with pytest.raises(DivergenceError, match="divergence detected"):
-            adam_step(params, {"w": np.array([1.0, np.nan])},
-                      AdamState.for_params(params))
+            adam_step(params, np.array([1.0, np.nan]), AdamState.for_params(params))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_flat_entry_matches_per_tensor_oracle(self, data):
-        # one flat entry and its split into 1-6 tensors go through the same
+        # one flat array and its split into 1-6 tensors go through the same
         # per-element arithmetic, so p, m and v agree bit for bit
         n = data.draw(st.integers(1, 60), label="n")
         cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=5), label="cuts")
@@ -272,24 +275,24 @@ class TestAdam:
         grads = [data.draw(hnp.arrays(np.float64, n, elements=values), label=f"g{i}")
                  for i in range(steps)]
 
-        flat = {"flat": start.copy()}
+        flat = start.copy()
         state = AdamState.for_params(flat)
         pieces = {f"t{i}": piece.copy() for i, piece in enumerate(np.split(start, cuts))}
         oracle = {"t": 0, "m": {k: np.zeros_like(p) for k, p in pieces.items()},
                   "v": {k: np.zeros_like(p) for k, p in pieces.items()}}
         for g in grads:
-            adam_step(flat, {"flat": g}, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            adam_step(flat, g, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
             per_tensor_adam(pieces, dict(zip(pieces, np.split(g, cuts))), oracle,
                             lr, beta1, beta2, eps)
         assert state.t == oracle["t"] == steps
         for name, ours, theirs in (("p", flat, pieces), ("m", state.m, oracle["m"]),
                                    ("v", state.v, oracle["v"])):
-            assert np.array_equal(ours["flat"], np.concatenate(list(theirs.values()))), name
+            assert np.array_equal(ours, np.concatenate(list(theirs.values()))), name
 
     def test_sgd_step(self):
-        params = {"w": np.array([1.0, -1.0])}
-        sgd_step(params, {"w": np.array([0.5, 0.5])}, lr=0.1)
-        np.testing.assert_allclose(params["w"], [0.95, -1.05], atol=1e-15)
+        params = np.array([1.0, -1.0])
+        sgd_step(params, np.array([0.5, 0.5]), lr=0.1)
+        np.testing.assert_allclose(params, [0.95, -1.05], atol=1e-15)
 
 
 def per_tensor_adam(params, grads, state, lr, beta1, beta2, eps):
@@ -325,6 +328,57 @@ class TestFiniteDifferenceCheck:
             loss_and_grads, {"w": layer.weights, "b": layer.bias})
         assert err < 1e-9
 
+    def test_gradients_in_a_reused_buffer(self):
+        # f(p) = sum((p - c)^2) writes its gradient into one array that every
+        # call overwrites, as a model's gradient vector is
+        c = np.array([0.5, -1.0, 2.0])
+        p = np.array([1.5, 0.25, -0.75])
+        buffer = np.empty(3)
+
+        def loss_and_grads():
+            np.multiply(2.0, p - c, out=buffer)
+            return float(((p - c) ** 2).sum()), {"p": buffer}
+
+        assert finite_difference_check(loss_and_grads, {"p": p}) < 1e-9
+
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError, match="eps must be positive"):
             finite_difference_check(lambda: (0.0, {}), {}, eps=0.0)
+
+
+class TestFlatten:
+    def test_layer_order_and_views(self):
+        gen = np.random.default_rng(6)
+        layers = [init_dense(3, 4, "tanh", gen), init_dense(4, 2, "relu", gen),
+                  init_dense(2, 5, "linear", gen)]
+        for layer in layers:
+            layer.bias[:] = gen.normal(size=layer.bias.shape)
+        expected = np.concatenate([a.ravel() for layer in layers
+                                   for a in (layer.weights, layer.bias)])
+        params, grads = flatten(layers)
+        assert params.dtype == grads.dtype == np.float64
+        assert params.tobytes() == expected.tobytes()
+        assert grads.shape == params.shape and not np.shares_memory(grads, params)
+        offset = 0
+        for layer in layers:
+            for array, grad in ((layer.weights, layer.weight_grad),
+                                (layer.bias, layer.bias_grad)):
+                assert array.shape == grad.shape
+                assert array.base is params and grad.base is grads
+                stop = offset + array.size
+                assert np.array_equal(array.ravel(), params[offset:stop])
+                assert np.shares_memory(grad, grads[offset:stop])
+                offset = stop
+        assert offset == params.size
+
+    def test_backward_writes_into_the_gradient_vector(self):
+        layer = init_dense(3, 2, "tanh", np.random.default_rng(7))
+        x = np.random.default_rng(8).normal(size=(4, 3))
+        upstream = np.random.default_rng(9).normal(size=(4, 2))
+        _, cache = dense_forward(layer, x)
+        _, dw, db = dense_backward(layer, cache, upstream)
+        expected = np.concatenate([dw.ravel(), db])
+        _, grads = flatten([layer])
+        _, cache = dense_forward(layer, x)
+        dense_backward(layer, cache, upstream)
+        assert grads.tobytes() == expected.tobytes()
