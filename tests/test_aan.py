@@ -127,9 +127,9 @@ class TestLossAndGrads:
         x, g, a, s = tiny_batch(model)
         once = aan_loss_and_grads(model, x, g, a, s)
         twice = aan_loss_and_grads(model, np.vstack([x, x]),
-                                      np.concatenate([g, g]),
-                                      np.concatenate([a, a]),
-                                      np.concatenate([s, s]))
+                                   np.concatenate([g, g]),
+                                   np.concatenate([a, a]),
+                                   np.concatenate([s, s]))
         assert once.recon == pytest.approx(twice.recon, rel=1e-12)
         assert once.speaker == pytest.approx(twice.speaker, rel=1e-12)
         assert once.gender == pytest.approx(twice.gender, rel=1e-12)
