@@ -252,8 +252,7 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     started = time.time()
     out = _out_dir(cfg)
     spec = dataclasses.replace(cfg.corpus, seed=derive_seed(cfg.seed, "gen-data"))
-    corpus = generate_corpus(spec)
-    train_c, valid_c, test_c = split_corpus(corpus, cfg.n_heldout_per_speaker)
+    train_c, valid_c, test_c = split_corpus(generate_corpus(spec), cfg.n_heldout_per_speaker)
     outputs = []
     for name, split in (("train", train_c), ("valid", valid_c), ("test", test_c)):
         path = out / f"{name}.csv"

@@ -7,17 +7,30 @@ D-dimensional embedding vector.  Vectors are composed additively as
     gender direction + accent direction + speaker offset + isotropic noise
 
 so the relative scales control how separable each attribute is.
+
+A ``Corpus`` is stored by column: the utterance ids, one index array per
+label (speaker, gender, accent) into that label's sorted vocabulary, and
+one C-contiguous (N, dim) float64 matrix.  No per-row objects exist unless
+a caller asks for ``Corpus.embeddings``.  The CSV writer formats each row
+with one ``%`` operation and the reader parses a row's floats into one
+growing buffer, so neither holds more than a row of text at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import math
+import re
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 SPLIT_TAGS = ("train", "valid", "test", "unsplit")
+LABELS = ("speaker", "gender", "accent")
 
 
 @dataclass(frozen=True)
@@ -78,112 +91,138 @@ class Embedding:
     accent: str
     vector: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Embedding):
-            return NotImplemented
-        return (self.utterance_id == other.utterance_id
-                and self.speaker_id == other.speaker_id
-                and self.gender == other.gender
-                and self.accent == other.accent
-                and np.array_equal(self.vector, other.vector))
-
 
 @dataclass(eq=False)
 class Corpus:
-    """Ordered collection of embeddings with contiguous label vocabularies."""
+    """Utterance ids, label index arrays and one vector matrix, row-aligned.
 
-    embeddings: list[Embedding]
-    dim: int
+    Row i is utterance ``utterance_ids[i]``; ``speakers[i]`` indexes
+    ``speaker_vocab`` (likewise genders and accents) and ``vectors[i]`` is
+    its embedding.  A vocabulary maps the sorted labels to 0, 1, ...  The
+    arrays are read-only views, handed out and shared without copying.
+    """
+
+    utterance_ids: list[str]
+    speakers: np.ndarray
+    genders: np.ndarray
+    accents: np.ndarray
+    vectors: np.ndarray
     speaker_vocab: dict[str, int]
     gender_vocab: dict[str, int]
     accent_vocab: dict[str, int]
     split_tag: str = "unsplit"
 
+    def __post_init__(self):
+        if self.split_tag not in SPLIT_TAGS:
+            raise ValueError(f"split_tag must be one of {SPLIT_TAGS}, got {self.split_tag!r}")
+        for name in ("speakers", "genders", "accents", "vectors"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
     def __len__(self) -> int:
-        return len(self.embeddings)
+        return len(self.utterance_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (self.dim == other.dim
-                and self.speaker_vocab == other.speaker_vocab
-                and self.gender_vocab == other.gender_vocab
-                and self.accent_vocab == other.accent_vocab
-                and self.split_tag == other.split_tag
-                and self.embeddings == other.embeddings)
+        return (self.utterance_ids == other.utterance_ids and self.split_tag == other.split_tag
+                and all(getattr(self, f"{label}_vocab") == getattr(other, f"{label}_vocab")
+                        for label in LABELS)
+                and all(np.array_equal(a, b) for a, b in
+                        zip((self.vectors, *self.label_indices()),
+                            (other.vectors, *other.label_indices()))))
 
     def matrix(self) -> np.ndarray:
-        """All vectors stacked into an (N, dim) float64 array."""
-        return np.stack([e.vector for e in self.embeddings])
+        """The stored (N, dim) float64 matrix of all vectors."""
+        return self.vectors
 
     def label_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gender, accent, speaker) label index arrays aligned with rows."""
-        g = np.array([self.gender_vocab[e.gender] for e in self.embeddings])
-        a = np.array([self.accent_vocab[e.accent] for e in self.embeddings])
-        s = np.array([self.speaker_vocab[e.speaker_id] for e in self.embeddings])
-        return g, a, s
+        """The stored (gender, accent, speaker) label index arrays."""
+        return self.genders, self.accents, self.speakers
 
-    def by_speaker(self) -> dict[str, list[Embedding]]:
-        out: dict[str, list[Embedding]] = {}
-        for e in self.embeddings:
-            out.setdefault(e.speaker_id, []).append(e)
-        return out
+    def names(self, label: str) -> list[str]:
+        """The vocabulary of ``label`` ("speaker", "gender" or "accent") in index order."""
+        return list(getattr(self, f"{label}_vocab"))
+
+    def _label_columns(self) -> list[list[str]]:
+        """Per-row speaker, gender and accent labels."""
+        return [[names[i] for i in index.tolist()] for names, index in
+                zip(map(self.names, LABELS), (self.speakers, self.genders, self.accents))]
+
+    @property
+    def embeddings(self) -> list[Embedding]:
+        """One ``Embedding`` per row, built on each access; vectors are row views."""
+        return [Embedding(u, s, g, a, v) for u, s, g, a, v in
+                zip(self.utterance_ids, *self._label_columns(), self.vectors)]
 
     def with_vectors(self, vectors: np.ndarray, split_tag: str | None = None) -> "Corpus":
-        """Copy of this corpus with row i's vector replaced by vectors[i]."""
-        if vectors.shape != (len(self.embeddings), self.dim):
+        """This corpus's ids and labels (shared) with ``vectors`` (not copied) as its matrix."""
+        if vectors.shape != (len(self), self.dim):
             raise ValueError(
                 f"vectors shape {vectors.shape} does not match corpus ({len(self)}, {self.dim})")
-        embeddings = [
-            Embedding(e.utterance_id, e.speaker_id, e.gender, e.accent,
-                      np.array(vectors[i], dtype=np.float64))
-            for i, e in enumerate(self.embeddings)
-        ]
-        return Corpus(embeddings, self.dim, dict(self.speaker_vocab),
-                      dict(self.gender_vocab), dict(self.accent_vocab),
-                      self.split_tag if split_tag is None else split_tag)
+        return dataclasses.replace(self, vectors=np.ascontiguousarray(vectors, dtype=np.float64),
+                                   split_tag=self.split_tag if split_tag is None else split_tag)
+
+    def _take(self, rows: np.ndarray, split_tag: str) -> "Corpus":
+        return dataclasses.replace(
+            self, utterance_ids=[self.utterance_ids[i] for i in rows.tolist()],
+            speakers=self.speakers[rows], genders=self.genders[rows],
+            accents=self.accents[rows], vectors=self.vectors[rows], split_tag=split_tag)
 
 
-def _vocab(labels) -> dict[str, int]:
-    # lexicographic order, indices contiguous from 0
-    return {label: i for i, label in enumerate(sorted(set(labels)))}
+def _build(ids: list[str], labels: list[list[str]], vectors: np.ndarray, split_tag: str,
+           where=lambda row: "") -> Corpus:
+    """A corpus from its columns, after the checks ``make_corpus`` names.
+
+    ``labels`` holds the per-row speaker, gender and accent labels;
+    ``where(row)`` prefixes an error about that row.
+    """
+    bad = ~np.isfinite(vectors).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{where(i)}utterance {ids[i]!r}: non-finite vector entries")
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        i = next(i for i, u in enumerate(ids) if u in seen or seen.add(u))
+        raise ValueError(f"{where(i)}duplicate utterance_id {ids[i]!r}")
+    vocabs = [{label: i for i, label in enumerate(sorted(set(column)))} for column in labels]
+    speakers, genders, accents = (np.array([vocab[x] for x in column], dtype=np.intp)
+                                  for vocab, column in zip(vocabs, labels))
+    first = np.unique(speakers, return_index=True)[1][speakers]  # each row's speaker's first row
+    bad = (genders != genders[first]) | (accents != accents[first])
+    if bad.any():
+        i, j = int(bad.argmax()), first[bad.argmax()]
+        raise ValueError(
+            f"{where(i)}speaker {labels[0][i]!r} has conflicting gender/accent labels "
+            f"{(labels[1][j], labels[2][j])} vs {(labels[1][i], labels[2][i])}")
+    return Corpus(list(ids), speakers, genders, accents,
+                  np.ascontiguousarray(vectors, dtype=np.float64), *vocabs, split_tag)
 
 
 def make_corpus(embeddings: list[Embedding], split_tag: str = "unsplit") -> Corpus:
     """Build a corpus from embeddings, validating invariants.
 
-    Vocabularies are the lexicographically sorted sets of labels present,
-    so a corpus is fully reconstructible from its rows alone.
+    Every vector is finite and of one length, utterance ids are unique and
+    each speaker has one gender and one accent.  Vocabularies are the
+    lexicographically sorted sets of labels present, so a corpus is fully
+    reconstructible from its rows alone.
     """
-    if split_tag not in SPLIT_TAGS:
-        raise ValueError(f"split_tag must be one of {SPLIT_TAGS}, got {split_tag!r}")
     if not embeddings:
         raise ValueError("empty corpus")
     dim = embeddings[0].vector.shape[0] if embeddings[0].vector.ndim == 1 else -1
-    seen_ids: set[str] = set()
-    speaker_attrs: dict[str, tuple[str, str]] = {}
     for e in embeddings:
         if e.vector.ndim != 1 or e.vector.shape[0] != dim:
             raise ValueError(
                 f"utterance {e.utterance_id!r}: vector length {e.vector.shape} != corpus dim {dim}")
-        if not np.all(np.isfinite(e.vector)):
-            raise ValueError(f"utterance {e.utterance_id!r}: non-finite vector entries")
-        if e.utterance_id in seen_ids:
-            raise ValueError(f"duplicate utterance_id {e.utterance_id!r}")
-        seen_ids.add(e.utterance_id)
-        attrs = (e.gender, e.accent)
-        prev = speaker_attrs.setdefault(e.speaker_id, attrs)
-        if prev != attrs:
-            raise ValueError(
-                f"speaker {e.speaker_id!r} has conflicting gender/accent labels {prev} vs {attrs}")
-    return Corpus(
-        embeddings=list(embeddings),
-        dim=dim,
-        speaker_vocab=_vocab(e.speaker_id for e in embeddings),
-        gender_vocab=_vocab(e.gender for e in embeddings),
-        accent_vocab=_vocab(e.accent for e in embeddings),
-        split_tag=split_tag,
-    )
+    return _build([e.utterance_id for e in embeddings],
+                  [[e.speaker_id for e in embeddings], [e.gender for e in embeddings],
+                   [e.accent for e in embeddings]],
+                  np.array([e.vector for e in embeddings], dtype=np.float64), split_tag)
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
@@ -207,23 +246,17 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     accent_dirs = strength.accent * rng.standard_normal((spec.n_accents, spec.dim))
     accent_of = rng.integers(0, spec.n_accents, size=spec.n_speakers)
     speaker_offsets = strength.speaker * rng.standard_normal((spec.n_speakers, spec.dim))
+    gender_of = np.arange(spec.n_speakers) % spec.n_genders
 
-    embeddings: list[Embedding] = []
-    for i, speaker in enumerate(speakers):
-        g = i % spec.n_genders
-        a = int(accent_of[i])
-        base = gender_dirs[g] + accent_dirs[a] + speaker_offsets[i]
-        noise = spec.noise_sigma * rng.standard_normal(
-            (spec.utterances_per_speaker, spec.dim))
-        for j in range(spec.utterances_per_speaker):
-            embeddings.append(Embedding(
-                utterance_id=f"{speaker}-u{j:04d}",
-                speaker_id=speaker,
-                gender=genders[g],
-                accent=accents[a],
-                vector=base + noise[j],
-            ))
-    return make_corpus(embeddings)
+    # one draw for all speakers has the bits of one draw per speaker in turn
+    n_utts = spec.utterances_per_speaker
+    vectors = rng.standard_normal((spec.n_speakers, n_utts, spec.dim))
+    vectors *= spec.noise_sigma
+    vectors += (gender_dirs[gender_of] + accent_dirs[accent_of] + speaker_offsets)[:, None]
+    rows = [(speaker, genders[g], accents[a]) for speaker, g, a in
+            zip(speakers, gender_of.tolist(), accent_of.tolist()) for _ in range(n_utts)]
+    return _build([f"{speaker}-u{j:04d}" for speaker in speakers for j in range(n_utts)],
+                  list(map(list, zip(*rows))), vectors.reshape(-1, spec.dim), "unsplit")
 
 
 def split_corpus(corpus: Corpus, n_heldout_per_speaker: int
@@ -233,85 +266,110 @@ def split_corpus(corpus: Corpus, n_heldout_per_speaker: int
     Per speaker the last ``n_heldout_per_speaker`` utterances go to valid,
     the preceding ``n_heldout_per_speaker`` to test, the rest to train.
     Deterministic: no randomness, stable across platforms.  Vocabularies
-    are copied unchanged (closed-set: all splits share all speakers).
+    are shared unchanged (closed-set: all splits share all speakers).
     """
-    if n_heldout_per_speaker < 0:
-        raise ValueError(f"n_heldout_per_speaker must be >= 0, got {n_heldout_per_speaker}")
-    valid_ids: set[str] = set()
-    test_ids: set[str] = set()
-    for speaker, utts in corpus.by_speaker().items():
-        if len(utts) <= 2 * n_heldout_per_speaker:
-            raise ValueError(
-                f"speaker {speaker!r} has {len(utts)} utterances, needs more than "
-                f"{2 * n_heldout_per_speaker} to hold out {n_heldout_per_speaker} per split")
-        ordered = sorted(utts, key=lambda e: e.utterance_id)
-        if n_heldout_per_speaker > 0:
-            valid_ids.update(e.utterance_id for e in ordered[-n_heldout_per_speaker:])
-            test_ids.update(e.utterance_id
-                            for e in ordered[-2 * n_heldout_per_speaker:-n_heldout_per_speaker])
-
-    def subset(ids_in: set[str] | None, tag: str) -> Corpus:
-        if ids_in is None:  # complement of the two holdout sets
-            rows = [e for e in corpus.embeddings
-                    if e.utterance_id not in valid_ids and e.utterance_id not in test_ids]
-        else:
-            rows = [e for e in corpus.embeddings if e.utterance_id in ids_in]
-        return Corpus(rows, corpus.dim, dict(corpus.speaker_vocab),
-                      dict(corpus.gender_vocab), dict(corpus.accent_vocab), tag)
-
-    return subset(None, "train"), subset(valid_ids, "valid"), subset(test_ids, "test")
+    n, speakers, ids = n_heldout_per_speaker, corpus.speakers, corpus.utterance_ids
+    if n < 0:
+        raise ValueError(f"n_heldout_per_speaker must be >= 0, got {n}")
+    counts = np.bincount(speakers, minlength=len(corpus.speaker_vocab))
+    short = counts[speakers] <= 2 * n
+    if short.any():
+        speaker = speakers[short.argmax()]
+        raise ValueError(
+            f"speaker {corpus.names('speaker')[speaker]!r} has {counts[speaker]} utterances, "
+            f"needs more than {2 * n} to hold out {n} per split")
+    # each row's rank from the end of its speaker's rows in utterance_id order
+    by_speaker = speakers.tolist()
+    order = sorted(range(len(ids)), key=lambda i: (by_speaker[i], ids[i]))
+    from_end = np.empty(len(ids), dtype=np.intp)
+    from_end[order] = np.cumsum(counts)[speakers[order]] - np.arange(1, len(ids) + 1)
+    part = np.minimum(from_end // n, 2) if n > 0 else np.full(len(ids), 2)
+    return tuple(corpus._take(np.flatnonzero(part == code), tag)
+                 for code, tag in ((2, "train"), (0, "valid"), (1, "test")))
 
 
 # CSV layout: header `utterance_id,speaker_id,gender,accent,v0,...,v{D-1}`,
 # one row per utterance in corpus order, floats printed with 17 significant
 # digits so 64-bit values round-trip exactly.
 
+FIXED_COLUMNS = ["utterance_id", "speaker_id", "gender", "accent"]
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # csv.writer may quote a field holding one
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus as CSV (see module layout note); raises on empty corpus."""
-    if len(corpus.embeddings) == 0:
+    """Write a corpus as CSV (see module layout note); raises on empty corpus.
+
+    Each row is one ``%`` format, unless an id or label is empty or may
+    need quoting: then ``csv.writer`` writes every row, quoting as needed.
+    """
+    if len(corpus) == 0:
         raise ValueError("empty corpus")
-    bad = ~np.isfinite(corpus.matrix()).all(axis=1)
+    bad = ~np.isfinite(corpus.vectors).all(axis=1)
     if bad.any():
-        e = corpus.embeddings[int(bad.argmax())]
-        raise ValueError(f"utterance {e.utterance_id!r}: non-finite vector entries")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+        raise ValueError(f"utterance {corpus.utterance_ids[int(bad.argmax())]!r}: "
+                         "non-finite vector entries")
+    columns = [corpus.utterance_ids, *corpus._label_columns()]
+    quoted = any(not all(column) or _NEEDS_QUOTES.search("".join(column)) for column in columns)
+    row_format = "%s,%s,%s,%s," + ",".join(["%.17g"] * corpus.dim) + "\n"
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["utterance_id", "speaker_id", "gender", "accent"]
-                        + [f"v{i}" for i in range(corpus.dim)])
-        for e in corpus.embeddings:
-            writer.writerow([e.utterance_id, e.speaker_id, e.gender, e.accent]
-                            + [f"{x:.17g}" for x in e.vector.tolist()])
+        writer.writerow(FIXED_COLUMNS + [f"v{i}" for i in range(corpus.dim)])
+        for u, s, g, a, v in zip(*columns, corpus.vectors):
+            if quoted:
+                writer.writerow([u, s, g, a] + [f"{x:.17g}" for x in v.tolist()])
+            else:
+                fh.write(row_format % (u, s, g, a, *v.tolist()))
 
 
 def read_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
-    """Read a corpus CSV; the file does not carry the split tag, pass it in."""
+    """Read a corpus CSV; the file does not carry the split tag, pass it in.
+
+    Every error names the path, and the line when it is about one.
+    """
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with path.open("r", newline="") as fh:
+            reader = csv.reader(fh)
+            ids, labels, vectors, lines = _read_rows(path, reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raw = path.read_bytes()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty corpus") from None
-        fixed = ["utterance_id", "speaker_id", "gender", "accent"]
-        if header[:4] != fixed:
-            raise ValueError(f"{path}: line 1: bad header, expected columns {fixed} first")
-        dim = len(header) - 4
-        if dim < 1 or header[4:] != [f"v{i}" for i in range(dim)]:
-            raise ValueError(f"{path}: line 1: bad vector columns, expected v0..v{{D-1}}")
-        embeddings: list[Embedding] = []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 4 + dim:
-                raise ValueError(
-                    f"{path}: line {line}: expected {4 + dim} fields, got {len(row)}")
-            try:
-                vector = np.array([float(x) for x in row[4:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line}: bad float: {exc}") from None
-            if not np.all(np.isfinite(vector)):
-                raise ValueError(f"{path}: line {line}: non-finite vector entries")
-            embeddings.append(Embedding(row[0], row[1], row[2], row[3], vector))
-    if not embeddings:
+            raw.decode(exc.encoding)
+        except UnicodeDecodeError as whole:  # its offset is into the file, not a chunk
+            line = raw[:whole.start].count(b"\n") + 1
+            raise ValueError(f"{path}: line {line}: not {whole.encoding} text") from None
+        raise
+    return _build(ids, labels, vectors, split_tag, lambda i: f"{path}: line {lines[i]}: ")
+
+
+def _read_rows(path: Path, reader):
+    """(ids, labels, vectors, line of each row); the floats go into one buffer."""
+    header = next(reader, None)
+    if header is None:
         raise ValueError(f"{path}: empty corpus")
-    return make_corpus(embeddings, split_tag=split_tag)
+    if header[:4] != FIXED_COLUMNS:
+        raise ValueError(f"{path}: line 1: bad header, expected columns {FIXED_COLUMNS} first")
+    dim = len(header) - 4
+    if dim < 1 or header[4:] != [f"v{i}" for i in range(dim)]:
+        raise ValueError(f"{path}: line 1: bad vector columns, expected v0..v{{D-1}}")
+    fixed, values, lines = [], array("d"), []
+    for row in reader:
+        line = reader.line_num
+        if len(row) != 4 + dim:
+            raise ValueError(f"{path}: line {line}: expected {4 + dim} fields, got {len(row)}")
+        try:
+            vector = list(map(float, islice(row, 4, None)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: bad float: {exc}") from None
+        # a finite sum rules out inf and nan entries in one pass
+        if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
+            raise ValueError(f"{path}: line {line}: non-finite vector entries")
+        values.extend(vector)
+        fixed.append(row[:4])
+        lines.append(line)
+    if not fixed:
+        raise ValueError(f"{path}: empty corpus")
+    ids, *labels = map(list, zip(*fixed))
+    return ids, labels, np.frombuffer(values, dtype=np.float64).reshape(-1, dim), lines

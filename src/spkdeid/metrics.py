@@ -95,39 +95,49 @@ def make_trials(enroll_corpus: Corpus, trial_corpus: Corpus,
         raise ValueError("enroll and trial corpora must share vocabularies")
     if n_nontarget_per_target < 0:
         raise ValueError(f"n_nontarget_per_target must be >= 0, got {n_nontarget_per_target}")
-    enrolled = set(e.speaker_id for e in enroll_corpus.embeddings)
-    gender_of = {e.speaker_id: e.gender for e in enroll_corpus.embeddings}
-    by_gender: dict[str, list[str]] = {}
-    for speaker in sorted(enrolled):
+    speaker_names, gender_names = trial_corpus.names("speaker"), trial_corpus.names("gender")
+    gender_of = dict(zip(enroll_corpus.speakers.tolist(), enroll_corpus.genders.tolist()))
+    by_gender: dict[int, list[int]] = {}
+    for speaker in sorted(gender_of):  # vocabulary index order is name order
         by_gender.setdefault(gender_of[speaker], []).append(speaker)
     for gender, speakers in by_gender.items():
         if len(speakers) < 2:
-            raise ValueError(f"gender {gender!r} has {len(speakers)} enrolled speaker(s); "
-                             "need >= 2 for nontarget trials")
+            raise ValueError(f"gender {gender_names[gender]!r} has {len(speakers)} enrolled "
+                             "speaker(s); need >= 2 for nontarget trials")
 
     rng = np.random.default_rng(seed)
     trials: list[Trial] = []
-    for e in trial_corpus.embeddings:
-        if e.speaker_id not in enrolled:
-            raise ValueError(f"trial speaker {e.speaker_id!r} has no enrollment utterances")
-        trials.append(Trial(e.speaker_id, e.utterance_id, True, e.gender))
-        candidates = [s for s in by_gender[e.gender] if s != e.speaker_id]
-        if n_nontarget_per_target > len(candidates):
+    for utterance, speaker, gender in zip(trial_corpus.utterance_ids,
+                                          trial_corpus.speakers.tolist(),
+                                          trial_corpus.genders.tolist()):
+        name, gender_name = speaker_names[speaker], gender_names[gender]
+        if speaker not in gender_of:
+            raise ValueError(f"trial speaker {name!r} has no enrollment utterances")
+        trials.append(Trial(name, utterance, True, gender_name))
+        # candidates: the group without the trial speaker, whose slot j skips
+        group = by_gender.get(gender, [])
+        own = group.index(speaker) if gender_of[speaker] == gender else len(group)
+        available = len(group) - (own < len(group))
+        if n_nontarget_per_target > available:
             raise ValueError(
                 f"cannot sample {n_nontarget_per_target} nontarget speakers for gender "
-                f"{e.gender!r}: only {len(candidates)} available")
-        chosen = rng.choice(len(candidates), size=n_nontarget_per_target, replace=False)
-        for j in chosen:
-            trials.append(Trial(candidates[j], e.utterance_id, False, e.gender))
+                f"{gender_name!r}: only {available} available")
+        chosen = rng.choice(available, size=n_nontarget_per_target, replace=False)
+        trials += [Trial(speaker_names[group[j + (j >= own)]], utterance, False, gender_name)
+                   for j in chosen.tolist()]
     return trials
 
 
 def enroll_speaker_models(enroll_corpus: Corpus) -> dict[str, np.ndarray]:
-    """Per-speaker arithmetic mean of the enrollment vectors."""
-    models: dict[str, np.ndarray] = {}
-    for speaker, utts in enroll_corpus.by_speaker().items():
-        models[speaker] = np.mean([e.vector for e in utts], axis=0)
-    return models
+    """Per-speaker arithmetic mean of the enrollment vectors, in order of
+    each speaker's first row."""
+    speakers = enroll_corpus.speakers
+    order = np.argsort(speakers, kind="stable")
+    starts = np.flatnonzero(np.diff(speakers[order], prepend=-1))
+    groups = sorted(zip(order[starts].tolist(), np.split(order, starts[1:])))
+    names = enroll_corpus.names("speaker")
+    return {names[speakers[first]]: enroll_corpus.vectors[rows].mean(axis=0)
+            for first, rows in groups}
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -137,7 +147,7 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _norms(vectors: list[np.ndarray]) -> np.ndarray:
+def _norms(vectors) -> np.ndarray:
     # sqrt(v . v) is what np.linalg.norm computes for a 1-d array
     return np.array([np.sqrt(v.dot(v)) for v in vectors], dtype=np.float64)
 
@@ -150,9 +160,8 @@ def score_trials(trials: list[Trial], speaker_models: dict[str, np.ndarray],
     one dot product, so the scores equal ``cosine_score`` bit for bit.  A
     zero-norm vector is an error only if a trial uses it.
     """
-    vectors = {e.utterance_id: e.vector for e in trial_corpus.embeddings}
     model_index = {speaker: i for i, speaker in enumerate(speaker_models)}
-    vector_index = {utterance: i for i, utterance in enumerate(vectors)}
+    vector_index = {utterance: i for i, utterance in enumerate(trial_corpus.utterance_ids)}
     model_rows = np.empty(len(trials), dtype=np.intp)
     vector_rows = np.empty(len(trials), dtype=np.intp)
     for i, t in enumerate(trials):
@@ -163,7 +172,7 @@ def score_trials(trials: list[Trial], speaker_models: dict[str, np.ndarray],
         model_rows[i] = model_index[t.enroll_speaker]
         vector_rows[i] = vector_index[t.trial_utterance]
     models = list(speaker_models.values())
-    trial_vectors = list(vectors.values())
+    trial_vectors = trial_corpus.vectors
     model_norms = _norms(models)[model_rows]
     vector_norms = _norms(trial_vectors)[vector_rows]
     if (model_norms == 0.0).any() or (vector_norms == 0.0).any():

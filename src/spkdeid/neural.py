@@ -173,11 +173,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     logits = _as_batch(logits)
     labels = _checked_labels(logits, labels)
     n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(n), labels].mean())
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    # one (batch, classes) buffer: shifted logits, log-probabilities, gradient
+    grad = logits - logits.max(axis=1, keepdims=True)
+    grad -= np.log(np.exp(grad).sum(axis=1, keepdims=True))
+    loss = float(-grad[rows, labels].mean())
+    np.exp(grad, out=grad)
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 

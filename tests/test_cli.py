@@ -197,6 +197,19 @@ class TestAnonymize:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "short.aan" in err[0]
 
+    def test_corrupt_input_byte_is_one_error_line(self, tiny_run, capsys):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        raw = bytearray((out / "test.csv").read_bytes())
+        raw[raw.index(b"\n", raw.index(b"\n") + 1) + 3] = 0xFF  # third line
+        (out / "bad.csv").write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run_cli("anonymize", "--config", config_path, "--method", "identity",
+                       "--in", out / "bad.csv", "--out", out / "anon.csv") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out / 'bad.csv'}: line 3:")
+        assert not (out / "anon.csv").exists()
+
     def test_aan2_requires_model_and_pool_flags(self, tiny_run, capsys):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)

@@ -150,6 +150,28 @@ class TestSoftmaxCrossEntropy:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
+    def test_bits_of_the_four_array_formula(self, data):
+        # oracle: shifted logits, log-probabilities, probabilities and the
+        # gradient each in an array of their own
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
+        logits = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+        labels = data.draw(hnp.arrays(np.int64, shape[0],
+                                      elements=st.integers(0, shape[1] - 1)))
+        before = logits.copy()
+        rows = np.arange(shape[0])
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        expected_grad = np.exp(log_probs)
+        expected_grad[rows, labels] -= 1.0
+        expected_grad /= shape[0]
+        loss, grad = softmax_cross_entropy(logits, labels)
+        assert np.float64(loss).tobytes() == np.float64(
+            -log_probs[rows, labels].mean()).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+        assert logits.tobytes() == before.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
     def test_in_place_loss_and_accuracy_match(self, data):
         shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
         logits = data.draw(hnp.arrays(np.float64, shape,
