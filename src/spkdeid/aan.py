@@ -16,16 +16,17 @@ Checkpoint byte layout (little endian throughout):
     f64           lam
     f64 x ...     the bytes of ``AanModel.flat``
 
-All parameters live in one contiguous float64 vector, ``AanModel.flat``, in
-checkpoint order: encoder layers, decoder layers, gender head, accent head,
-speaker head; per layer the weights (C order) then the bias.  The gradients
-live in ``AanModel.grad``, laid out the same way.  Each layer's ``weights``,
-``bias``, ``weight_grad`` and ``bias_grad`` are views into the two vectors
-(``neural.flatten``), so the backward pass writes every gradient in place
-and training updates, snapshots, restores and checkpoints the whole model
-with one vector operation each.  Parameter names ("enc0.w", ...) exist only
-at the edges, in ``parameters()`` and ``gradients()`` for tests and the
-gradient check.
+The layer shapes are written once, in ``layer_table``, in checkpoint order:
+encoder, decoder, gender head, accent head, speaker head.  A model is its
+dims, ``lam`` and one float64 vector, ``AanModel.flat``, holding per layer
+the weights (C order) then the bias; the layers are views into it, filled
+by ``build_aan`` from the RNG or by ``load_model`` from the file.  Training
+updates, snapshots, restores and checkpoints it with one vector operation
+each.  Gradient storage exists only where a backward pass runs: ``train``
+binds one flat gradient vector to the layers (``neural.bind_gradients``),
+so a model built or loaded to anonymize or evaluate holds none.  Parameter
+names ("enc0.w", ...) exist only in ``parameters()`` and ``gradients()``,
+for tests and the gradient check.
 
 Training computes only what it reads: the encoder's input gradient is never
 computed.  The per-epoch validation pass (``evaluate_model``) keeps no
@@ -37,6 +38,7 @@ is about one (rows, n_speakers) matrix.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,11 +52,11 @@ from .neural import (
     DivergenceError,
     Params,
     adam_step,
+    bind_gradients,
     cross_entropy_and_accuracy,
     dense_backward,
     dense_forward,
     finite_difference_check,
-    flatten,
     grl_backward,
     init_dense,
     mse_loss,
@@ -64,8 +66,8 @@ from .neural import (
 
 CHECKPOINT_MAGIC = b"AAN1"
 CHECKPOINT_VERSION = 1
-# magic, version, 7 dims, lam
-CHECKPOINT_HEADER_SIZE = 4 + 4 + 7 * 4 + 8
+_HEADER = struct.Struct("<4s8Id")  # magic, version, 7 dims, lam
+CHECKPOINT_HEADER_SIZE = _HEADER.size
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,7 @@ class AanDims:
     n_speakers: int
 
     def validate(self) -> None:
-        for name in ("input_dim", "hidden", "latent", "branch_hidden",
-                     "n_genders", "n_accents", "n_speakers"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"dims.{name} must be a positive integer, got {value!r}")
 
@@ -114,37 +114,56 @@ GROUPS = (("encoder", "enc"), ("decoder", "dec"), ("gender_head", "gender"),
           ("accent_head", "accent"), ("speaker_head", "speaker"))
 
 
-def _named(prefix: str, layers: list[DenseLayer], gradients: bool = False) -> Params:
+def layer_table(d: AanDims) -> list[tuple[str, int, int, str]]:
+    """(layer list, n_in, n_out, activation) of every layer, in checkpoint order.
+
+    Encoder: input -> hidden (tanh) -> latent (tanh).
+    Decoder: latent -> hidden (tanh) -> input (linear, unbounded outputs).
+    Each branch head: latent -> branch_hidden (relu) -> class logits.
+    """
+    table = [("encoder", d.input_dim, d.hidden, "tanh"),
+             ("encoder", d.hidden, d.latent, "tanh"),
+             ("decoder", d.latent, d.hidden, "tanh"),
+             ("decoder", d.hidden, d.input_dim, "linear")]
+    for attr, n_classes in (("gender_head", d.n_genders), ("accent_head", d.n_accents),
+                            ("speaker_head", d.n_speakers)):
+        table += [(attr, d.latent, d.branch_hidden, "relu"),
+                  (attr, d.branch_hidden, n_classes, "linear")]
+    return table
+
+
+def _check_lam(lam: float) -> None:
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+
+
+def _named(model: AanModel, gradients: bool = False, groups=GROUPS) -> Params:
+    """Name -> the weights and bias (or their gradients) of the layers of
+    ``groups``, in checkpoint order."""
     named: Params = {}
-    for i, layer in enumerate(layers):
-        named[f"{prefix}{i}.w"] = layer.weight_grad if gradients else layer.weights
-        named[f"{prefix}{i}.b"] = layer.bias_grad if gradients else layer.bias
+    for attr, prefix in groups:
+        for i, layer in enumerate(getattr(model, attr)):
+            named[f"{prefix}{i}.w"] = layer.weight_grad if gradients else layer.weights
+            named[f"{prefix}{i}.b"] = layer.bias_grad if gradients else layer.bias
     return named
 
 
 class AanModel:
-    """Holds all trainable parameters plus the architecture descriptor.
+    """The dims, ``lam`` and ``flat``; the layer lists (``encoder``, ...,
+    ``speaker_head``) are views into ``flat``, laid out by ``layer_table``."""
 
-    The constructor moves the layers' parameters into one float64 vector,
-    ``flat``, in checkpoint order, with a gradient vector ``grad`` of the
-    same layout (``neural.flatten``).
-    """
-
-    def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer],
-                 gender_head: list[DenseLayer], accent_head: list[DenseLayer],
-                 speaker_head: list[DenseLayer], lam: float, dims: AanDims):
-        self.encoder = encoder
-        self.decoder = decoder
-        self.gender_head = gender_head
-        self.accent_head = accent_head
-        self.speaker_head = speaker_head
-        self.lam = lam
+    def __init__(self, dims: AanDims, lam: float, flat: np.ndarray):
         self.dims = dims
-        self.flat, self.grad = flatten(self.layers())
-
-    def groups(self) -> dict[str, list[DenseLayer]]:
-        """Parameter-name prefix -> layer list, in checkpoint order."""
-        return {prefix: getattr(self, attr) for attr, prefix in GROUPS}
+        self.lam = lam
+        self.flat = flat
+        for attr, _ in GROUPS:
+            setattr(self, attr, [])
+        offset = 0
+        for attr, n_in, n_out, activation in layer_table(dims):
+            bias = offset + n_in * n_out
+            getattr(self, attr).append(DenseLayer(flat[offset:bias].reshape(n_out, n_in),
+                                                  flat[bias:bias + n_out], activation))
+            offset = bias + n_out
 
     def layers(self) -> list[DenseLayer]:
         """Every layer, in checkpoint order."""
@@ -152,21 +171,16 @@ class AanModel:
 
     def parameters(self) -> Params:
         """Name -> view into ``flat``, in checkpoint order."""
-        params: Params = {}
-        for prefix, layers in self.groups().items():
-            params.update(_named(prefix, layers))
-        return params
+        return _named(self)
 
     def gradients(self) -> Params:
-        """Name -> view into ``grad``, named like ``parameters()``."""
-        grads: Params = {}
-        for prefix, layers in self.groups().items():
-            grads.update(_named(prefix, layers, gradients=True))
-        return grads
+        """Name -> each layer's gradient array, named like ``parameters()``;
+        None for a layer that no backward pass has reached."""
+        return _named(self, gradients=True)
 
     def group_params(self, group: str) -> Params:
         """The parameters of one layer list ("encoder", ..., "speaker_head")."""
-        return _named(dict(GROUPS)[group], getattr(self, group))
+        return _named(self, groups=[(group, dict(GROUPS)[group])])
 
     def snapshot(self) -> np.ndarray:
         """A copy of ``flat``."""
@@ -178,27 +192,15 @@ class AanModel:
 
 def build_aan(dims: AanDims, lam: float, seed: int,
               init_scale: float | None = None) -> AanModel:
-    """Build an AAN with fresh parameters, deterministic under seed.
-
-    Encoder: input -> hidden (tanh) -> latent (tanh).
-    Decoder: latent -> hidden (tanh) -> input (linear, unbounded outputs).
-    Each branch head: latent -> branch_hidden (relu) -> class logits.
-    """
+    """Build an AAN (``layer_table``) with fresh parameters, deterministic
+    under seed: one ``init_dense`` draw per layer, in checkpoint order."""
     dims.validate()
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    _check_lam(lam)
     rng = np.random.default_rng(seed)
-    encoder = [init_dense(dims.input_dim, dims.hidden, "tanh", rng, init_scale),
-               init_dense(dims.hidden, dims.latent, "tanh", rng, init_scale)]
-    decoder = [init_dense(dims.latent, dims.hidden, "tanh", rng, init_scale),
-               init_dense(dims.hidden, dims.input_dim, "linear", rng, init_scale)]
-
-    def head(n_classes: int) -> list[DenseLayer]:
-        return [init_dense(dims.latent, dims.branch_hidden, "relu", rng, init_scale),
-                init_dense(dims.branch_hidden, n_classes, "linear", rng, init_scale)]
-
-    return AanModel(encoder, decoder, head(dims.n_genders), head(dims.n_accents),
-                    head(dims.n_speakers), float(lam), dims)
+    layers = [init_dense(n_in, n_out, activation, rng, init_scale)
+              for _, n_in, n_out, activation in layer_table(dims)]
+    return AanModel(dims, float(lam), np.concatenate(
+        [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]))
 
 
 @dataclass
@@ -250,16 +252,12 @@ class LossBreakdown:
     accent: float
     speaker: float
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite([self.recon, self.gender, self.accent,
-                                 self.speaker]).all())
-
 
 def aan_loss_and_grads(model: AanModel, x: np.ndarray,
                        gender_labels: np.ndarray, accent_labels: np.ndarray,
                        speaker_labels: np.ndarray) -> LossBreakdown:
     """Losses, with the gradients realizing the adversarial min-max split
-    written into the layers' gradient arrays (``model.grad``).
+    written into the layers' gradient arrays.
 
     Heads get the gradient of their own cross-entropy; the decoder gets the
     reconstruction gradient; the encoder gets the reconstruction gradient
@@ -280,7 +278,7 @@ def aan_loss_and_grads(model: AanModel, x: np.ndarray,
     accent_loss, d_accent = softmax_cross_entropy(accent_logits, accent_labels)
     speaker_loss, d_speaker = softmax_cross_entropy(speaker_logits, speaker_labels)
     breakdown = LossBreakdown(recon_loss, gender_loss, accent_loss, speaker_loss)
-    if not breakdown.is_finite():
+    if not np.isfinite([recon_loss, gender_loss, accent_loss, speaker_loss]).all():
         raise DivergenceError(f"divergence detected: non-finite loss {breakdown}")
 
     d_latent = _chain_backward(model.decoder, caches["decoder"], d_recon)
@@ -318,8 +316,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        _check_lam(self.lam)
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
@@ -392,6 +389,7 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     x_train, g_train, a_train, s_train = _corpus_tensors(train_corpus, model.dims)
     x_valid, g_valid, a_valid, s_valid = _corpus_tensors(valid_corpus, model.dims)
 
+    grads = bind_gradients(model.layers())
     adam_state = AdamState.for_params(model.flat)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
@@ -410,10 +408,10 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
                 breakdown = aan_loss_and_grads(
                     model, x_train[idx], g_train[idx], a_train[idx], s_train[idx])
                 if config.optimizer == "adam":
-                    adam_step(model.flat, model.grad, adam_state, lr=config.lr,
+                    adam_step(model.flat, grads, adam_state, lr=config.lr,
                               beta1=config.beta1, beta2=config.beta2, eps=config.eps)
                 else:
-                    sgd_step(model.flat, model.grad, config.lr)
+                    sgd_step(model.flat, grads, config.lr)
                 sums += len(idx) * np.array([breakdown.recon, breakdown.gender,
                                              breakdown.accent, breakdown.speaker])
                 seen += len(idx)
@@ -433,59 +431,49 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
 
 def save_model(model: AanModel, path: str | Path) -> None:
     """Write the checkpoint (byte layout in the module docstring)."""
-    d = model.dims
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += struct.pack("<7I", d.input_dim, d.hidden, d.latent, d.branch_hidden,
-                        d.n_genders, d.n_accents, d.n_speakers)
-    blob += struct.pack("<d", model.lam)
-    blob += model.flat.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
-
-
-def _checkpoint_size(d: AanDims) -> int:
-    """Bytes in a checkpoint of this architecture (header plus parameters)."""
-    layers = [(d.input_dim, d.hidden), (d.hidden, d.latent),
-              (d.latent, d.hidden), (d.hidden, d.input_dim)]
-    for n_classes in (d.n_genders, d.n_accents, d.n_speakers):
-        layers += [(d.latent, d.branch_hidden), (d.branch_hidden, n_classes)]
-    return CHECKPOINT_HEADER_SIZE + 8 * sum((n_in + 1) * n_out for n_in, n_out in layers)
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              *vars(model.dims).values(), model.lam))
+        fh.write(model.flat.astype("<f8", copy=False))
 
 
 def load_model(path: str | Path) -> AanModel:
     """Read a checkpoint; round-trips save_model bit-exactly.
 
-    The header is validated, and the file size checked against the size
-    its dims imply, before any parameter array is allocated.
+    The header fields, ``lam`` and the file size that the dims imply are
+    checked before the parameter vector is allocated; the parameters are
+    then read straight into it, and the layers are views of it.  A
+    non-finite parameter is an error too.  Every error names the path.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}, not an AAN checkpoint")
-    if len(raw) < CHECKPOINT_HEADER_SIZE:
-        raise ValueError(f"{path}: truncated checkpoint header, {len(raw)} bytes "
-                         f"of {CHECKPOINT_HEADER_SIZE}")
-    version, *dims_fields = struct.unpack_from("<8I", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (lam,) = struct.unpack_from("<d", raw, 36)
-    dims = AanDims(*dims_fields)
-    try:
-        dims.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    expected = _checkpoint_size(dims)
-    if len(raw) < expected:
-        raise ValueError(f"{path}: truncated checkpoint, {len(raw)} bytes where "
-                         f"its header implies {expected}")
-    if len(raw) > expected:
-        raise ValueError(f"{path}: {len(raw) - expected} trailing bytes, corrupt checkpoint")
-    try:
-        model = build_aan(dims, lam, seed=0)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    model.flat[...] = np.frombuffer(raw, dtype="<f8", offset=CHECKPOINT_HEADER_SIZE)
-    return model
+    with Path(path).open("rb") as fh:
+        header = fh.read(CHECKPOINT_HEADER_SIZE)
+        if header[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: bad magic {header[:4]!r}, not an AAN checkpoint")
+        if len(header) < CHECKPOINT_HEADER_SIZE:
+            raise ValueError(f"{path}: truncated checkpoint header, {len(header)} bytes "
+                             f"of {CHECKPOINT_HEADER_SIZE}")
+        _, version, *dims_fields, lam = _HEADER.unpack(header)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        dims = AanDims(*dims_fields)
+        try:
+            dims.validate()
+            _check_lam(lam)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        count = sum((n_in + 1) * n_out for _, n_in, n_out, _ in layer_table(dims))
+        size, expected = os.fstat(fh.fileno()).st_size, CHECKPOINT_HEADER_SIZE + 8 * count
+        if size < expected:
+            raise ValueError(f"{path}: truncated checkpoint, {size} bytes where "
+                             f"its header implies {expected}")
+        if size > expected:
+            raise ValueError(f"{path}: {size - expected} trailing bytes, corrupt checkpoint")
+        flat = np.empty(count, dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:
+            raise ValueError(f"{path}: truncated checkpoint, changed while read")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: non-finite parameter values, corrupt checkpoint")
+    return AanModel(dims, lam, flat.astype(np.float64, copy=False))
 
 
 def relu_margin(model: AanModel, x: np.ndarray) -> tuple[float, bool]:

@@ -9,9 +9,10 @@ Four methods:
   aan2                baseline_farthest first, then aan1 on the result
 
 Every method maps an (N, dim) matrix to an (N, dim) matrix, row by row,
-and ``anonymize_corpus`` preserves ids and labels.  The per-vector calls
-(``anonymize_aan1``, ``anonymize_aan2``, ``baseline_anonymize`` on a 1-d
-vector) run the same code on a one-row matrix.
+through ``AnonymizationMethod.apply``, and ``anonymize_corpus`` preserves
+ids and labels.  There are no per-vector wrappers: a single vector is a
+one-row matrix.  The AAN methods only run the model forward, so a model
+loaded to anonymize holds no gradient storage.
 
 BLAS is called one query at a time: one pool gemv and one norm per query,
 and one one-row encoder+decoder pass per reconstruction.  A multi-row
@@ -67,10 +68,6 @@ class PseudoPool:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def pool_from_corpus(corpus: Corpus) -> PseudoPool:
-    return PseudoPool(corpus.matrix())
 
 
 def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarray:
@@ -144,20 +141,6 @@ def _reconstruct(model: AanModel, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise DivergenceError("divergence detected: non-finite reconstruction")
     return out
-
-
-def anonymize_aan1(model: AanModel, x: np.ndarray) -> np.ndarray:
-    """The model's reconstruction of the vector ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    return _reconstruct(model, x[None, :])[0]
-
-
-def anonymize_aan2(model: AanModel, pool: PseudoPool, x: np.ndarray,
-                   top_k: int) -> np.ndarray:
-    """Reconstruct the baseline pseudo-embedding: aan1 after baseline_farthest."""
-    return anonymize_aan1(model, baseline_anonymize(pool, x, top_k))
 
 
 @dataclass

@@ -58,11 +58,12 @@ from .aan import (
 from .anonymize import (
     METHOD_KINDS,
     AnonymizationMethod,
+    PseudoPool,
     anonymize_corpus,
-    pool_from_corpus,
 )
 from .dataset import (
     CorpusSpec,
+    decode_error,
     generate_corpus,
     read_corpus,
     split_corpus,
@@ -215,11 +216,16 @@ def _replace_path(obj, path: str, value):
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
+    cfg = RunConfig()
     if args.config is not None:
-        with open(args.config) as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
-    else:
-        cfg = RunConfig()
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise decode_error(args.config, exc) from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: line {exc.lineno}: {exc.msg}") from None
+        cfg = RunConfig.from_dict(data)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out_dir is not None:
@@ -335,7 +341,7 @@ def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
             if require_flags:
                 raise ValueError(f"method {kind!r} requires --pool")
             pool_path = str(out / "train.csv")
-        pool = pool_from_corpus(read_corpus(pool_path))
+        pool = PseudoPool(read_corpus(pool_path).matrix())
     return AnonymizationMethod(kind=kind, model=model, pool=pool,
                                top_k=cfg.anonymize_top_k if top_k is None else top_k)
 

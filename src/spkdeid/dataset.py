@@ -23,6 +23,7 @@ import dataclasses
 import math
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -293,14 +294,20 @@ def split_corpus(corpus: Corpus, n_heldout_per_speaker: int
 # digits so 64-bit values round-trip exactly.
 
 FIXED_COLUMNS = ["utterance_id", "speaker_id", "gender", "accent"]
-_NEEDS_QUOTES = re.compile('[,"\r\n]')  # csv.writer may quote a field holding one
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _quoted(field: str) -> str:
+    """``field`` quoted as ``csv.writer`` quotes it, and also when it holds a
+    CR, which ``csv.writer`` leaves bare with a "\\n" terminator."""
+    return '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as CSV (see module layout note); raises on empty corpus.
 
-    Each row is one ``%`` format, unless an id or label is empty or may
-    need quoting: then ``csv.writer`` writes every row, quoting as needed.
+    Each row is one ``%`` format; the ids and labels of a column that holds
+    a comma, quote, CR or LF are quoted, so every corpus reads back.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -308,17 +315,13 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     if bad.any():
         raise ValueError(f"utterance {corpus.utterance_ids[int(bad.argmax())]!r}: "
                          "non-finite vector entries")
-    columns = [corpus.utterance_ids, *corpus._label_columns()]
-    quoted = any(not all(column) or _NEEDS_QUOTES.search("".join(column)) for column in columns)
+    columns = [list(map(_quoted, column)) if _NEEDS_QUOTES.search("".join(column)) else column
+               for column in (corpus.utterance_ids, *corpus._label_columns())]
     row_format = "%s,%s,%s,%s," + ",".join(["%.17g"] * corpus.dim) + "\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIXED_COLUMNS + [f"v{i}" for i in range(corpus.dim)])
+        fh.write(",".join(FIXED_COLUMNS + [f"v{i}" for i in range(corpus.dim)]) + "\n")
         for u, s, g, a, v in zip(*columns, corpus.vectors):
-            if quoted:
-                writer.writerow([u, s, g, a] + [f"{x:.17g}" for x in v.tolist()])
-            else:
-                fh.write(row_format % (u, s, g, a, *v.tolist()))
+            fh.write(row_format % (u, s, g, a, *v.tolist()))
 
 
 def read_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
@@ -327,21 +330,37 @@ def read_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
     Every error names the path, and the line when it is about one.
     """
     path = Path(path)
-    try:
-        with path.open("r", newline="") as fh:
-            reader = csv.reader(fh)
-            ids, labels, vectors, lines = _read_rows(path, reader)
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raw = path.read_bytes()
-        try:
-            raw.decode(exc.encoding)
-        except UnicodeDecodeError as whole:  # its offset is into the file, not a chunk
-            line = raw[:whole.start].count(b"\n") + 1
-            raise ValueError(f"{path}: line {line}: not {whole.encoding} text") from None
-        raise
+    with csv_rows(path) as reader:
+        ids, labels, vectors, lines = _read_rows(path, reader)
     return _build(ids, labels, vectors, split_tag, lambda i: f"{path}: line {lines[i]}: ")
+
+
+def decode_error(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
+    """A ValueError naming ``path`` and the line of its first byte that
+    ``exc.encoding`` cannot decode.  A text stream counts ``exc.start`` from
+    the start of a chunk, so the whole file is decoded again."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+    line = raw[:exc.start].count(b"\n") + 1
+    return ValueError(f"{path}: line {line}: not {exc.encoding} text")
+
+
+@contextmanager
+def csv_rows(path: str | Path):
+    """A ``csv.reader`` over the text file ``path``.  A decode error or a
+    ``csv.Error`` while it is read becomes a ValueError naming the path and
+    the line."""
+    with Path(path).open("r", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise decode_error(path, exc) from None
 
 
 def _read_rows(path: Path, reader):

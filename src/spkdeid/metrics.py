@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .anonymize import AnonymizationMethod, anonymize_corpus
-from .dataset import Corpus
+from .dataset import Corpus, csv_rows
 from .neural import (
     AdamState,
     DenseLayer,
@@ -140,13 +140,6 @@ def enroll_speaker_models(enroll_corpus: Corpus) -> dict[str, np.ndarray]:
             for first, rows in groups}
 
 
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("degenerate vector: zero norm, cosine score undefined")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _norms(vectors) -> np.ndarray:
     # sqrt(v . v) is what np.linalg.norm computes for a 1-d array
     return np.array([np.sqrt(v.dot(v)) for v in vectors], dtype=np.float64)
@@ -157,7 +150,8 @@ def score_trials(trials: list[Trial], speaker_models: dict[str, np.ndarray],
     """Cosine score of each trial utterance against its enrollment model.
 
     Each model and each trial vector is normed once and each trial takes
-    one dot product, so the scores equal ``cosine_score`` bit for bit.  A
+    one dot product, so each score has the bits of
+    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``.  A
     zero-norm vector is an error only if a trial uses it.
     """
     model_index = {speaker: i for i, speaker in enumerate(speaker_models)}
@@ -397,8 +391,8 @@ def write_trials(trials: list[Trial], path: str | Path) -> None:
 
 
 def read_trials(path: str | Path) -> list[Trial]:
-    with Path(path).open("r", newline="") as fh:
-        reader = csv.reader(fh)
+    """Read a trial list; every error names the path."""
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header != ["enroll_speaker", "trial_utterance", "is_target", "gender"]:
             raise ValueError(f"{path}: bad trial-list header {header}")
@@ -439,8 +433,8 @@ def _report_number(path: str | Path, line: int, column: str, text: str) -> float
 
 
 def read_report_csv(path: str | Path) -> MetricsReport:
-    with Path(path).open("r", newline="") as fh:
-        reader = csv.reader(fh)
+    """Read a report CSV; every error names the path."""
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header != REPORT_COLUMNS:
             raise ValueError(f"{path}: bad report header {header}")

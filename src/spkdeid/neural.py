@@ -6,17 +6,17 @@ convention.  Every backward pass is an exact analytic derivative of its
 forward map; the test suite cross-checks them against central finite
 differences.
 
-Gradients live on the layers: each ``DenseLayer`` holds ``weight_grad`` and
-``bias_grad`` arrays shaped like its parameters, and ``dense_backward``
-writes into them (skipping the input gradient when nothing reads it).
-``flatten`` moves a list of layers into one parameter vector and one
-gradient vector, with every layer's four arrays rebound as views, so a
-model is trained by one ``adam_step`` on two flat arrays.  ``adam_step``
-updates the parameters and moments in place through ufunc ``out=`` calls on
-scratch arrays held by its ``AdamState``, so the update allocates nothing.
-For a pass without gradients, ``cross_entropy_and_accuracy`` works on the
-logits in place, so it holds nothing of their size beyond the logits
-themselves.
+Gradients exist only where a backward pass runs: ``dense_backward`` writes
+them into the layer's ``weight_grad`` and ``bias_grad``, allocating those
+on a bare layer's first call, and skips the input gradient when nothing
+reads it.  ``bind_gradients`` rebinds the gradient arrays of a layer list
+as views of one flat vector and ``flatten`` does the same for the
+parameters, so a model is trained by one ``adam_step`` on two flat arrays.
+``adam_step`` updates the parameters and moments in place through ufunc
+``out=`` calls on scratch arrays held by its ``AdamState``, so the update
+allocates nothing.  For a pass without gradients,
+``cross_entropy_and_accuracy`` works on the logits in place, so it holds
+nothing of their size beyond the logits themselves.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray     # (out,)
     activation: str = "linear"
-    # what the last dense_backward call wrote, shaped like weights and bias
-    weight_grad: np.ndarray = field(init=False, repr=False, compare=False)
-    bias_grad: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.weight_grad = np.empty(np.shape(self.weights))
-        self.bias_grad = np.empty(np.shape(self.bias))
+    # what the last dense_backward call wrote, shaped like weights and bias;
+    # None until a backward pass runs or bind_gradients binds them
+    weight_grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    bias_grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_in(self) -> int:
@@ -107,9 +104,9 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
     """Returns (input_grad, weight_grad, bias_grad) for the layer map.
 
     The weight and bias gradients are written into the layer's
-    ``weight_grad`` and ``bias_grad``, which are returned.  With
-    ``input_grad=False`` the input gradient is not computed and None takes
-    its place.
+    ``weight_grad`` and ``bias_grad`` (allocated here if the layer has
+    none), which are returned.  With ``input_grad=False`` the input
+    gradient is not computed and None takes its place.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.pre.shape:
@@ -124,32 +121,41 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
         dpre = upstream * (cache.pre > 0.0)
     else:
         dpre = upstream
+    if layer.weight_grad is None:
+        layer.weight_grad = np.empty(layer.weights.shape)
+        layer.bias_grad = np.empty(layer.bias.shape)
     np.matmul(dpre.T, cache.x, out=layer.weight_grad)
     dpre.sum(axis=0, out=layer.bias_grad)
     return ((dpre @ layer.weights if input_grad else None),
             layer.weight_grad, layer.bias_grad)
 
 
-def flatten(layers: list[DenseLayer]) -> tuple[np.ndarray, np.ndarray]:
-    """Move the layers' parameters into one float64 vector; returns it with
-    a gradient vector of the same layout.
-
-    The layout is layer order, per layer the weights (C order) then the
-    bias.  Each layer's ``weights``, ``bias``, ``weight_grad`` and
-    ``bias_grad`` are rebound to views of the two vectors.
-    """
-    params = np.concatenate([a.ravel() for layer in layers
-                             for a in (layer.weights, layer.bias)], dtype=np.float64)
-    grads = np.empty_like(params)
+def _rebind(layers: list[DenseLayer], flat: np.ndarray, attrs: tuple[str, str]) -> None:
+    """Rebind each layer's weight-shaped and bias-shaped ``attrs`` to views of
+    ``flat``, in layer order, per layer the weight part (C order) first."""
     offset = 0
     for layer in layers:
-        for attr, grad_attr in (("weights", "weight_grad"), ("bias", "bias_grad")):
-            array = getattr(layer, attr)
-            stop = offset + array.size
-            setattr(layer, attr, params[offset:stop].reshape(array.shape))
-            setattr(layer, grad_attr, grads[offset:stop].reshape(array.shape))
-            offset = stop
-    return params, grads
+        for attr, like in zip(attrs, (layer.weights, layer.bias)):
+            setattr(layer, attr, flat[offset:offset + like.size].reshape(like.shape))
+            offset += like.size
+
+
+def bind_gradients(layers: list[DenseLayer]) -> np.ndarray:
+    """One float64 gradient vector laid out like the layers' parameters, with
+    each layer's ``weight_grad`` and ``bias_grad`` rebound to views of it."""
+    grads = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
+    _rebind(layers, grads, ("weight_grad", "bias_grad"))
+    return grads
+
+
+def flatten(layers: list[DenseLayer]) -> tuple[np.ndarray, np.ndarray]:
+    """Move the layers' parameters into one float64 vector, rebinding their
+    ``weights`` and ``bias`` as views; returns it with ``bind_gradients``'s
+    gradient vector, which has the same layout."""
+    params = np.concatenate([a.ravel() for layer in layers
+                             for a in (layer.weights, layer.bias)], dtype=np.float64)
+    _rebind(layers, params, ("weights", "bias"))
+    return params, bind_gradients(layers)
 
 
 def _checked_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,8 @@ from spkdeid.aan import (
 )
 from spkdeid.dataset import (AttributeStrength, CorpusSpec, generate_corpus, make_corpus,
                              split_corpus)
-from spkdeid.neural import DenseLayer, DivergenceError, mse_loss, softmax_cross_entropy
+from spkdeid.neural import (DenseLayer, DivergenceError, bind_gradients, mse_loss,
+                            softmax_cross_entropy)
 from test_neural import per_tensor_adam
 
 TINY_DIMS = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
@@ -156,15 +160,27 @@ class TestGradientBuffer:
         x, g, a, s = tiny_batch(model, batch=5)
         ref = LayerListModel(model)
         expected = aan_loss_and_grads(ref, x, g, a, s)
-        model.grad[...] = np.nan
+        flat_grad = bind_gradients(model.layers())
+        flat_grad[...] = np.nan
         assert aan_loss_and_grads(model, x, g, a, s) == expected
-        assert model.grad.tobytes() == np.concatenate(
+        assert flat_grad.tobytes() == np.concatenate(
             [grad.ravel() for grad in ref.gradients().values()]).tobytes()
         grads = model.gradients()
         assert list(grads) == list(model.parameters())
         for name, grad in grads.items():
-            assert np.shares_memory(grad, model.grad)
-            assert not np.shares_memory(ref.gradients()[name], model.grad)
+            assert np.shares_memory(grad, flat_grad)
+            assert not np.shares_memory(ref.gradients()[name], flat_grad)
+
+    def test_forward_only_models_hold_no_gradients(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "model.aan"
+        save_model(model, path)
+        loaded = load_model(path)
+        x, g, a, s = tiny_batch(loaded)
+        evaluate_model(loaded, x, g, a, s)
+        for m in (model, loaded):
+            assert not hasattr(m, "grad")
+            assert all(grad is None for grad in m.gradients().values())
 
 
 def reference_evaluate(model, x, g, a, s):
@@ -245,8 +261,9 @@ class TestGrlEquivalence:
             reference = two_role_sgd_update(model, x, (g, a, s), lam=8.0, lr=lr)
 
             from spkdeid.neural import sgd_step
+            grads = bind_gradients(model.layers())
             aan_loss_and_grads(model, x, g, a, s)
-            sgd_step(model.flat, model.grad, lr)
+            sgd_step(model.flat, grads, lr)
             for name, p in model.parameters().items():
                 np.testing.assert_allclose(p, reference[name], rtol=0, atol=1e-10)
 
@@ -350,18 +367,76 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dims, message", [
         ((2 ** 32 - 1,) * 7, "truncated"),
         ((8, 8, 0, 8, 2, 3, 5), "latent"),
+        (dataclasses.astuple(TINY_DIMS), None),  # a valid checkpoint loads
     ])
     def test_bad_header_dims_rejected_before_allocation(self, tmp_path, monkeypatch,
                                                         dims, message):
-        def no_build(*args, **kwargs):
-            raise AssertionError("parameters allocated before the size check")
+        path = tmp_path / "model.aan"
+        if message is None:
+            save_model(tiny_model(), path)
+        else:
+            path.write_bytes(b"AAN1" + struct.pack("<8Id", 1, *dims, 1.0) + bytes(64))
 
-        monkeypatch.setattr(aan_module, "build_aan", no_build)
-        path = tmp_path / "huge.aan"
-        path.write_bytes(b"AAN1" + struct.pack("<8Id", 1, *dims, 1.0) + bytes(64))
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_model built a model or drew from an RNG")
+
+        monkeypatch.setattr(aan_module, "build_aan", forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        if message is None:
+            assert load_model(path).dims == TINY_DIMS
+            return
         with pytest.raises(ValueError, match=message) as info:
             load_model(path)
         assert str(path) in str(info.value)
+
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        path = tmp_path / "model.aan"
+        save_model(build_aan(TINY_DIMS, 8.0, seed=1, init_scale=0.1), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "f6d8ba950e3b6d64c1a51797ea03ab01b1824de1d40517c49843c4550633ff34"
+
+    @pytest.mark.parametrize("offset", [36, CHECKPOINT_HEADER_SIZE + 8 * 5],
+                             ids=["lam", "parameter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected_naming_path(self, tmp_path, offset, value):
+        path = tmp_path / "model.aan"
+        save_model(tiny_model(), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="finite") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_load_peak_memory_is_about_the_parameters(self, tmp_path):
+        path = tmp_path / "model.aan"
+        save_model(build_aan(VOXCELEB_DIMS, 8.0, seed=0), path)
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * model.flat.nbytes
+        assert all(layer.weight_grad is None for layer in model.layers())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_byte_mutation_raises_only_value_error_naming_path(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.aan"
+            save_model(tiny_model(seed=2), path)
+            valid = path.read_bytes()
+            # the header is a small share of the file, so draw half the
+            # positions from it
+            pos = data.draw(st.one_of(st.integers(0, CHECKPOINT_HEADER_SIZE - 1),
+                                      st.integers(0, len(valid) - 1)))
+            byte = data.draw(st.integers(0, 255))
+            path.write_bytes(valid[:pos] + bytes([byte]) + valid[pos + 1:])
+            try:
+                load_model(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
 
 
 class TestFlatParameters:
@@ -419,10 +494,9 @@ class TestFlatParameters:
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(loaded.flat, model.flat)
-        for layers in loaded.groups().values():
-            for layer in layers:
-                assert np.shares_memory(layer.weights, loaded.flat)
-                assert np.shares_memory(layer.bias, loaded.flat)
+        for layer in loaded.layers():
+            assert np.shares_memory(layer.weights, loaded.flat)
+            assert np.shares_memory(layer.bias, loaded.flat)
         loaded.speaker_head[1].bias[:] = 9.0
         assert np.array_equal(loaded.flat[-loaded.dims.n_speakers:],
                               np.full(loaded.dims.n_speakers, 9.0))
@@ -534,7 +608,6 @@ class TestTrain:
 class LayerListModel:
     """The AAN with separate arrays per layer and no flat vector."""
 
-    groups = AanModel.groups
     parameters = AanModel.parameters
     gradients = AanModel.gradients
 

@@ -26,11 +26,8 @@ from spkdeid.aan import (
 from spkdeid.anonymize import (
     AnonymizationMethod,
     PseudoPool,
-    anonymize_aan1,
-    anonymize_aan2,
     anonymize_corpus,
     baseline_anonymize,
-    pool_from_corpus,
 )
 from spkdeid.cli import main as cli_main
 from spkdeid.dataset import CorpusSpec, generate_corpus, split_corpus
@@ -46,7 +43,7 @@ from spkdeid.metrics import (
     probe_attack,
     score_trials,
 )
-from spkdeid.neural import sgd_step
+from spkdeid.neural import bind_gradients, sgd_step
 
 from conftest import DESK_MODEL_SEED, DESK_TRAIN_SEED
 from test_aan import two_role_sgd_update
@@ -90,8 +87,9 @@ def test_criterion_2_grl_minmax_equivalence():
         model = build_aan(dims, lam=8.0, seed=seed, init_scale=0.1)
         x, g, a, s = sample_gradcheck_batch(model, batch_size=4, seed=seed + 1000)
         expected = two_role_sgd_update(model, x, (g, a, s), lam=8.0, lr=lr)
+        grads = bind_gradients(model.layers())
         aan_loss_and_grads(model, x, g, a, s)
-        sgd_step(model.flat, model.grad, lr)
+        sgd_step(model.flat, grads, lr)
         for name, p in model.parameters().items():
             worst = max(worst, float(np.max(np.abs(p - expected[name]))))
     elapsed = time.monotonic() - started
@@ -185,7 +183,7 @@ def test_criterion_5_deidentification_direction(desk_splits, desk_run):
     aa1 = pooled_eer_pct(anon_test, anon_valid)
     assert aa1 >= oo + 15.0  # (b)
 
-    pool = pool_from_corpus(train_c)
+    pool = PseudoPool(train_c.matrix())
     aan2 = AnonymizationMethod("aan2", model=model, pool=pool, top_k=10)
     aa2 = pooled_eer_pct(anonymize_corpus(test_c, aan2),
                          anonymize_corpus(valid_c, aan2))
@@ -219,10 +217,12 @@ def test_criterion_6_pipeline_identities(small_corpus_splits, small_trained_mode
     dim = model.dims.input_dim
     rng = np.random.default_rng(606)
     pool = PseudoPool(rng.normal(size=(25, dim)))
+    aan1 = AnonymizationMethod("aan1", model=model)
+    aan2 = AnonymizationMethod("aan2", model=model, pool=pool, top_k=7)
     for _ in range(1000):
-        x = rng.normal(size=dim)
-        composed = anonymize_aan1(model, baseline_anonymize(pool, x, top_k=7))
-        assert np.array_equal(anonymize_aan2(model, pool, x, top_k=7), composed)
+        x = rng.normal(size=(1, dim))
+        composed = aan1.apply(baseline_anonymize(pool, x, top_k=7))
+        assert np.array_equal(aan2.apply(x), composed)
 
     # identity anonymization leaves the corpus file digest unchanged
     train_c, valid_c, test_c = small_corpus_splits

@@ -10,15 +10,23 @@ from spkdeid.anonymize import (
     AnonymizationMethod,
     PseudoPool,
     _farthest,
-    anonymize_aan1,
-    anonymize_aan2,
     anonymize_corpus,
     baseline_anonymize,
-    pool_from_corpus,
 )
 from spkdeid.dataset import Embedding, make_corpus
 
 rng = np.random.default_rng(77)
+
+
+def aan1(model, x):
+    """The aan1 anonymization of the vector ``x``, applied as a one-row matrix."""
+    return AnonymizationMethod("aan1", model=model).apply(x[None, :])[0]
+
+
+def aan2(model, pool, x, top_k):
+    """The aan2 anonymization of the vector ``x``, applied as a one-row matrix."""
+    method = AnonymizationMethod("aan2", model=model, pool=pool, top_k=top_k)
+    return method.apply(x[None, :])[0]
 
 
 def zeroed_model(dim=16):
@@ -165,11 +173,11 @@ class TestAanPipelines:
         model = zeroed_model()
         model.decoder[-1].bias[:] = np.arange(16.0)
         for x in rng.normal(size=(3, 16)):
-            np.testing.assert_array_equal(anonymize_aan1(model, x), np.arange(16.0))
+            np.testing.assert_array_equal(aan1(model, x), np.arange(16.0))
 
     def test_output_width(self, small_trained_model):
         dim = small_trained_model.dims.input_dim
-        out = anonymize_aan1(small_trained_model, rng.normal(size=dim))
+        out = aan1(small_trained_model, rng.normal(size=dim))
         assert out.shape == (dim,)
 
     def test_reconstruction_not_identity(self, small_corpus_splits,
@@ -177,7 +185,7 @@ class TestAanPipelines:
         _, _, test_c = small_corpus_splits
         strictly_moved = 0
         for e in test_c.embeddings:
-            out = anonymize_aan1(small_trained_model, e.vector)
+            out = aan1(small_trained_model, e.vector)
             cos = np.dot(out, e.vector) / (np.linalg.norm(out)
                                            * np.linalg.norm(e.vector))
             strictly_moved += cos < 1.0
@@ -188,9 +196,8 @@ class TestAanPipelines:
         pool = PseudoPool(rng.normal(size=(20, dim)))
         for _ in range(50):
             x = rng.normal(size=dim)
-            composed = anonymize_aan1(small_trained_model,
-                                      baseline_anonymize(pool, x, top_k=5))
-            direct = anonymize_aan2(small_trained_model, pool, x, top_k=5)
+            composed = aan1(small_trained_model, baseline_anonymize(pool, x, top_k=5))
+            direct = aan2(small_trained_model, pool, x, top_k=5)
             np.testing.assert_array_equal(direct, composed)
 
     def test_aan2_singleton_pool(self, small_trained_model):
@@ -199,20 +206,20 @@ class TestAanPipelines:
         pool = PseudoPool(p[None, :])
         x = rng.normal(size=dim)
         np.testing.assert_array_equal(
-            anonymize_aan2(small_trained_model, pool, x, top_k=1),
-            anonymize_aan1(small_trained_model, p))
+            aan2(small_trained_model, pool, x, top_k=1),
+            aan1(small_trained_model, p))
 
     def test_twice_is_not_once(self, small_corpus_splits, small_trained_model):
         _, _, test_c = small_corpus_splits
         x = test_c.embeddings[0].vector
-        once = anonymize_aan1(small_trained_model, x)
-        twice = anonymize_aan1(small_trained_model, once)
+        once = aan1(small_trained_model, x)
+        twice = aan1(small_trained_model, once)
         assert not np.array_equal(once, twice)
 
     def test_dimension_mismatch_names_sizes(self, small_trained_model):
-        wrong = rng.normal(size=small_trained_model.dims.input_dim + 1)
+        wrong = rng.normal(size=(2, small_trained_model.dims.input_dim + 1))
         with pytest.raises(ValueError, match="features"):
-            anonymize_aan1(small_trained_model, wrong)
+            AnonymizationMethod("aan1", model=small_trained_model).apply(wrong)
 
 
 class TestAnonymizeCorpus:
@@ -237,14 +244,14 @@ class TestAnonymizeCorpus:
     def test_matches_per_vector_calls(self, small_corpus_splits,
                                       small_trained_model):
         train_c, _, test_c = small_corpus_splits
-        pool = pool_from_corpus(train_c)
+        pool = PseudoPool(train_c.matrix())
         method = AnonymizationMethod("aan2", model=small_trained_model,
                                      pool=pool, top_k=4)
         out = anonymize_corpus(test_c, method)
         for before, after in zip(test_c.embeddings, out.embeddings):
             np.testing.assert_array_equal(
                 after.vector,
-                anonymize_aan2(small_trained_model, pool, before.vector, 4))
+                aan2(small_trained_model, pool, before.vector, 4))
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 31),
@@ -261,8 +268,8 @@ class TestAnonymizeCorpus:
         per_vector = {
             "identity": lambda v: v,
             "baseline_farthest": lambda v: baseline_anonymize(pool, v, top_k),
-            "aan1": lambda v: anonymize_aan1(small_trained_model, v),
-            "aan2": lambda v: anonymize_aan2(small_trained_model, pool, v, top_k),
+            "aan1": lambda v: aan1(small_trained_model, v),
+            "aan2": lambda v: aan2(small_trained_model, pool, v, top_k),
         }
         for kind, one in per_vector.items():
             method = AnonymizationMethod(kind, model=small_trained_model, pool=pool,
@@ -288,7 +295,7 @@ class TestAnonymizeCorpus:
 class TestPool:
     def test_pool_from_corpus(self, small_corpus_splits):
         train_c, _, _ = small_corpus_splits
-        pool = pool_from_corpus(train_c)
+        pool = PseudoPool(train_c.matrix())
         assert len(pool) == len(train_c)
         assert pool.dim == train_c.dim
         np.testing.assert_array_equal(pool.vectors, train_c.matrix())

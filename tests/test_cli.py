@@ -342,3 +342,21 @@ def test_print_config_round_trips(tmp_path, capsys):
     config = json.loads(capsys.readouterr().out)
     assert config["seed"] == 123
     assert config["train"]["lambda"] == 8.0
+
+
+@pytest.mark.parametrize("name, content, command", [
+    ("report.csv", b"row,dataset,eer_pct,min_cllr,cllr,enroll,trial,gender,"
+                   b"probe_speaker,probe_gender,probe_accent\n"
+                   b"1,t\xff,10.0,0.9,1.1,o,a,f,0.5,0.9,0.4\n", ["report"]),
+    ("config.json", b'{"seed": 1,\n "dataset_tag": "\xff"}\n', ["print-config", "--config"]),
+    ("config.json", b'{"seed": 1,\n', ["print-config", "--config"]),
+], ids=["report-not-utf8", "config-not-utf8", "config-truncated-json"])
+def test_unreadable_file_is_one_error_line_naming_it(tmp_path, capsys, name, content,
+                                                     command):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert run_cli(*command, path) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: line 2: ")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -235,14 +236,21 @@ def oracle_read(path, split_tag="unsplit"):
 
 
 def oracle_write(corpus, path):
-    """csv.writer with every float as f"{x:.17g}"."""
+    """csv.writer with every float as f"{x:.17g}" and "\\n" line ends.
+
+    Each row goes through a writer with a "\\r\\n" terminator, which quotes
+    a field holding a CR as it quotes one holding a LF, and its terminator
+    is then written as "\\n".
+    """
+    rows = [["utterance_id", "speaker_id", "gender", "accent"]
+            + [f"v{i}" for i in range(corpus.dim)]]
+    rows += [[e.utterance_id, e.speaker_id, e.gender, e.accent]
+             + [f"{x:.17g}" for x in e.vector.tolist()] for e in corpus.embeddings]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["utterance_id", "speaker_id", "gender", "accent"]
-                        + [f"v{i}" for i in range(corpus.dim)])
-        for e in corpus.embeddings:
-            writer.writerow([e.utterance_id, e.speaker_id, e.gender, e.accent]
-                            + [f"{x:.17g}" for x in e.vector.tolist()])
+        for row in rows:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\r\n").writerow(row)
+            fh.write(buffer.getvalue().removesuffix("\r\n") + "\n")
 
 
 HEADER = "utterance_id,speaker_id,gender,accent,v0,v1\n"
@@ -326,7 +334,7 @@ class TestWriterMatchesOracle:
     @pytest.mark.parametrize("labels", [
         [("u1", "s1", "f", "a00"), ("u2", "s2", "m", "a01")],
         [("u,1", 's"1', "f", "a\nb"), ("u2", "s 2", "", "a\nb")],
-        [("u\r1", "s1", "f", "a"), ("", "s2", "m", "a")],
+        [("u\r1", "s\r1", "f", "a"), ("", "s2", "m", "a\r")],
     ], ids=["plain", "comma-quote-newline-empty", "cr-empty-id"])
     def test_same_bytes(self, tmp_path, labels):
         rng = np.random.default_rng(3)
@@ -335,6 +343,7 @@ class TestWriterMatchesOracle:
         write_corpus(corpus, tmp_path / "got.csv")
         oracle_write(corpus, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert read_corpus(tmp_path / "got.csv") == corpus
 
     def test_generated_corpus_same_bytes(self, tmp_path):
         corpus = generate_corpus(small_spec())

@@ -1,4 +1,7 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,12 @@ from spkdeid.dataset import AttributeStrength, CorpusSpec, Embedding, generate_c
 from spkdeid.metrics import (
     REPORT_COLUMNS,
     MetricsReport,
+    ReportRow,
     ScoredTrials,
     Trial,
     compute_cllr,
     compute_eer,
     compute_min_cllr,
-    cosine_score,
     enroll_speaker_models,
     evaluate_conditions,
     format_report_table,
@@ -135,6 +138,14 @@ class TestMinCllr:
             min_cllr = compute_min_cllr(s)
             assert compute_cllr(s) >= min_cllr - 1e-9
             assert min_cllr >= -1e-9
+
+
+def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
+    """The cosine of two vectors, the oracle that ``score_trials`` matches."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("degenerate vector: zero norm, cosine score undefined")
+    return float(np.dot(a, b) / (na * nb))
 
 
 class TestCosine:
@@ -450,6 +461,45 @@ class TestFileFormats:
             read_report_csv(path)
         message = str(info.value)
         assert str(path) in message and "line 2" in message and column in message
+
+    @pytest.mark.parametrize("reader, header", [
+        (read_trials, "enroll_speaker,trial_utterance,is_target,gender"),
+        (read_report_csv, ",".join(REPORT_COLUMNS))], ids=["trials", "report"])
+    def test_not_utf8_names_the_line(self, tmp_path, reader, header):
+        path = tmp_path / "file.csv"
+        path.write_bytes(header.encode() + b"\ns\xff,u1,1,f\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: not utf-8 text$"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, header", [
+        (read_trials, "enroll_speaker,trial_utterance,is_target,gender"),
+        (read_report_csv, ",".join(REPORT_COLUMNS))], ids=["trials", "report"])
+    def test_csv_error_names_the_line(self, tmp_path, reader, header):
+        path = tmp_path / "file.csv"
+        path.write_text(header + "\n" + "x" * (csv.field_size_limit() + 1) + ",u1,1,f\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: field larger"):
+            reader(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_byte_mutation_raises_only_value_error_naming_path(self, data):
+        trials = [Trial("s1", "u1", True, "f"), Trial("s2", "u1", False, "f"),
+                  Trial("s3", "u2", True, "m")]
+        report = MetricsReport([ReportRow("synth", "o", "a", "f", 12.5, 0.75, 1.25,
+                                          0.5, 0.875, 0.25)])
+        with tempfile.TemporaryDirectory() as tmp:
+            for write, read, payload in ((write_trials, read_trials, trials),
+                                         (write_report_csv, read_report_csv, report)):
+                path = Path(tmp) / "file.csv"
+                write(payload, path)
+                valid = path.read_bytes()
+                pos = data.draw(st.integers(0, len(valid) - 1))
+                byte = data.draw(st.integers(0, 255))
+                path.write_bytes(valid[:pos] + bytes([byte]) + valid[pos + 1:])
+                try:
+                    read(path)
+                except ValueError as exc:
+                    assert str(exc).startswith(f"{path}: ")
 
     def test_table_layout(self):
         report = MetricsReport(rows=[])

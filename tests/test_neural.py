@@ -10,6 +10,7 @@ from spkdeid.neural import (
     DenseLayer,
     DivergenceError,
     adam_step,
+    bind_gradients,
     cross_entropy_and_accuracy,
     dense_backward,
     dense_forward,
@@ -369,6 +370,32 @@ class TestFiniteDifferenceCheck:
 
 
 class TestFlatten:
+    def test_layers_hold_no_gradients_until_a_backward_pass(self):
+        layer = init_dense(3, 2, "tanh", np.random.default_rng(7))
+        assert layer.weight_grad is None and layer.bias_grad is None
+        x = np.random.default_rng(8).normal(size=(4, 3))
+        _, cache = dense_forward(layer, x)
+        assert layer.weight_grad is None and layer.bias_grad is None
+        _, dw, db = dense_backward(layer, cache, np.ones((4, 2)))
+        assert dw.shape == (2, 3) and db.shape == (2,)
+        _, dw_again, db_again = dense_backward(layer, cache, np.ones((4, 2)))
+        assert dw_again is dw and db_again is db
+
+    def test_bind_gradients_leaves_the_parameters_alone(self):
+        gen = np.random.default_rng(10)
+        layers = [init_dense(3, 4, "tanh", gen), init_dense(4, 2, "relu", gen)]
+        weights = [layer.weights for layer in layers]
+        grads = bind_gradients(layers)
+        assert grads.shape == (3 * 4 + 4 + 4 * 2 + 2,) and grads.dtype == np.float64
+        offset = 0
+        for layer, w in zip(layers, weights):
+            assert layer.weights is w
+            for array, grad in ((layer.weights, layer.weight_grad),
+                                (layer.bias, layer.bias_grad)):
+                assert grad.shape == array.shape and grad.base is grads
+                assert np.shares_memory(grad, grads[offset:offset + array.size])
+                offset += array.size
+
     def test_layer_order_and_views(self):
         gen = np.random.default_rng(6)
         layers = [init_dense(3, 4, "tanh", gen), init_dense(4, 2, "relu", gen),
