@@ -23,8 +23,8 @@ print-config`):
     }
 
 An unknown key, or a value of the wrong type (integers exclude booleans,
-floats must be finite), is an error naming the key.  Flags override file
-values.  All randomness flows from the top-level seed
+floats must be finite), is an error naming the config file and the key.
+Flags override file values.  All randomness flows from the top-level seed
 through named per-stage seeds (sha256 of "<seed>:<stage>"), so stages are
 independently reproducible; each command writes a manifest_<command>.json
 recording its config snapshot and the sha256 of every input and output
@@ -225,7 +225,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise decode_error(args.config, exc) from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: line {exc.lineno}: {exc.msg}") from None
-        cfg = RunConfig.from_dict(data)
+        try:
+            cfg = RunConfig.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out_dir is not None:

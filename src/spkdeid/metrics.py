@@ -6,6 +6,26 @@ Cllr, and minCllr per condition cell, mirroring the usual
 original/anonymized (o/a) enroll-trial condition matrix.  Linear attribute
 probes measure residual speaker/gender/accent leakage.
 
+A trial list (``TrialList``) is stored by column: index arrays for the
+enrollment speaker, the trial utterance's row, ``is_target`` and the
+gender, plus the name lists they index.  ``Trial`` rows exist only when a
+caller indexes or iterates the list; a ``list[Trial]`` passed in is turned
+into columns once.  Every per-trial step below is an array operation:
+
+  scores   one BLAS dot per score.  Each cosine's dot product, and each
+           norm's ``v . v``, is one ``ddot`` call made by stacked
+           ``np.matmul((n, 1, d), (n, d, 1))`` on rows gathered in blocks,
+           the same kernel ``np.dot`` calls on two 1-d vectors, so a score
+           has the bits of the per-pair formula.
+  models   one ``mean(axis=1)`` per group of speakers with the same number
+           of enrollment rows, bit-identical to each speaker's own
+           ``mean(axis=0)``.
+  PAV      exact: runs of equal labels are pooled, then every maximal
+           non-increasing run of block means, until the means increase.
+           The isotonic fit is unique and each fitted value is
+           ``total / count`` of exact integers, so it has the bits of the
+           one-block-at-a-time loop.
+
 Conventions:
 
   EER      threshold sweep over the observed score set;
@@ -28,6 +48,7 @@ scores; Cllr is not (it reads the raw score values as LLRs).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,19 +80,95 @@ class Trial:
     gender: str
 
 
+@dataclass(eq=False)
+class TrialList:
+    """Trials by column, row-aligned.
+
+    Trial i enrolls ``speaker_names[speakers[i]]`` against utterance
+    ``utterance_ids[rows[i]]``; ``genders[i]`` indexes ``gender_names``.
+    Indexing and iteration give ``Trial`` rows, and a trial list equals
+    another trial list or ``list[Trial]`` with the same rows.
+    """
+
+    speaker_names: list[str]
+    utterance_ids: list[str]
+    gender_names: list[str]
+    speakers: np.ndarray
+    rows: np.ndarray
+    is_target: np.ndarray
+    genders: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "TrialList":
+        """A trial list from (enroll speaker, utterance, is_target, gender)
+        rows, each name list in first-seen order."""
+        speaker_index: dict[str, int] = {}
+        utterance_index: dict[str, int] = {}
+        gender_index: dict[str, int] = {}
+        speakers, utterances, is_target, genders = [], [], [], []
+        for speaker, utterance, target, gender in rows:
+            speakers.append(speaker_index.setdefault(speaker, len(speaker_index)))
+            utterances.append(utterance_index.setdefault(utterance, len(utterance_index)))
+            is_target.append(target)
+            genders.append(gender_index.setdefault(gender, len(gender_index)))
+        return cls(list(speaker_index), list(utterance_index), list(gender_index),
+                   np.array(speakers, dtype=np.intp), np.array(utterances, dtype=np.intp),
+                   np.array(is_target, dtype=bool), np.array(genders, dtype=np.intp))
+
+    @classmethod
+    def of(cls, trials: "TrialList | list[Trial]") -> "TrialList":
+        """``trials`` itself, or a ``list[Trial]`` turned into columns."""
+        if isinstance(trials, TrialList):
+            return trials
+        return cls.from_rows((t.enroll_speaker, t.trial_utterance, t.is_target, t.gender)
+                             for t in trials)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> Trial:
+        return Trial(self.speaker_names[self.speakers[i]], self.utterance_ids[self.rows[i]],
+                     bool(self.is_target[i]), self.gender_names[self.genders[i]])
+
+    def columns(self) -> tuple[list[str], list[str], list[bool], list[str]]:
+        """Per-trial enrollment speaker, utterance, is_target and gender."""
+        return ([self.speaker_names[i] for i in self.speakers.tolist()],
+                [self.utterance_ids[i] for i in self.rows.tolist()],
+                self.is_target.tolist(),
+                [self.gender_names[i] for i in self.genders.tolist()])
+
+    def __iter__(self):
+        return map(Trial, *self.columns())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (TrialList, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def take(self, index: np.ndarray) -> "TrialList":
+        """The trials at ``index`` (a boolean mask or row indices), same names."""
+        return dataclasses.replace(self, speakers=self.speakers[index], rows=self.rows[index],
+                                   is_target=self.is_target[index],
+                                   genders=self.genders[index])
+
+
 @dataclass
 class ScoredTrials:
-    trials: list[Trial]
+    """Trials and their scores, row-aligned; a ``list[Trial]`` given as
+    ``trials`` is turned into a ``TrialList``."""
+
+    trials: TrialList
     scores: np.ndarray
 
     def __post_init__(self):
+        self.trials = TrialList.of(self.trials)
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (len(self.trials),):
             raise ValueError(f"{len(self.trials)} trials but {self.scores.shape} scores")
 
     def split(self) -> tuple[np.ndarray, np.ndarray]:
         """(target scores, nontarget scores); both must be nonempty."""
-        mask = np.array([t.is_target for t in self.trials], dtype=bool)
+        mask = self.trials.is_target
         tar, non = self.scores[mask], self.scores[~mask]
         if tar.size == 0 or non.size == 0:
             raise ValueError(f"need at least 1 target and 1 nontarget trial, got "
@@ -79,16 +176,19 @@ class ScoredTrials:
         return tar, non
 
     def for_gender(self, gender: str) -> "ScoredTrials":
-        keep = [i for i, t in enumerate(self.trials) if t.gender == gender]
-        return ScoredTrials([self.trials[i] for i in keep], self.scores[keep])
+        names = self.trials.gender_names
+        keep = self.trials.genders == (names.index(gender) if gender in names else -1)
+        return ScoredTrials(self.trials.take(keep), self.scores[keep])
 
 
 def make_trials(enroll_corpus: Corpus, trial_corpus: Corpus,
-                n_nontarget_per_target: int, seed: int) -> list[Trial]:
+                n_nontarget_per_target: int, seed: int) -> TrialList:
     """One target plus n same-gender nontarget trials per trial utterance.
 
     Nontarget enrollment speakers are sampled without replacement from the
-    other speakers of the same gender, deterministically under seed.
+    other speakers of the same gender, deterministically under seed: one
+    ``rng.choice`` per trial utterance, in row order.  The trials of an
+    utterance are its target, then its nontargets in draw order.
     """
     if enroll_corpus.speaker_vocab != trial_corpus.speaker_vocab \
             or enroll_corpus.gender_vocab != trial_corpus.gender_vocab:
@@ -96,85 +196,140 @@ def make_trials(enroll_corpus: Corpus, trial_corpus: Corpus,
     if n_nontarget_per_target < 0:
         raise ValueError(f"n_nontarget_per_target must be >= 0, got {n_nontarget_per_target}")
     speaker_names, gender_names = trial_corpus.names("speaker"), trial_corpus.names("gender")
-    gender_of = dict(zip(enroll_corpus.speakers.tolist(), enroll_corpus.genders.tolist()))
-    by_gender: dict[int, list[int]] = {}
-    for speaker in sorted(gender_of):  # vocabulary index order is name order
-        by_gender.setdefault(gender_of[speaker], []).append(speaker)
-    for gender, speakers in by_gender.items():
-        if len(speakers) < 2:
-            raise ValueError(f"gender {gender_names[gender]!r} has {len(speakers)} enrolled "
-                             "speaker(s); need >= 2 for nontarget trials")
+    # each enrolled speaker's gender (-1: not enrolled); a gender's group is
+    # its enrolled speakers in vocabulary (= name) order
+    gender_of = np.full(len(speaker_names), -1, dtype=np.intp)
+    gender_of[enroll_corpus.speakers] = enroll_corpus.genders
+    enrolled = np.flatnonzero(gender_of >= 0)
+    members = enrolled[np.argsort(gender_of[enrolled], kind="stable")]
+    group_size = np.bincount(gender_of[enrolled], minlength=len(gender_names))
+    group_start = np.cumsum(group_size) - group_size
+    rank = np.zeros(len(speaker_names), dtype=np.intp)  # position in the own group
+    rank[members] = np.arange(len(members)) - group_start[gender_of[members]]
+    first_seen = np.unique(gender_of[enrolled], return_index=True)
+    for gender in first_seen[0][np.argsort(first_seen[1])].tolist():
+        if group_size[gender] < 2:
+            raise ValueError(f"gender {gender_names[gender]!r} has {int(group_size[gender])} "
+                             "enrolled speaker(s); need >= 2 for nontarget trials")
+
+    speakers, genders = trial_corpus.speakers, trial_corpus.genders
+    n = n_nontarget_per_target
+    # candidates: the group without the trial speaker, whose slot j skips;
+    # a speaker enrolled under another gender is in no slot (own = group size)
+    in_group = gender_of[speakers] == genders
+    own = np.where(in_group, rank[speakers], group_size[genders])
+    available = group_size[genders] - in_group
+    bad = (gender_of[speakers] < 0) | (n > available)
+    if bad.any():
+        i = int(bad.argmax())
+        if gender_of[speakers[i]] < 0:
+            raise ValueError(f"trial speaker {speaker_names[speakers[i]]!r} has no "
+                             "enrollment utterances")
+        raise ValueError(f"cannot sample {n} nontarget speakers for gender "
+                         f"{gender_names[genders[i]]!r}: only {int(available[i])} available")
 
     rng = np.random.default_rng(seed)
-    trials: list[Trial] = []
-    for utterance, speaker, gender in zip(trial_corpus.utterance_ids,
-                                          trial_corpus.speakers.tolist(),
-                                          trial_corpus.genders.tolist()):
-        name, gender_name = speaker_names[speaker], gender_names[gender]
-        if speaker not in gender_of:
-            raise ValueError(f"trial speaker {name!r} has no enrollment utterances")
-        trials.append(Trial(name, utterance, True, gender_name))
-        # candidates: the group without the trial speaker, whose slot j skips
-        group = by_gender.get(gender, [])
-        own = group.index(speaker) if gender_of[speaker] == gender else len(group)
-        available = len(group) - (own < len(group))
-        if n_nontarget_per_target > available:
-            raise ValueError(
-                f"cannot sample {n_nontarget_per_target} nontarget speakers for gender "
-                f"{gender_name!r}: only {available} available")
-        chosen = rng.choice(available, size=n_nontarget_per_target, replace=False)
-        trials += [Trial(speaker_names[group[j + (j >= own)]], utterance, False, gender_name)
-                   for j in chosen.tolist()]
-    return trials
+    chosen = np.empty((len(speakers), n), dtype=np.intp)
+    for i, count in enumerate(available.tolist()):
+        chosen[i] = rng.choice(count, size=n, replace=False)
+    nontargets = members[group_start[genders][:, None] + chosen + (chosen >= own[:, None])]
+    per_utterance = 1 + n
+    return TrialList(
+        speaker_names, trial_corpus.utterance_ids, gender_names,
+        speakers=np.column_stack([speakers, nontargets]).ravel(),
+        rows=np.repeat(np.arange(len(speakers)), per_utterance),
+        is_target=np.tile(np.arange(per_utterance) == 0, len(speakers)),
+        genders=np.repeat(genders, per_utterance))
+
+
+# values per gathered block of rows: 2**13 (64 KiB), small enough to stay in
+# a per-core cache and below malloc's mmap threshold, and far below a full
+# (trials, dim) gather
+GATHER_BLOCK_VALUES = 1 << 13
 
 
 def enroll_speaker_models(enroll_corpus: Corpus) -> dict[str, np.ndarray]:
     """Per-speaker arithmetic mean of the enrollment vectors, in order of
-    each speaker's first row."""
+    each speaker's first row.
+
+    Speakers with the same number of rows are averaged by one
+    ``mean(axis=1)`` over their stacked (speakers, rows, dim) vectors,
+    gathered in blocks of at most ``GATHER_BLOCK_VALUES`` values.
+    """
     speakers = enroll_corpus.speakers
     order = np.argsort(speakers, kind="stable")
     starts = np.flatnonzero(np.diff(speakers[order], prepend=-1))
-    groups = sorted(zip(order[starts].tolist(), np.split(order, starts[1:])))
+    counts = np.diff(starts, append=len(order))
+    means = np.empty((len(starts), enroll_corpus.dim))
+    for count in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == count)
+        step = max(1, GATHER_BLOCK_VALUES // (count * enroll_corpus.dim))
+        for first in range(0, len(group), step):
+            part = group[first:first + step]
+            rows = order[starts[part][:, None] + np.arange(count)]
+            means[part] = enroll_corpus.vectors[rows].mean(axis=1)
     names = enroll_corpus.names("speaker")
-    return {names[speakers[first]]: enroll_corpus.vectors[rows].mean(axis=0)
-            for first, rows in groups}
+    by_first_row = np.argsort(order[starts]).tolist()
+    return {names[speakers[order[starts[i]]]]: means[i] for i in by_first_row}
 
 
-def _norms(vectors) -> np.ndarray:
+def _row_dots(a: np.ndarray, b: np.ndarray, a_rows: np.ndarray,
+              b_rows: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[j])`` for each pair (i, j) of ``a_rows``, ``b_rows``.
+
+    Rows are gathered in blocks; stacked (1, d) @ (d, 1) matmuls make one
+    ``ddot`` call per pair, as ``np.dot`` does on two 1-d vectors.
+    """
+    out = np.empty(len(a_rows))
+    block = max(1, GATHER_BLOCK_VALUES // a.shape[1])
+    for start in range(0, len(a_rows), block):
+        stop = start + block
+        np.matmul(a[a_rows[start:stop], None, :], b[b_rows[start:stop], :, None],
+                  out=out[start:stop, None, None])
+    return out
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
     # sqrt(v . v) is what np.linalg.norm computes for a 1-d array
-    return np.array([np.sqrt(v.dot(v)) for v in vectors], dtype=np.float64)
+    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
 
 
-def score_trials(trials: list[Trial], speaker_models: dict[str, np.ndarray],
+def _lookup(names: list[str], index: dict[str, int]) -> np.ndarray:
+    """Each name's position in ``index``, -1 where it has none."""
+    return np.array([index.get(name, -1) for name in names], dtype=np.intp)
+
+
+def score_trials(trials: TrialList | list[Trial], speaker_models: dict[str, np.ndarray],
                  trial_corpus: Corpus) -> ScoredTrials:
     """Cosine score of each trial utterance against its enrollment model.
 
     Each model and each trial vector is normed once and each trial takes
-    one dot product, so each score has the bits of
+    one BLAS dot product, so each score has the bits of
     ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``.  A
-    zero-norm vector is an error only if a trial uses it.
+    ``list[Trial]`` is turned into a ``TrialList`` first.  A zero-norm
+    vector is an error only if a trial uses it.
     """
-    model_index = {speaker: i for i, speaker in enumerate(speaker_models)}
-    vector_index = {utterance: i for i, utterance in enumerate(trial_corpus.utterance_ids)}
-    model_rows = np.empty(len(trials), dtype=np.intp)
-    vector_rows = np.empty(len(trials), dtype=np.intp)
-    for i, t in enumerate(trials):
-        if t.enroll_speaker not in model_index:
+    trials = TrialList.of(trials)
+    model_rows = _lookup(trials.speaker_names,
+                         {speaker: i for i, speaker in enumerate(speaker_models)})[trials.speakers]
+    vector_rows = _lookup(trials.utterance_ids,
+                          {u: i for i, u in enumerate(trial_corpus.utterance_ids)})[trials.rows]
+    missing = (model_rows < 0) | (vector_rows < 0)
+    if missing.any():
+        i = int(missing.argmax())
+        t = trials[i]
+        if model_rows[i] < 0:
             raise ValueError(f"no enrollment model for speaker {t.enroll_speaker!r}")
-        if t.trial_utterance not in vector_index:
-            raise ValueError(f"trial utterance {t.trial_utterance!r} not in trial corpus")
-        model_rows[i] = model_index[t.enroll_speaker]
-        vector_rows[i] = vector_index[t.trial_utterance]
-    models = list(speaker_models.values())
+        raise ValueError(f"trial utterance {t.trial_utterance!r} not in trial corpus")
+    models = np.stack(list(speaker_models.values())) if speaker_models \
+        else np.empty((0, trial_corpus.dim))
     trial_vectors = trial_corpus.vectors
     model_norms = _norms(models)[model_rows]
     vector_norms = _norms(trial_vectors)[vector_rows]
     if (model_norms == 0.0).any() or (vector_norms == 0.0).any():
         raise ValueError("degenerate vector: zero norm, cosine score undefined")
-    dots = np.fromiter((np.dot(models[m], trial_vectors[v])
-                        for m, v in zip(model_rows.tolist(), vector_rows.tolist())),
-                       dtype=np.float64, count=len(trials))
-    return ScoredTrials(list(trials), dots / (model_norms * vector_norms))
+    dots = _row_dots(models, trial_vectors, model_rows, vector_rows)
+    return ScoredTrials(trials, dots / (model_norms * vector_norms))
 
 
 def _eer(tar: np.ndarray, non: np.ndarray) -> float:
@@ -208,36 +363,33 @@ def compute_cllr(scored: ScoredTrials) -> float:
 def _pav_fit(y: np.ndarray) -> np.ndarray:
     """Isotonic (nondecreasing) least-squares fit of a 0/1 sequence.
 
-    Classic pool-adjacent-violators with uniform weights; returns the
+    Pool-adjacent-violators with uniform weights on (total, count) blocks:
+    runs of equal labels first, then every maximal run of non-increasing
+    block means at once, until the means strictly increase; returns the
     fitted value per position.
     """
-    # blocks of (total, count); merge while means decrease
-    totals: list[float] = []
-    counts: list[int] = []
-    for value in y:
-        totals.append(float(value))
-        counts.append(1)
-        while len(totals) > 1 and totals[-2] * counts[-1] >= totals[-1] * counts[-2]:
-            totals[-2] += totals[-1]
-            counts[-2] += counts[-1]
-            del totals[-1], counts[-1]
-    fitted = np.empty(y.size)
-    pos = 0
-    for total, count in zip(totals, counts):
-        fitted[pos:pos + count] = total / count
-        pos += count
-    return fitted
+    labels = np.asarray(y, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    counts = np.diff(starts, append=labels.size)
+    totals = counts * labels[starts]
+    while True:
+        # block i pools with block i + 1 when mean_i >= mean_i+1 (exact in int64)
+        pools = totals[:-1] * counts[1:] >= totals[1:] * counts[:-1]
+        if not pools.any():
+            return np.repeat(totals / counts, counts)
+        heads = np.flatnonzero(np.concatenate([[True], ~pools]))
+        totals = np.add.reduceat(totals, heads)
+        counts = np.add.reduceat(counts, heads)
 
 
 def _min_cllr(tar: np.ndarray, non: np.ndarray) -> float:
     scores = np.concatenate([tar, non])
     is_target = np.concatenate([np.ones(tar.size, bool), np.zeros(non.size, bool)])
     order = np.argsort(scores, kind="stable")
-    posterior = _pav_fit(is_target[order].astype(np.float64))
-    posterior = np.clip(posterior, POSTERIOR_CLIP, 1.0 - POSTERIOR_CLIP)
+    sorted_targets = is_target[order]
+    posterior = np.clip(_pav_fit(sorted_targets), POSTERIOR_CLIP, 1.0 - POSTERIOR_CLIP)
     prior_log_odds = np.log(tar.size / non.size)
     llrs = np.log(posterior / (1.0 - posterior)) - prior_log_odds
-    sorted_targets = is_target[order]
     return _cllr(llrs[sorted_targets], llrs[~sorted_targets])
 
 
@@ -325,7 +477,7 @@ def evaluate_conditions(train_corpus: Corpus, enroll_corpus: Corpus,
                         trial_corpus: Corpus, method: AnonymizationMethod,
                         n_nontarget_per_target: int, seed: int,
                         dataset_tag: str = "synth",
-                        trials: list[Trial] | None = None) -> MetricsReport:
+                        trials: TrialList | None = None) -> MetricsReport:
     """Score the o-o, o-a, and a-a condition cells per gender.
 
     The same trial list is reused across conditions (anonymization keeps
@@ -380,28 +532,32 @@ def evaluate_conditions(train_corpus: Corpus, enroll_corpus: Corpus,
 # ---------------------------------------------------------------------------
 # file formats
 
-def write_trials(trials: list[Trial], path: str | Path) -> None:
+TRIAL_COLUMNS = ["enroll_speaker", "trial_utterance", "is_target", "gender"]
+
+
+def write_trials(trials: TrialList | list[Trial], path: str | Path) -> None:
     """CSV: enroll_speaker,trial_utterance,is_target{0|1},gender."""
+    speakers, utterances, is_target, genders = TrialList.of(trials).columns()
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["enroll_speaker", "trial_utterance", "is_target", "gender"])
-        for t in trials:
-            writer.writerow([t.enroll_speaker, t.trial_utterance,
-                             int(t.is_target), t.gender])
+        writer.writerow(TRIAL_COLUMNS)
+        writer.writerows(zip(speakers, utterances, map(int, is_target), genders))
 
 
-def read_trials(path: str | Path) -> list[Trial]:
+def read_trials(path: str | Path) -> TrialList:
     """Read a trial list; every error names the path."""
     with csv_rows(path) as reader:
         header = next(reader, None)
-        if header != ["enroll_speaker", "trial_utterance", "is_target", "gender"]:
+        if header != TRIAL_COLUMNS:
             raise ValueError(f"{path}: bad trial-list header {header}")
-        trials = []
-        for row in reader:
-            if len(row) != 4 or row[2] not in ("0", "1"):
-                raise ValueError(f"{path}: line {reader.line_num}: bad trial row {row}")
-            trials.append(Trial(row[0], row[1], row[2] == "1", row[3]))
-    return trials
+
+        def rows():
+            for row in reader:
+                if len(row) != 4 or row[2] not in ("0", "1"):
+                    raise ValueError(f"{path}: line {reader.line_num}: bad trial row {row}")
+                yield row[0], row[1], row[2] == "1", row[3]
+
+        return TrialList.from_rows(rows())
 
 
 REPORT_COLUMNS = ["row", "dataset", "eer_pct", "min_cllr", "cllr", "enroll",

@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spkdeid.aan import load_model
-from spkdeid.cli import main
+from spkdeid.cli import RunConfig, main
 from spkdeid.dataset import read_corpus
 from spkdeid.metrics import read_report_csv
 
@@ -236,6 +241,15 @@ class TestEvaluate:
         assert (out / "report.txt").exists()
         assert (out / "trials.csv").exists()
 
+    def test_trial_list_bytes_pinned(self, tiny_run):
+        # sha256 of the tiny config's trials.csv, computed before trial lists
+        # were stored by column
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 0
+        assert digest(out / "trials.csv") == \
+            "6b6c70534599ab551c6cedae4e61fafba38d79eb857f6df64a48bfab6cb10a46"
+
     def test_report_command_renders_table(self, tiny_run, capsys):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
@@ -360,3 +374,40 @@ def test_unreadable_file_is_one_error_line_naming_it(tmp_path, capsys, name, con
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith(f"error: {path}: line 2: ")
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"sed": 1}', "unknown config key 'sed'"),
+    ("[1]", "config file must be a JSON object, got [1]"),
+    ('{"train": {"lr": "x"}}', "train.lr must be a finite number, got 'x'"),
+    ('{"train": {"seed": 5}}', "config key 'train.seed' is not settable"),
+], ids=["unknown-key", "not-an-object", "mistyped-value", "derived-seed"])
+def test_config_key_and_type_errors_name_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "c.json"
+    path.write_text(content)
+    assert run_cli("print-config", "--config", path) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_single_byte_mutation_exits_0_or_one_error_line(data):
+    valid = (json.dumps(RunConfig.from_dict(TINY_CONFIG).to_dict(), indent=2) + "\n").encode()
+    pos = data.draw(st.integers(0, len(valid) - 1))
+    byte = data.draw(st.integers(0, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(valid[:pos] + bytes([byte]) + valid[pos + 1:])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["print-config", "--config", str(path)])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+        assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 import csv
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from spkdeid.metrics import (
     ReportRow,
     ScoredTrials,
     Trial,
+    TrialList,
     compute_cllr,
     compute_eer,
     compute_min_cllr,
@@ -30,6 +32,7 @@ from spkdeid.metrics import (
     score_trials,
     write_report_csv,
     write_trials,
+    _pav_fit,
     _train_probe,
 )
 from spkdeid.neural import (
@@ -138,6 +141,72 @@ class TestMinCllr:
             min_cllr = compute_min_cllr(s)
             assert compute_cllr(s) >= min_cllr - 1e-9
             assert min_cllr >= -1e-9
+
+
+def pav_fit_loop(y: np.ndarray) -> np.ndarray:
+    """Pool-adjacent-violators one value at a time, the oracle ``_pav_fit``
+    matches bit for bit: blocks of (total, count), merged while means
+    decrease."""
+    totals: list[float] = []
+    counts: list[int] = []
+    for value in y:
+        totals.append(float(value))
+        counts.append(1)
+        while len(totals) > 1 and totals[-2] * counts[-1] >= totals[-1] * counts[-2]:
+            totals[-2] += totals[-1]
+            counts[-2] += counts[-1]
+            del totals[-1], counts[-1]
+    fitted = np.empty(y.size)
+    pos = 0
+    for total, count in zip(totals, counts):
+        fitted[pos:pos + count] = total / count
+        pos += count
+    return fitted
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def runs(lengths: list[int], first: int) -> np.ndarray:
+    """Alternating runs of 0 and 1 of the given lengths, starting with ``first``."""
+    return np.concatenate([np.full(n, (first + i) % 2, dtype=np.float64)
+                           for i, n in enumerate(lengths)])
+
+
+class TestPavFit:
+    @pytest.mark.parametrize("y", [
+        [0.0], [1.0], [0.0] * 9, [1.0] * 9, [0.0, 1.0] * 6, [1.0, 0.0] * 6,
+        [1.0] * 5 + [0.0] * 7, runs([300, 1, 2, 500, 3, 1000, 1], 1),
+    ], ids=["one-0", "one-1", "zeros", "ones", "alternating-01", "alternating-10",
+            "descending", "long-runs"])
+    def test_cases_match_loop(self, y):
+        y = np.array(y)
+        assert same_bits(_pav_fit(y), pav_fit_loop(y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
+    def test_matches_loop(self, labels):
+        y = np.array(labels, dtype=np.float64)
+        assert same_bits(_pav_fit(y), pav_fit_loop(y))
+        descending = np.sort(y)[::-1].copy()
+        assert same_bits(_pav_fit(descending), pav_fit_loop(descending))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=12), st.integers(0, 1))
+    def test_long_runs_match_loop(self, lengths, first):
+        y = runs(lengths, first)
+        assert same_bits(_pav_fit(y), pav_fit_loop(y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.booleans()), min_size=1, max_size=150))
+    def test_stable_argsorted_scores_with_ties_match_loop(self, trials):
+        # what _min_cllr feeds it: labels in stable score order, few
+        # distinct scores, so ties keep their input order
+        scores = np.array([s for s, _ in trials], dtype=np.float64)
+        labels = np.array([t for _, t in trials], dtype=bool)
+        y = labels[np.argsort(scores, kind="stable")].astype(np.float64)
+        assert same_bits(_pav_fit(y), pav_fit_loop(y))
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -251,6 +320,24 @@ class TestEnrollModels:
         with pytest.raises(ValueError, match="degenerate"):
             cosine_score(models["s1"], v)
 
+    @pytest.mark.parametrize("dim", [1, 5, 64, 512])
+    def test_ragged_counts_bitwise_equal_to_per_speaker_mean(self, dim):
+        # at dim 512 the two 9-row speakers are gathered in separate blocks
+        r = np.random.default_rng(dim)
+        counts = [1, 2, 3, 8, 9, 17, 3, 1, 9, 40]
+        owners = r.permutation(np.repeat(np.arange(len(counts)), counts))
+        rows = [Embedding(f"u{i}", f"s{owner}", "f", "a00", r.normal(size=dim))
+                for i, owner in enumerate(owners.tolist())]
+        corpus = make_corpus(rows)
+        models = enroll_speaker_models(corpus)
+        first_rows = {}
+        for i, owner in enumerate(owners.tolist()):
+            first_rows.setdefault(f"s{owner}", i)
+        assert list(models) == list(first_rows)
+        for speaker, model in models.items():
+            index = np.flatnonzero(owners == int(speaker[1:]))
+            assert same_bits(model, corpus.vectors[index].mean(axis=0))
+
 
 class TestScoreTrials:
     def test_scores_are_pairwise_cosines(self):
@@ -300,6 +387,46 @@ class TestScoreTrialsMatchesCosineLoop:
                     for t in trials]
         result = score_trials(trials, models, corpus)
         assert np.array_equal(result.scores, np.array(expected, dtype=np.float64))
+
+    @pytest.mark.parametrize("dim", [1, 7, 64, 512])
+    def test_permuted_trial_rows_bitwise_equal_to_cosine_score(self, dim):
+        r = np.random.default_rng(dim)
+        rows = [Embedding(f"u{i}", f"s{i % 9}", "fm"[i % 9 % 2], "a00",
+                          r.normal(size=dim) * 10.0 ** r.integers(-3, 4))
+                for i in range(45)]
+        enroll_c = make_corpus(rows[:18])
+        trial_c = make_corpus(rows[18:])
+        models = enroll_speaker_models(enroll_c)
+        trials = list(make_trials(enroll_c, trial_c, 3, seed=dim))
+        trials = [trials[i] for i in r.permutation(len(trials))]
+        vectors = {e.utterance_id: e.vector for e in trial_c.embeddings}
+        expected = np.array([cosine_score(models[t.enroll_speaker], vectors[t.trial_utterance])
+                             for t in trials])
+        result = score_trials(trials, models, trial_c)
+        assert list(result.trials) == trials
+        assert same_bits(result.scores, expected)
+
+    def test_vox64_sized_scoring_holds_no_full_gather(self):
+        # 13,761 trials at dim 64: a full gather of either side would be one
+        # (13761, 64) float64 matrix, 7 MB
+        r = np.random.default_rng(3)
+        n_trials, n_speakers, dim = 13_761, 1251, 64
+        corpus = make_corpus([Embedding(f"u{i}", f"s{i}", "f", "a00", r.normal(size=dim))
+                              for i in range(n_speakers)])
+        models = {f"s{i}": r.normal(size=dim) for i in range(n_speakers)}
+        trials = TrialList([f"s{i}" for i in range(n_speakers)], corpus.utterance_ids, ["f"],
+                           speakers=r.integers(0, n_speakers, n_trials),
+                           rows=r.integers(0, n_speakers, n_trials),
+                           is_target=r.random(n_trials) < 0.1,
+                           genders=np.zeros(n_trials, dtype=np.intp))
+        tracemalloc.start()
+        try:
+            scored = score_trials(trials, models, corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scored.scores) == n_trials
+        assert peak < n_trials * dim * 8
 
     @pytest.mark.parametrize("speaker, utterance", [("zero", "u0"), ("s0", "uz")])
     def test_zero_vector_in_a_trial_rejected(self, speaker, utterance):
