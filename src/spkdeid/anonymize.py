@@ -10,9 +10,10 @@ Four methods:
 
 Every method maps an (N, dim) matrix to an (N, dim) matrix, row by row,
 through ``AnonymizationMethod.apply``, and ``anonymize_corpus`` preserves
-ids and labels.  There are no per-vector wrappers: a single vector is a
-one-row matrix.  The AAN methods only run the model forward, so a model
-loaded to anonymize holds no gradient storage.
+ids and labels.  ``baseline_anonymize`` takes only matrices too: there are
+no per-vector forms, and a single vector is a one-row matrix.  The AAN
+methods only run the model forward, so a model loaded to anonymize holds
+no gradient storage.
 
 BLAS is called one query at a time: one pool gemv and one norm per query,
 and one one-row encoder+decoder pass per reconstruction.  A multi-row
@@ -71,24 +72,19 @@ class PseudoPool:
 
 
 def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarray:
-    """Mean of the ``top_k`` pool vectors farthest from ``x`` (cosine).
+    """Per row of ``x``, the mean of the ``top_k`` pool vectors farthest from
+    it (cosine).
 
-    ``x`` is one vector or an (N, dim) matrix of queries; the result has
-    the same shape.  Ranking is by ascending cosine similarity, ties broken
-    by pool index; scaling a query by any c > 0 leaves its selection and
-    output unchanged.
+    ``x`` is an (N, dim) matrix of queries and the result is (N, dim).
+    Ranking is by ascending cosine similarity, ties broken by pool index;
+    scaling a query by any c > 0 leaves its selection and output unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != pool.dim:
-        raise ValueError(f"x has shape {x.shape}, pool dim is {pool.dim}")
+    if x.ndim != 2 or x.shape[1] != pool.dim:
+        raise ValueError(f"x has shape {x.shape}, expected an (N, dim) matrix with the "
+                         f"pool dim {pool.dim}")
     if not 1 <= top_k <= len(pool):
         raise ValueError(f"top_k must be in [1, {len(pool)}], got {top_k}")
-    if x.ndim == 1:
-        return _farthest_means(pool, x[None, :], top_k)[0]
-    return _farthest_means(pool, x, top_k)
-
-
-def _farthest_means(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarray:
     if pool.has_zero_norm:
         raise ValueError("degenerate vector: zero norm, cosine distance undefined")
     out = np.empty_like(x)
@@ -178,7 +174,6 @@ def anonymize_corpus(corpus: Corpus, method: AnonymizationMethod) -> Corpus:
 
     The identity method returns the corpus unchanged.
     """
-    method.validate()
     if method.kind == "identity":
         return corpus
     return corpus.with_vectors(method.apply(corpus.matrix()))

@@ -259,6 +259,11 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_gen_data(cfg: RunConfig) -> int:
     started = time.time()
+    # checked before anything is written: 0 would leave valid and test empty
+    if cfg.n_heldout_per_speaker < 1:
+        raise ValueError("split.n_heldout_per_speaker must be >= 1, got "
+                         f"{cfg.n_heldout_per_speaker}: the valid and test splits hold that "
+                         "many utterances per speaker")
     out = _out_dir(cfg)
     spec = dataclasses.replace(cfg.corpus, seed=derive_seed(cfg.seed, "gen-data"))
     train_c, valid_c, test_c = split_corpus(generate_corpus(spec), cfg.n_heldout_per_speaker)
@@ -327,77 +332,78 @@ def cmd_train(cfg: RunConfig, lam_override: float | None) -> int:
 
 def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
                     pool_path: str | None, top_k: int | None,
-                    require_flags: bool) -> AnonymizationMethod:
+                    require_flags: bool) -> tuple[AnonymizationMethod, list[Path]]:
+    """The method, and the checkpoint and pool files it was built from."""
     if kind not in METHOD_KINDS:
         raise ValueError(f"method must be one of {METHOD_KINDS}, got {kind!r}")
     out = Path(cfg.out_dir)
     model = None
     pool = None
+    read = []
     if kind in ("aan1", "aan2"):
         if model_path is None:
             if require_flags:
                 raise ValueError(f"method {kind!r} requires --model")
             model_path = str(out / "model.aan")
         model = load_model(model_path)
+        read.append(Path(model_path))
     if kind in ("baseline_farthest", "aan2"):
         if pool_path is None:
             if require_flags:
                 raise ValueError(f"method {kind!r} requires --pool")
             pool_path = str(out / "train.csv")
         pool = PseudoPool(read_corpus(pool_path).matrix())
-    return AnonymizationMethod(kind=kind, model=model, pool=pool,
-                               top_k=cfg.anonymize_top_k if top_k is None else top_k)
+        read.append(Path(pool_path))
+    method = AnonymizationMethod(kind=kind, model=model, pool=pool,
+                                 top_k=cfg.anonymize_top_k if top_k is None else top_k)
+    return method, read
 
 
 def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     _out_dir(cfg)
     kind = args.method or cfg.anonymize_method
-    method = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
-                             require_flags=True)
+    method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
+                                           require_flags=True)
     corpus = read_corpus(args.in_path)
     anonymized = anonymize_corpus(corpus, method)
     out_path = Path(args.out_path)
     write_corpus(anonymized, out_path)
     print(f"wrote {out_path} ({len(anonymized)} utterances, method={kind})")
-    inputs = [Path(args.in_path)]
-    if args.model:
-        inputs.append(Path(args.model))
-    if args.pool:
-        inputs.append(Path(args.pool))
-    write_manifest(cfg, "anonymize", inputs, [out_path], time.time() - started)
+    write_manifest(cfg, "anonymize", [Path(args.in_path)] + method_files, [out_path],
+                   time.time() - started)
     return 0
 
 
 def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, suffix: str = ""):
     out = _out_dir(cfg)
-    train_corpus = read_corpus(out / "train.csv", "train")
-    valid_corpus = read_corpus(out / "valid.csv", "valid")
-    test_corpus = read_corpus(out / "test.csv", "test")
+    split_paths = [out / f"{name}.csv" for name in ("train", "valid", "test")]
+    train_c, valid_c, test_c = (read_corpus(path, path.stem) for path in split_paths)
+    # probe on the train split, enroll on the test split, score trial
+    # utterances from the valid split
+    original = (train_c, test_c, valid_c)
+    anonymized = tuple(anonymize_corpus(corpus, method) for corpus in original)
     seed = derive_seed(cfg.seed, "evaluate")
-    # enroll on the test split, score trial utterances from the valid split
-    trials = make_trials(test_corpus, valid_corpus, cfg.n_nontarget_per_target, seed)
-    report = evaluate_conditions(train_corpus, test_corpus, valid_corpus, method,
-                                 cfg.n_nontarget_per_target, seed,
-                                 dataset_tag=cfg.dataset_tag, trials=trials)
+    trials = make_trials(test_c, valid_c, cfg.n_nontarget_per_target, seed)
+    report = evaluate_conditions(original, anonymized, trials, seed, cfg.dataset_tag)
     trials_path = out / f"trials{suffix}.csv"
     report_csv = out / f"report{suffix}.csv"
     report_txt = out / f"report{suffix}.txt"
     write_trials(trials, trials_path)
     write_report_csv(report, report_csv)
     report_txt.write_text(format_report_table(report))
-    return report, [out / "train.csv", out / "valid.csv", out / "test.csv"], \
-        [trials_path, report_csv, report_txt]
+    return report, split_paths, [trials_path, report_csv, report_txt]
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     kind = args.method or cfg.anonymize_method
-    method = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
-                             require_flags=False)
+    method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
+                                           require_flags=False)
     report, inputs, outputs = _evaluate_once(cfg, method)
     print(format_report_table(report), end="")
-    write_manifest(cfg, "evaluate", inputs, outputs, time.time() - started)
+    write_manifest(cfg, "evaluate", list(dict.fromkeys(inputs + method_files)), outputs,
+                   time.time() - started)
     return 0
 
 
@@ -407,7 +413,7 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
     lambdas = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
     if not lambdas:
         raise ValueError("--lambdas must list at least one value")
-    inputs = [out / "train.csv", out / "valid.csv"]
+    inputs = [out / "train.csv", out / "valid.csv", out / "test.csv"]
     outputs = []
     summary_rows = []
     for lam in lambdas:
@@ -415,9 +421,9 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
         checkpoint = out / f"model_lambda{tag}.aan"
         history_path = out / f"history_lambda{tag}.csv"
         _, history = _train_once(cfg, lam, checkpoint, history_path)
-        method = _resolve_method(cfg, cfg.anonymize_method, str(checkpoint),
-                                 str(out / "train.csv"), cfg.anonymize_top_k,
-                                 require_flags=False)
+        method, _ = _resolve_method(cfg, cfg.anonymize_method, str(checkpoint),
+                                    str(out / "train.csv"), cfg.anonymize_top_k,
+                                    require_flags=False)
         report, _, report_files = _evaluate_once(cfg, method, suffix=f"_lambda{tag}")
         last = history[-1]
         summary_rows.append([f"{lam:g}", f"{last.valid.recon:.17g}",
@@ -514,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit nonzero if the max relative error is not below this")
 
     p_report = sub.add_parser("report", help="render a report CSV as an aligned table")
-    add_common(p_report)  # accepted for interface uniformity, unused
     p_report.add_argument("report_csv")
     p_report.add_argument("--out", help="also write the table to this file")
 
@@ -543,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "print-config":
             return cmd_print_config(cfg)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, DivergenceError) as exc:
+    except (ValueError, OSError, DivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

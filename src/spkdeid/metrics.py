@@ -8,9 +8,10 @@ probes measure residual speaker/gender/accent leakage.
 
 A trial list (``TrialList``) is stored by column: index arrays for the
 enrollment speaker, the trial utterance's row, ``is_target`` and the
-gender, plus the name lists they index.  ``Trial`` rows exist only when a
-caller indexes or iterates the list; a ``list[Trial]`` passed in is turned
-into columns once.  Every per-trial step below is an array operation:
+gender, plus the name lists they index.  It is the only form of a trial
+list; ``TrialList.from_rows`` builds one from (speaker, utterance,
+is_target, gender) rows and ``columns`` gives them back.  Every per-trial
+step below is an array operation:
 
   scores   one BLAS dot per score.  Each cosine's dot product, and each
            norm's ``v . v``, is one ``ddot`` call made by stacked
@@ -55,7 +56,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .anonymize import AnonymizationMethod, anonymize_corpus
 from .dataset import Corpus, csv_rows
 from .neural import (
     AdamState,
@@ -72,22 +72,13 @@ LOG2 = np.log(2.0)
 POSTERIOR_CLIP = 1e-12
 
 
-@dataclass(frozen=True)
-class Trial:
-    enroll_speaker: str
-    trial_utterance: str
-    is_target: bool
-    gender: str
-
-
 @dataclass(eq=False)
 class TrialList:
     """Trials by column, row-aligned.
 
     Trial i enrolls ``speaker_names[speakers[i]]`` against utterance
     ``utterance_ids[rows[i]]``; ``genders[i]`` indexes ``gender_names``.
-    Indexing and iteration give ``Trial`` rows, and a trial list equals
-    another trial list or ``list[Trial]`` with the same rows.
+    Two trial lists are equal when their ``columns()`` are.
     """
 
     speaker_names: list[str]
@@ -115,20 +106,8 @@ class TrialList:
                    np.array(speakers, dtype=np.intp), np.array(utterances, dtype=np.intp),
                    np.array(is_target, dtype=bool), np.array(genders, dtype=np.intp))
 
-    @classmethod
-    def of(cls, trials: "TrialList | list[Trial]") -> "TrialList":
-        """``trials`` itself, or a ``list[Trial]`` turned into columns."""
-        if isinstance(trials, TrialList):
-            return trials
-        return cls.from_rows((t.enroll_speaker, t.trial_utterance, t.is_target, t.gender)
-                             for t in trials)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, i: int) -> Trial:
-        return Trial(self.speaker_names[self.speakers[i]], self.utterance_ids[self.rows[i]],
-                     bool(self.is_target[i]), self.gender_names[self.genders[i]])
 
     def columns(self) -> tuple[list[str], list[str], list[bool], list[str]]:
         """Per-trial enrollment speaker, utterance, is_target and gender."""
@@ -137,13 +116,10 @@ class TrialList:
                 self.is_target.tolist(),
                 [self.gender_names[i] for i in self.genders.tolist()])
 
-    def __iter__(self):
-        return map(Trial, *self.columns())
-
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (TrialList, list)):
+        if not isinstance(other, TrialList):
             return NotImplemented
-        return list(self) == list(other)
+        return self.columns() == other.columns()
 
     def take(self, index: np.ndarray) -> "TrialList":
         """The trials at ``index`` (a boolean mask or row indices), same names."""
@@ -154,14 +130,12 @@ class TrialList:
 
 @dataclass
 class ScoredTrials:
-    """Trials and their scores, row-aligned; a ``list[Trial]`` given as
-    ``trials`` is turned into a ``TrialList``."""
+    """Trials and their scores, row-aligned."""
 
     trials: TrialList
     scores: np.ndarray
 
     def __post_init__(self):
-        self.trials = TrialList.of(self.trials)
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (len(self.trials),):
             raise ValueError(f"{len(self.trials)} trials but {self.scores.shape} scores")
@@ -299,17 +273,15 @@ def _lookup(names: list[str], index: dict[str, int]) -> np.ndarray:
     return np.array([index.get(name, -1) for name in names], dtype=np.intp)
 
 
-def score_trials(trials: TrialList | list[Trial], speaker_models: dict[str, np.ndarray],
+def score_trials(trials: TrialList, speaker_models: dict[str, np.ndarray],
                  trial_corpus: Corpus) -> ScoredTrials:
     """Cosine score of each trial utterance against its enrollment model.
 
     Each model and each trial vector is normed once and each trial takes
     one BLAS dot product, so each score has the bits of
     ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``.  A
-    ``list[Trial]`` is turned into a ``TrialList`` first.  A zero-norm
-    vector is an error only if a trial uses it.
+    zero-norm vector is an error only if a trial uses it.
     """
-    trials = TrialList.of(trials)
     model_rows = _lookup(trials.speaker_names,
                          {speaker: i for i, speaker in enumerate(speaker_models)})[trials.speakers]
     vector_rows = _lookup(trials.utterance_ids,
@@ -317,10 +289,11 @@ def score_trials(trials: TrialList | list[Trial], speaker_models: dict[str, np.n
     missing = (model_rows < 0) | (vector_rows < 0)
     if missing.any():
         i = int(missing.argmax())
-        t = trials[i]
         if model_rows[i] < 0:
-            raise ValueError(f"no enrollment model for speaker {t.enroll_speaker!r}")
-        raise ValueError(f"trial utterance {t.trial_utterance!r} not in trial corpus")
+            raise ValueError("no enrollment model for speaker "
+                             f"{trials.speaker_names[trials.speakers[i]]!r}")
+        raise ValueError(f"trial utterance {trials.utterance_ids[trials.rows[i]]!r} "
+                         "not in trial corpus")
     models = np.stack(list(speaker_models.values())) if speaker_models \
         else np.empty((0, trial_corpus.dim))
     trial_vectors = trial_corpus.vectors
@@ -451,18 +424,29 @@ def _train_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, seed: int,
     return layer
 
 
+def _column(header: str):
+    """A report field whose text-table header is ``header``."""
+    return dataclasses.field(metadata={"header": header})
+
+
 @dataclass
 class ReportRow:
-    dataset: str
-    enroll: str  # "o" or "a"
-    trial: str   # "o" or "a"
-    gender: str
-    eer_pct: float
-    min_cllr: float
-    cllr: float
-    probe_speaker: float
-    probe_gender: float
-    probe_accent: float
+    """One condition cell of the report.
+
+    The fields are the report CSV's columns after ``row``, in order, each
+    with its text-table header; the float fields are the numeric columns.
+    """
+
+    dataset: str = _column("dataset")
+    eer_pct: float = _column("EER,%")
+    min_cllr: float = _column("minCllr")
+    cllr: float = _column("Cllr")
+    enroll: str = _column("enroll")  # "o" or "a"
+    trial: str = _column("trial")    # "o" or "a"
+    gender: str = _column("gen")
+    probe_speaker: float = _column("probe_spk")
+    probe_gender: float = _column("probe_gen")
+    probe_accent: float = _column("probe_acc")
 
 
 @dataclass
@@ -473,45 +457,31 @@ class MetricsReport:
 CONDITIONS = (("o", "o"), ("o", "a"), ("a", "a"))
 
 
-def evaluate_conditions(train_corpus: Corpus, enroll_corpus: Corpus,
-                        trial_corpus: Corpus, method: AnonymizationMethod,
-                        n_nontarget_per_target: int, seed: int,
-                        dataset_tag: str = "synth",
-                        trials: TrialList | None = None) -> MetricsReport:
+def evaluate_conditions(original: tuple[Corpus, Corpus, Corpus],
+                        anonymized: tuple[Corpus, Corpus, Corpus],
+                        trials: TrialList, seed: int,
+                        dataset_tag: str = "synth") -> MetricsReport:
     """Score the o-o, o-a, and a-a condition cells per gender.
 
-    The same trial list is reused across conditions (anonymization keeps
-    ids and labels); only the vectors behind each side change.  Probe
+    ``original`` and ``anonymized`` are (probe train, enroll, trial) corpus
+    triples; anonymization keeps ids and labels, so the same trial list
+    (from make_trials on the original enroll and trial corpora) serves
+    every condition and only the vectors behind each side change.  Probe
     columns report attribute leakage of the trial-side embeddings, so the
     o-o row carries the original-corpus probes and the anonymized rows the
-    anonymized-corpus probes.  ``trials``, when given, must be the list
-    make_trials builds from these corpora and arguments; a caller that also
-    writes the list out passes it to save building it twice.
+    anonymized-corpus probes.
     """
-    method.validate()
-    if trials is None:
-        trials = make_trials(enroll_corpus, trial_corpus, n_nontarget_per_target, seed)
-    corpora = {
-        ("enroll", "o"): enroll_corpus,
-        ("trial", "o"): trial_corpus,
-        ("enroll", "a"): anonymize_corpus(enroll_corpus, method),
-        ("trial", "a"): anonymize_corpus(trial_corpus, method),
-    }
-    probe_train = {"o": train_corpus, "a": anonymize_corpus(train_corpus, method)}
-    probes: dict[str, dict[str, float]] = {}
-    for condition in ("o", "a"):
-        probes[condition] = {
-            attribute: probe_attack(probe_train[condition],
-                                    corpora[("trial", condition)], attribute,
-                                    seed=seed + 1 + i)
-            for i, attribute in enumerate(PROBE_ATTRIBUTES)
-        }
+    corpora = {"o": original, "a": anonymized}
+    probes = {condition: {attribute: probe_attack(train, trial, attribute,
+                                                  seed=seed + 1 + i)
+                          for i, attribute in enumerate(PROBE_ATTRIBUTES)}
+              for condition, (train, _, trial) in corpora.items()}
 
-    genders = sorted(trial_corpus.gender_vocab)
+    genders = sorted(original[2].gender_vocab)
     rows: list[ReportRow] = []
     for enroll_cond, trial_cond in CONDITIONS:
-        models = enroll_speaker_models(corpora[("enroll", enroll_cond)])
-        scored = score_trials(trials, models, corpora[("trial", trial_cond)])
+        models = enroll_speaker_models(corpora[enroll_cond][1])
+        scored = score_trials(trials, models, corpora[trial_cond][2])
         for gender in genders:
             subset = scored.for_gender(gender)
             rows.append(ReportRow(
@@ -535,9 +505,9 @@ def evaluate_conditions(train_corpus: Corpus, enroll_corpus: Corpus,
 TRIAL_COLUMNS = ["enroll_speaker", "trial_utterance", "is_target", "gender"]
 
 
-def write_trials(trials: TrialList | list[Trial], path: str | Path) -> None:
+def write_trials(trials: TrialList, path: str | Path) -> None:
     """CSV: enroll_speaker,trial_utterance,is_target{0|1},gender."""
-    speakers, utterances, is_target, genders = TrialList.of(trials).columns()
+    speakers, utterances, is_target, genders = trials.columns()
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRIAL_COLUMNS)
@@ -560,21 +530,23 @@ def read_trials(path: str | Path) -> TrialList:
         return TrialList.from_rows(rows())
 
 
-REPORT_COLUMNS = ["row", "dataset", "eer_pct", "min_cllr", "cllr", "enroll",
-                  "trial", "gender", "probe_speaker", "probe_gender", "probe_accent"]
-REPORT_NUMERIC_COLUMNS = ("eer_pct", "min_cllr", "cllr", "probe_speaker",
-                          "probe_gender", "probe_accent")
+REPORT_FIELDS = dataclasses.fields(ReportRow)
+REPORT_COLUMNS = ["row"] + [f.name for f in REPORT_FIELDS]
+REPORT_NUMERIC_COLUMNS = tuple(f.name for f in REPORT_FIELDS if f.type == "float")
+
+
+def _report_cells(report: MetricsReport, number_format: str) -> list[list[str]]:
+    """Each row's number, then its fields, numbers in ``number_format``."""
+    return [[str(i)] + [format(value, number_format) if name in REPORT_NUMERIC_COLUMNS
+                        else value for name, value in vars(r).items()]
+            for i, r in enumerate(report.rows, start=1)]
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for i, r in enumerate(report.rows, start=1):
-            writer.writerow([i, r.dataset, f"{r.eer_pct:.17g}", f"{r.min_cllr:.17g}",
-                             f"{r.cllr:.17g}", r.enroll, r.trial, r.gender,
-                             f"{r.probe_speaker:.17g}", f"{r.probe_gender:.17g}",
-                             f"{r.probe_accent:.17g}"])
+        writer.writerows(_report_cells(report, ".17g"))
 
 
 def _report_number(path: str | Path, line: int, column: str, text: str) -> float:
@@ -608,13 +580,8 @@ def read_report_csv(path: str | Path) -> MetricsReport:
 
 def format_report_table(report: MetricsReport) -> str:
     """Aligned plain-text table, one condition row per line."""
-    header = ["#", "dataset", "EER,%", "minCllr", "Cllr", "enroll", "trial",
-              "gen", "probe_spk", "probe_gen", "probe_acc"]
-    body = [[str(i), r.dataset, f"{r.eer_pct:.3f}", f"{r.min_cllr:.3f}",
-             f"{r.cllr:.3f}", r.enroll, r.trial, r.gender,
-             f"{r.probe_speaker:.3f}", f"{r.probe_gender:.3f}",
-             f"{r.probe_accent:.3f}"]
-            for i, r in enumerate(report.rows, start=1)]
+    header = ["#"] + [f.metadata["header"] for f in REPORT_FIELDS]
+    body = _report_cells(report, ".3f")
     widths = [max(len(row[c]) for row in [header] + body) for c in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in [header] + body]

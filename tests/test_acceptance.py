@@ -33,7 +33,7 @@ from spkdeid.cli import main as cli_main
 from spkdeid.dataset import CorpusSpec, generate_corpus, split_corpus
 from spkdeid.metrics import (
     ScoredTrials,
-    Trial,
+    TrialList,
     compute_cllr,
     compute_eer,
     compute_min_cllr,
@@ -56,8 +56,9 @@ def report(name, **values):
 
 
 def scored(targets, nontargets):
-    trials = ([Trial("s", f"t{i}", True, "f") for i in range(len(targets))]
-              + [Trial("s", f"n{i}", False, "f") for i in range(len(nontargets))])
+    trials = TrialList.from_rows(
+        [("s", f"t{i}", True, "f") for i in range(len(targets))]
+        + [("s", f"n{i}", False, "f") for i in range(len(nontargets))])
     return ScoredTrials(trials, np.concatenate([targets, nontargets]))
 
 
@@ -237,9 +238,11 @@ def test_criterion_6_pipeline_identities(small_corpus_splits, small_trained_mode
     assert digest(source) == digest(target)
 
     # identity evaluation: every condition row carries the same metrics
-    identity_report = evaluate_conditions(train_c, test_c, valid_c,
-                                          AnonymizationMethod("identity"),
-                                          n_nontarget_per_target=3, seed=9)
+    identity = AnonymizationMethod("identity")
+    original = (train_c, test_c, valid_c)
+    identity_report = evaluate_conditions(
+        original, tuple(anonymize_corpus(c, identity) for c in original),
+        make_trials(test_c, valid_c, n_nontarget_per_target=3, seed=9), seed=9)
     rows = {}
     for row in identity_report.rows:
         rows.setdefault(row.gender, set()).add(

@@ -18,6 +18,11 @@ from spkdeid.dataset import Embedding, make_corpus
 rng = np.random.default_rng(77)
 
 
+def farthest_mean(pool, x, top_k):
+    """The baseline anonymization of the vector ``x``, applied as a one-row matrix."""
+    return baseline_anonymize(pool, x[None, :], top_k)[0]
+
+
 def aan1(model, x):
     """The aan1 anonymization of the vector ``x``, applied as a one-row matrix."""
     return AnonymizationMethod("aan1", model=model).apply(x[None, :])[0]
@@ -40,19 +45,19 @@ class TestBaseline:
     def test_full_pool_is_centroid(self):
         pool = PseudoPool(rng.normal(size=(7, 5)))
         for x in rng.normal(size=(3, 5)):
-            out = baseline_anonymize(pool, x, top_k=7)
+            out = farthest_mean(pool, x, top_k=7)
             np.testing.assert_array_equal(out, pool.vectors.mean(axis=0))
 
     def test_hand_case_single_farthest(self):
         # brute-force cosine ranking over the 3 candidates:
         # cos((1,0),(1,0))=1, cos((0,1),(1,0))=0, cos((-1,0),(1,0))=-1
         pool = PseudoPool(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
-        out = baseline_anonymize(pool, np.array([1.0, 0.0]), top_k=1)
+        out = farthest_mean(pool, np.array([1.0, 0.0]), top_k=1)
         np.testing.assert_array_equal(out, [-1.0, 0.0])
 
     def test_hand_case_two_farthest_averaged(self):
         pool = PseudoPool(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
-        out = baseline_anonymize(pool, np.array([1.0, 0.0]), top_k=2)
+        out = farthest_mean(pool, np.array([1.0, 0.0]), top_k=2)
         np.testing.assert_array_equal(out, [-0.5, 0.5])
 
     def test_matches_bruteforce_oracle(self):
@@ -68,23 +73,23 @@ class TestBaseline:
                                     * math.sqrt(sum(b * b for b in x))), i))
             order = [i for _, i in sorted(sims, key=lambda t: (t[0], t[1]))]
             expected = pool_vectors[order[:top_k]].mean(axis=0)
-            np.testing.assert_allclose(baseline_anonymize(pool, x, top_k),
+            np.testing.assert_allclose(farthest_mean(pool, x, top_k),
                                        expected, atol=1e-12)
 
     def test_zero_norm_query_rejected(self):
         pool = PseudoPool(np.ones((2, 3)))
         with pytest.raises(ValueError, match="degenerate"):
-            baseline_anonymize(pool, np.zeros(3), top_k=1)
+            farthest_mean(pool, np.zeros(3), top_k=1)
 
     def test_zero_norm_pool_vector_rejected(self):
         pool = PseudoPool(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="degenerate"):
-            baseline_anonymize(pool, np.array([1.0, 1.0]), top_k=1)
+            farthest_mean(pool, np.array([1.0, 1.0]), top_k=1)
 
     def test_top_k_bounds(self):
         pool = PseudoPool(np.ones((2, 3)))
         with pytest.raises(ValueError, match="top_k"):
-            baseline_anonymize(pool, np.ones(3), top_k=3)
+            farthest_mean(pool, np.ones(3), top_k=3)
 
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(min_value=1e-3, max_value=1e3),
@@ -93,18 +98,18 @@ class TestBaseline:
         r = np.random.default_rng(seed)
         pool = PseudoPool(r.normal(size=(6, 4)))
         x = r.normal(size=4)
-        plain = baseline_anonymize(pool, x, top_k=3)
-        scaled = baseline_anonymize(pool, scale * x, top_k=3)
+        plain = farthest_mean(pool, x, top_k=3)
+        scaled = farthest_mean(pool, scale * x, top_k=3)
         np.testing.assert_array_equal(plain, scaled)
 
     def test_pool_permutation_invariance_without_ties(self):
         r = np.random.default_rng(4)
         vectors = r.normal(size=(8, 5))
         x = r.normal(size=5)
-        expected = baseline_anonymize(PseudoPool(vectors), x, top_k=3)
+        expected = farthest_mean(PseudoPool(vectors), x, top_k=3)
         permuted = vectors[r.permutation(8)]
         np.testing.assert_allclose(
-            baseline_anonymize(PseudoPool(permuted), x, top_k=3), expected,
+            farthest_mean(PseudoPool(permuted), x, top_k=3), expected,
             atol=1e-12)
 
 
@@ -157,12 +162,13 @@ class TestFarthestSelection:
     def test_non_finite_similarity_rejected(self):
         pool = PseudoPool(np.ones((3, 2)))
         with pytest.raises(ValueError, match="degenerate"):
-            baseline_anonymize(pool, np.array([np.inf, 1.0]), top_k=1)
+            farthest_mean(pool, np.array([np.inf, 1.0]), top_k=1)
 
     def test_one_vector_and_matrix_shapes(self):
         pool = PseudoPool(rng.normal(size=(6, 3)))
         x = rng.normal(size=(4, 3))
-        assert baseline_anonymize(pool, x[0], 2).shape == (3,)
+        with pytest.raises(ValueError, match="matrix"):
+            baseline_anonymize(pool, x[0], 2)
         assert baseline_anonymize(pool, x, 2).shape == (4, 3)
         with pytest.raises(ValueError, match="pool dim"):
             baseline_anonymize(pool, x[None], 2)
@@ -196,7 +202,7 @@ class TestAanPipelines:
         pool = PseudoPool(rng.normal(size=(20, dim)))
         for _ in range(50):
             x = rng.normal(size=dim)
-            composed = aan1(small_trained_model, baseline_anonymize(pool, x, top_k=5))
+            composed = aan1(small_trained_model, farthest_mean(pool, x, top_k=5))
             direct = aan2(small_trained_model, pool, x, top_k=5)
             np.testing.assert_array_equal(direct, composed)
 
@@ -267,7 +273,7 @@ class TestAnonymizeCorpus:
         assert len(corpus) > rows_per_block
         per_vector = {
             "identity": lambda v: v,
-            "baseline_farthest": lambda v: baseline_anonymize(pool, v, top_k),
+            "baseline_farthest": lambda v: farthest_mean(pool, v, top_k),
             "aan1": lambda v: aan1(small_trained_model, v),
             "aan2": lambda v: aan2(small_trained_model, pool, v, top_k),
         }

@@ -73,6 +73,29 @@ class TestGenData:
         assert run_cli("gen-data", "--config", path) == 2
         assert "n_speakers" in capsys.readouterr().err
 
+    def test_zero_holdout_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        config = dict(TINY_CONFIG, out_dir=str(out), split={"n_heldout_per_speaker": 0})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("gen-data", "--config", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "split.n_heldout_per_speaker" in err[0]
+        assert list(out.glob("*.csv")) == [] and list(out.glob("manifest_*")) == []
+
+    def test_unallocatable_corpus_is_one_error_line(self, tmp_path, capsys):
+        # the first array would take 8 PiB, beyond any user address space,
+        # so the allocation fails at once
+        config = dict(TINY_CONFIG, out_dir=str(tmp_path / "r"))
+        config["corpus"] = dict(config["corpus"], dim=2 ** 49)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("gen-data", "--config", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "r" / "manifest_gen-data.json").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"sed": 1}))
@@ -262,6 +285,12 @@ class TestEvaluate:
         assert (out / "report.txt").read_text() in text + "\n" or True
 
 
+    def test_report_command_takes_no_run_flags(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("report", "--seed", "1", tmp_path / "r.csv")
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["abc", "nan"])
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, cell):
         path = tmp_path / "report.csv"
@@ -317,6 +346,28 @@ class TestManifest:
         assert manifest["command"] == "gen-data"
         for path, recorded in manifest["outputs"].items():
             from pathlib import Path
+            assert digest(Path(path)) == recorded
+
+    @pytest.mark.parametrize("command, extra, expected", [
+        ("evaluate", ["--method", "aan1"], ["train.csv", "valid.csv", "test.csv",
+                                            "model.aan"]),
+        ("evaluate", ["--method", "baseline_farthest", "--pool", "POOL"],
+         ["train.csv", "valid.csv", "test.csv", "POOL"]),
+        ("sweep-lambda", ["--lambdas", "0"], ["train.csv", "valid.csv", "test.csv"]),
+    ], ids=["evaluate-aan1", "evaluate-pool", "sweep-lambda"])
+    def test_manifest_lists_every_file_read(self, tiny_run, tmp_path, command, extra,
+                                            expected):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        run_cli("train", "--config", config_path)
+        pool = tmp_path / "pool.csv"
+        pool.write_bytes((out / "train.csv").read_bytes())
+        expected = [pool if name == "POOL" else out / name for name in expected]
+        extra = [str(pool) if arg == "POOL" else arg for arg in extra]
+        assert run_cli(command, "--config", config_path, *extra) == 0
+        manifest = json.loads((out / f"manifest_{command}.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(map(str, expected))
+        for path, recorded in manifest["inputs"].items():
             assert digest(Path(path)) == recorded
 
     def test_config_snapshot_reproduces_run(self, tiny_run, tmp_path):

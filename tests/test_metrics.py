@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spkdeid.anonymize import AnonymizationMethod
+from spkdeid.anonymize import AnonymizationMethod, anonymize_corpus
 from spkdeid.dataset import AttributeStrength, CorpusSpec, Embedding, generate_corpus, \
     make_corpus, split_corpus
 from spkdeid.metrics import (
@@ -17,7 +17,6 @@ from spkdeid.metrics import (
     MetricsReport,
     ReportRow,
     ScoredTrials,
-    Trial,
     TrialList,
     compute_cllr,
     compute_eer,
@@ -48,8 +47,9 @@ rng = np.random.default_rng(314)
 
 
 def scored(targets, nontargets):
-    trials = ([Trial("s", f"t{i}", True, "f") for i in range(len(targets))]
-              + [Trial("s", f"n{i}", False, "f") for i in range(len(nontargets))])
+    trials = TrialList.from_rows(
+        [("s", f"t{i}", True, "f") for i in range(len(targets))]
+        + [("s", f"n{i}", False, "f") for i in range(len(nontargets))])
     return ScoredTrials(trials, np.concatenate([targets, nontargets]))
 
 
@@ -89,7 +89,7 @@ class TestEer:
         assert compute_eer(scored(targets, nontargets)) == pytest.approx(0.5, abs=0.03)
 
     def test_requires_both_classes(self):
-        trials = [Trial("s", "u", True, "f")]
+        trials = TrialList.from_rows([("s", "u", True, "f")])
         with pytest.raises(ValueError, match="nontarget"):
             compute_eer(ScoredTrials(trials, np.array([0.5])))
 
@@ -249,11 +249,11 @@ class TestMakeTrials:
         trials = make_trials(enroll_c, trial_c, n_nontarget_per_target=4, seed=1)
         assert len(trials) == len(trial_c) * 5
         by_utt = {}
-        for t in trials:
-            by_utt.setdefault(t.trial_utterance, []).append(t)
-        for utt_trials in by_utt.values():
-            assert sum(t.is_target for t in utt_trials) == 1
-            assert len(utt_trials) == 5
+        for _, utterance, is_target, _ in zip(*trials.columns()):
+            by_utt.setdefault(utterance, []).append(is_target)
+        for utt_targets in by_utt.values():
+            assert sum(utt_targets) == 1
+            assert len(utt_targets) == 5
 
     def test_nontargets_same_gender_distinct(self):
         enroll_c, trial_c = trial_corpora()
@@ -261,14 +261,14 @@ class TestMakeTrials:
         trials = make_trials(enroll_c, trial_c, n_nontarget_per_target=4, seed=1)
         utt_speaker = {e.utterance_id: e.speaker_id for e in trial_c.embeddings}
         by_utt = {}
-        for t in trials:
-            by_utt.setdefault(t.trial_utterance, []).append(t)
+        for speaker, utterance, is_target, gender in zip(*trials.columns()):
+            by_utt.setdefault(utterance, []).append((speaker, is_target, gender))
         for utt, utt_trials in by_utt.items():
-            nontargets = [t.enroll_speaker for t in utt_trials if not t.is_target]
+            nontargets = [speaker for speaker, is_target, _ in utt_trials if not is_target]
             assert len(set(nontargets)) == len(nontargets)
             assert utt_speaker[utt] not in nontargets
             for speaker in nontargets:
-                assert gender_of[speaker] == utt_trials[0].gender
+                assert gender_of[speaker] == utt_trials[0][2]
 
     def test_deterministic(self):
         enroll_c, trial_c = trial_corpora()
@@ -293,6 +293,16 @@ class TestMakeTrials:
         enroll_c, trial_c = trial_corpora()
         with pytest.raises(ValueError, match="nontarget"):
             make_trials(enroll_c, trial_c, n_nontarget_per_target=40, seed=1)
+
+    def test_trial_speaker_without_enrollment_rejected(self):
+        # a zero holdout leaves the test split empty with the full
+        # vocabularies, so no trial speaker has an enrollment utterance
+        spec = CorpusSpec(n_speakers=4, n_genders=2, n_accents=1,
+                          utterances_per_speaker=3, dim=4, seed=0)
+        train_c, _, test_c = split_corpus(generate_corpus(spec), 0)
+        assert len(test_c) == 0 and test_c.speaker_vocab == train_c.speaker_vocab
+        with pytest.raises(ValueError, match="has no enrollment utterances"):
+            make_trials(test_c, train_c, 2, 1)
 
 
 class TestEnrollModels:
@@ -346,9 +356,9 @@ class TestScoreTrials:
         models = enroll_speaker_models(enroll_c)
         vectors = {e.utterance_id: e.vector for e in trial_c.embeddings}
         result = score_trials(trials, models, trial_c)
-        for trial, score in zip(result.trials, result.scores):
-            assert score == cosine_score(models[trial.enroll_speaker],
-                                         vectors[trial.trial_utterance])
+        speakers, utterances, _, _ = result.trials.columns()
+        for speaker, utterance, score in zip(speakers, utterances, result.scores):
+            assert score == cosine_score(models[speaker], vectors[utterance])
 
     def test_shuffling_trials_permutes_scores(self):
         enroll_c, trial_c = trial_corpora()
@@ -356,7 +366,8 @@ class TestScoreTrials:
         models = enroll_speaker_models(enroll_c)
         base = score_trials(trials, models, trial_c)
         perm = np.random.default_rng(0).permutation(len(trials))
-        shuffled = score_trials([trials[i] for i in perm], models, trial_c)
+        rows = list(zip(*trials.columns()))
+        shuffled = score_trials(TrialList.from_rows(rows[i] for i in perm), models, trial_c)
         np.testing.assert_array_equal(shuffled.scores, base.scores[perm])
 
 
@@ -380,12 +391,11 @@ class TestScoreTrialsMatchesCosineLoop:
         rows.append(Embedding("uz", "sz", "f", "a00", np.zeros(dim)))
         corpus = make_corpus(rows)
         pairs = st.tuples(st.integers(0, n_models - 1), st.integers(0, n_utts - 1))
-        trials = [Trial(f"s{m}", f"u{u}", m == u, "f")
-                  for m, u in data.draw(st.lists(pairs, max_size=30))]
-        expected = [cosine_score(models[t.enroll_speaker],
-                                 corpus.embeddings[int(t.trial_utterance[1:])].vector)
-                    for t in trials]
-        result = score_trials(trials, models, corpus)
+        trial_rows = [(f"s{m}", f"u{u}", m == u, "f")
+                      for m, u in data.draw(st.lists(pairs, max_size=30))]
+        expected = [cosine_score(models[speaker], corpus.embeddings[int(utterance[1:])].vector)
+                    for speaker, utterance, _, _ in trial_rows]
+        result = score_trials(TrialList.from_rows(trial_rows), models, corpus)
         assert np.array_equal(result.scores, np.array(expected, dtype=np.float64))
 
     @pytest.mark.parametrize("dim", [1, 7, 64, 512])
@@ -397,13 +407,13 @@ class TestScoreTrialsMatchesCosineLoop:
         enroll_c = make_corpus(rows[:18])
         trial_c = make_corpus(rows[18:])
         models = enroll_speaker_models(enroll_c)
-        trials = list(make_trials(enroll_c, trial_c, 3, seed=dim))
-        trials = [trials[i] for i in r.permutation(len(trials))]
+        trial_rows = list(zip(*make_trials(enroll_c, trial_c, 3, seed=dim).columns()))
+        trial_rows = [trial_rows[i] for i in r.permutation(len(trial_rows))]
         vectors = {e.utterance_id: e.vector for e in trial_c.embeddings}
-        expected = np.array([cosine_score(models[t.enroll_speaker], vectors[t.trial_utterance])
-                             for t in trials])
-        result = score_trials(trials, models, trial_c)
-        assert list(result.trials) == trials
+        expected = np.array([cosine_score(models[speaker], vectors[utterance])
+                             for speaker, utterance, _, _ in trial_rows])
+        result = score_trials(TrialList.from_rows(trial_rows), models, trial_c)
+        assert list(zip(*result.trials.columns())) == trial_rows
         assert same_bits(result.scores, expected)
 
     def test_vox64_sized_scoring_holds_no_full_gather(self):
@@ -434,16 +444,17 @@ class TestScoreTrialsMatchesCosineLoop:
                               Embedding("uz", "s1", "f", "a00", np.zeros(3))])
         models = {"s0": np.ones(3), "zero": np.zeros(3)}
         with pytest.raises(ValueError, match="degenerate"):
-            score_trials([Trial("s0", "u0", True, "f"), Trial(speaker, utterance, False, "f")],
+            score_trials(TrialList.from_rows([("s0", "u0", True, "f"),
+                                              (speaker, utterance, False, "f")]),
                          models, corpus)
 
     def test_missing_speaker_and_utterance_named(self):
         corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3))])
         models = {"s0": np.ones(3)}
         with pytest.raises(ValueError, match="'s9'"):
-            score_trials([Trial("s9", "u0", True, "f")], models, corpus)
+            score_trials(TrialList.from_rows([("s9", "u0", True, "f")]), models, corpus)
         with pytest.raises(ValueError, match="'u9'"):
-            score_trials([Trial("s0", "u9", True, "f")], models, corpus)
+            score_trials(TrialList.from_rows([("s0", "u9", True, "f")]), models, corpus)
 
 
 def reference_probe(train_c, test_c, attribute, seed, epochs, lr):
@@ -528,13 +539,23 @@ class TestProbe:
             probe_attack(corpus, corpus, "gender", seed=0)
 
 
+def evaluate_method(train_c, enroll_c, trial_c, method, n_nontarget_per_target, seed,
+                    **kwargs):
+    """evaluate_conditions on the corpora and their anonymization by ``method``,
+    with the trial list make_trials builds from them."""
+    original = (train_c, enroll_c, trial_c)
+    anonymized = tuple(anonymize_corpus(corpus, method) for corpus in original)
+    trials = make_trials(enroll_c, trial_c, n_nontarget_per_target, seed)
+    return evaluate_conditions(original, anonymized, trials, seed, **kwargs)
+
+
 class TestEvaluateConditions:
     def test_identity_method_gives_identical_rows(self):
         enroll_c, trial_c = trial_corpora()
-        report = evaluate_conditions(enroll_c, enroll_c, trial_c,
-                                     AnonymizationMethod("identity"),
-                                     n_nontarget_per_target=3, seed=12,
-                                     dataset_tag="t")
+        report = evaluate_method(enroll_c, enroll_c, trial_c,
+                                 AnonymizationMethod("identity"),
+                                 n_nontarget_per_target=3, seed=12,
+                                 dataset_tag="t")
         assert len(report.rows) == 6  # 3 conditions x 2 genders
         by_condition = {}
         for row in report.rows:
@@ -548,10 +569,9 @@ class TestEvaluateConditions:
     def test_cllr_at_least_min_cllr_in_every_row(self, small_corpus_splits,
                                                  small_trained_model):
         train_c, valid_c, test_c = small_corpus_splits
-        report = evaluate_conditions(train_c, test_c, valid_c,
-                                     AnonymizationMethod("aan1",
-                                                         model=small_trained_model),
-                                     n_nontarget_per_target=3, seed=12)
+        report = evaluate_method(train_c, test_c, valid_c,
+                                 AnonymizationMethod("aan1", model=small_trained_model),
+                                 n_nontarget_per_target=3, seed=12)
         assert len(report.rows) == 6
         for row in report.rows:
             assert row.cllr >= row.min_cllr >= 0.0
@@ -568,9 +588,9 @@ class TestFileFormats:
 
     def test_report_round_trip(self, tmp_path):
         enroll_c, trial_c = trial_corpora()
-        report = evaluate_conditions(enroll_c, enroll_c, trial_c,
-                                     AnonymizationMethod("identity"),
-                                     n_nontarget_per_target=2, seed=1)
+        report = evaluate_method(enroll_c, enroll_c, trial_c,
+                                 AnonymizationMethod("identity"),
+                                 n_nontarget_per_target=2, seed=1)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         loaded = read_report_csv(path)
@@ -610,10 +630,12 @@ class TestFileFormats:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_single_byte_mutation_raises_only_value_error_naming_path(self, data):
-        trials = [Trial("s1", "u1", True, "f"), Trial("s2", "u1", False, "f"),
-                  Trial("s3", "u2", True, "m")]
-        report = MetricsReport([ReportRow("synth", "o", "a", "f", 12.5, 0.75, 1.25,
-                                          0.5, 0.875, 0.25)])
+        trials = TrialList.from_rows([("s1", "u1", True, "f"), ("s2", "u1", False, "f"),
+                                      ("s3", "u2", True, "m")])
+        report = MetricsReport([ReportRow(dataset="synth", enroll="o", trial="a", gender="f",
+                                          eer_pct=12.5, min_cllr=0.75, cllr=1.25,
+                                          probe_speaker=0.5, probe_gender=0.875,
+                                          probe_accent=0.25)])
         with tempfile.TemporaryDirectory() as tmp:
             for write, read, payload in ((write_trials, read_trials, trials),
                                          (write_report_csv, read_report_csv, report)):
@@ -627,6 +649,18 @@ class TestFileFormats:
                     read(path)
                 except ValueError as exc:
                     assert str(exc).startswith(f"{path}: ")
+
+    def test_report_csv_layout(self, tmp_path):
+        report = MetricsReport([ReportRow(dataset="synth", enroll="o", trial="a", gender="f",
+                                          eer_pct=12.5, min_cllr=0.1, cllr=1.25,
+                                          probe_speaker=0.5, probe_gender=0.875,
+                                          probe_accent=0.25)])
+        path = tmp_path / "report.csv"
+        write_report_csv(report, path)
+        assert path.read_text() == (
+            "row,dataset,eer_pct,min_cllr,cllr,enroll,trial,gender,"
+            "probe_speaker,probe_gender,probe_accent\n"
+            "1,synth,12.5,0.10000000000000001,1.25,o,a,f,0.5,0.875,0.25\n")
 
     def test_table_layout(self):
         report = MetricsReport(rows=[])
