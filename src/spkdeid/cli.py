@@ -62,6 +62,7 @@ from .anonymize import (
     anonymize_corpus,
 )
 from .dataset import (
+    Corpus,
     CorpusSpec,
     decode_error,
     generate_corpus,
@@ -296,11 +297,15 @@ def _history_csv(history, path: Path) -> None:
                                 row.valid_speaker_acc)])
 
 
-def _train_once(cfg: RunConfig, lam: float, checkpoint: Path, history_path: Path):
-    out = _out_dir(cfg)
-    train_path, valid_path = out / "train.csv", out / "valid.csv"
-    train_corpus = read_corpus(train_path, "train")
-    valid_corpus = read_corpus(valid_path, "valid")
+def _read_splits(out: Path, names=("train", "valid", "test")
+                 ) -> tuple[list[Path], list[Corpus]]:
+    """The paths of the named split CSVs in ``out``, and their corpora."""
+    paths = [out / f"{name}.csv" for name in names]
+    return paths, [read_corpus(path, path.stem) for path in paths]
+
+
+def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: Corpus,
+                checkpoint: Path, history_path: Path):
     dims = desk_dims(train_corpus, hidden=cfg.model_hidden, latent=cfg.model_latent,
                      branch_hidden=cfg.model_branch_hidden)
     model = build_aan(dims, lam, seed=derive_seed(cfg.seed, "build"))
@@ -312,7 +317,7 @@ def _train_once(cfg: RunConfig, lam: float, checkpoint: Path, history_path: Path
                               f"lr={config.lr:g}); no checkpoint written")
     save_model(model, checkpoint)
     _history_csv(history, history_path)
-    return [train_path, valid_path], history
+    return history
 
 
 def cmd_train(cfg: RunConfig, lam_override: float | None) -> int:
@@ -320,7 +325,8 @@ def cmd_train(cfg: RunConfig, lam_override: float | None) -> int:
     out = _out_dir(cfg)
     lam = cfg.train.lam if lam_override is None else lam_override
     checkpoint, history_path = out / "model.aan", out / "history.csv"
-    inputs, history = _train_once(cfg, lam, checkpoint, history_path)
+    inputs, corpora = _read_splits(out, ("train", "valid"))
+    history = _train_once(cfg, lam, *corpora, checkpoint, history_path)
     last = history[-1]
     print(f"trained {len(history)} epochs (lambda={lam:g}): "
           f"valid recon loss {last.valid.recon:.5f}, "
@@ -331,9 +337,13 @@ def cmd_train(cfg: RunConfig, lam_override: float | None) -> int:
 
 
 def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
-                    pool_path: str | None, top_k: int | None,
-                    require_flags: bool) -> tuple[AnonymizationMethod, list[Path]]:
-    """The method, and the checkpoint and pool files it was built from."""
+                    pool_path: str | None, top_k: int | None, require_flags: bool,
+                    train: Corpus | None = None) -> tuple[AnonymizationMethod, list[Path]]:
+    """The method, and the checkpoint and pool files it was built from.
+
+    ``train``, the corpus of the out-dir's train.csv when the caller has
+    read it, is the pool when that file is the pool path.
+    """
     if kind not in METHOD_KINDS:
         raise ValueError(f"method must be one of {METHOD_KINDS}, got {kind!r}")
     out = Path(cfg.out_dir)
@@ -352,7 +362,8 @@ def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
             if require_flags:
                 raise ValueError(f"method {kind!r} requires --pool")
             pool_path = str(out / "train.csv")
-        pool = PseudoPool(read_corpus(pool_path).matrix())
+        reuse = train is not None and Path(pool_path) == out / "train.csv"
+        pool = PseudoPool((train if reuse else read_corpus(pool_path)).matrix())
         read.append(Path(pool_path))
     method = AnonymizationMethod(kind=kind, model=model, pool=pool,
                                  top_k=cfg.anonymize_top_k if top_k is None else top_k)
@@ -375,10 +386,10 @@ def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, suffix: str = ""):
+def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, splits: list[Corpus],
+                   suffix: str = ""):
     out = _out_dir(cfg)
-    split_paths = [out / f"{name}.csv" for name in ("train", "valid", "test")]
-    train_c, valid_c, test_c = (read_corpus(path, path.stem) for path in split_paths)
+    train_c, valid_c, test_c = splits
     # probe on the train split, enroll on the test split, score trial
     # utterances from the valid split
     original = (train_c, test_c, valid_c)
@@ -392,15 +403,16 @@ def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, suffix: str = ""
     write_trials(trials, trials_path)
     write_report_csv(report, report_csv)
     report_txt.write_text(format_report_table(report))
-    return report, split_paths, [trials_path, report_csv, report_txt]
+    return report, [trials_path, report_csv, report_txt]
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     kind = args.method or cfg.anonymize_method
+    inputs, splits = _read_splits(Path(cfg.out_dir))
     method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
-                                           require_flags=False)
-    report, inputs, outputs = _evaluate_once(cfg, method)
+                                           require_flags=False, train=splits[0])
+    report, outputs = _evaluate_once(cfg, method, splits)
     print(format_report_table(report), end="")
     write_manifest(cfg, "evaluate", list(dict.fromkeys(inputs + method_files)), outputs,
                    time.time() - started)
@@ -413,18 +425,18 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
     lambdas = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
     if not lambdas:
         raise ValueError("--lambdas must list at least one value")
-    inputs = [out / "train.csv", out / "valid.csv", out / "test.csv"]
+    inputs, splits = _read_splits(out)
     outputs = []
     summary_rows = []
     for lam in lambdas:
         tag = f"{lam:g}"
         checkpoint = out / f"model_lambda{tag}.aan"
         history_path = out / f"history_lambda{tag}.csv"
-        _, history = _train_once(cfg, lam, checkpoint, history_path)
+        history = _train_once(cfg, lam, *splits[:2], checkpoint, history_path)
         method, _ = _resolve_method(cfg, cfg.anonymize_method, str(checkpoint),
                                     str(out / "train.csv"), cfg.anonymize_top_k,
-                                    require_flags=False)
-        report, _, report_files = _evaluate_once(cfg, method, suffix=f"_lambda{tag}")
+                                    require_flags=False, train=splits[0])
+        report, report_files = _evaluate_once(cfg, method, splits, suffix=f"_lambda{tag}")
         last = history[-1]
         summary_rows.append([f"{lam:g}", f"{last.valid.recon:.17g}",
                              f"{last.valid_gender_acc:.17g}",

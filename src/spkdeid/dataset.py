@@ -12,8 +12,12 @@ A ``Corpus`` is stored by column: the utterance ids, one index array per
 label (speaker, gender, accent) into that label's sorted vocabulary, and
 one C-contiguous (N, dim) float64 matrix.  No per-row objects exist unless
 a caller asks for ``Corpus.embeddings``.  The CSV writer formats each row
-with one ``%`` operation and the reader parses a row's floats into one
-growing buffer, so neither holds more than a row of text at a time.
+with one ``%`` operation.  The reader streams a file's lines.  A file in
+the plain form, which the writer produces when no label needs quotes, has
+its vectors parsed by numpy's C text reader in one call; any other file is
+parsed row by row by a ``csv.reader`` and Python ``float``, with the same
+result and the same errors.  Neither holds more than a row of text at a
+time.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -327,11 +331,18 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 def read_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
     """Read a corpus CSV; the file does not carry the split tag, pass it in.
 
-    Every error names the path, and the line when it is about one.
+    A file in the plain form (see ``_read_plain``) has its vectors parsed by
+    numpy; any other file, and every malformed one, is read again from the
+    start by the ``csv.reader`` path, so both accept the same files with the
+    same result.  Every error names the path, and the line when it is about
+    one.
     """
     path = Path(path)
-    with csv_rows(path) as reader:
-        ids, labels, vectors, lines = _read_rows(path, reader)
+    parsed = _read_plain(path)
+    if parsed is None:
+        with csv_rows(path) as reader:
+            parsed = _read_rows(path, reader)
+    ids, labels, vectors, lines = parsed
     return _build(ids, labels, vectors, split_tag, lambda i: f"{path}: line {lines[i]}: ")
 
 
@@ -361,6 +372,57 @@ def csv_rows(path: str | Path):
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise decode_error(path, exc) from None
+
+
+# A row in the plain form: four labels without a comma, quote, CR, LF or
+# NUL, then the vector fields, made only of digits, ".", "e", "E", "+", "-"
+# and commas.  Over that alphabet numpy's parser accepts exactly the strings
+# ``float`` accepts, with the same bits; outside it numpy reads some that
+# ``float`` rejects ("31\x1c" as 31.0).
+_LABEL = '([^,"\r\n\0]*),'
+_PLAIN_ROW = re.compile(_LABEL * 4 + r"([0-9.eE+\-,]+)\n?")
+
+
+def _read_plain(path: Path):
+    """``_read_rows``' result for a file in the plain form, or None.
+
+    The plain form is the exact header, then only plain rows, each shorter
+    than ``csv.field_size_limit()``, with as many finite numbers as the
+    header has vector columns: the form ``write_corpus`` writes for labels
+    that need no quotes.  The csv reader splits such a row at its commas
+    alone, so its labels are the regex groups; the vector fields of all
+    rows are streamed into one ``np.loadtxt`` call.
+    """
+    limit = csv.field_size_limit()
+    fixed: list[tuple[str, ...]] = []
+
+    def tails(rows):
+        for row in rows:
+            match = len(row) < limit and _PLAIN_ROW.fullmatch(row)
+            if not match:
+                raise ValueError("not a plain row")
+            fixed.append(match.group(1, 2, 3, 4))
+            yield match[5]
+
+    try:
+        with path.open("r", newline="") as fh:
+            header = fh.readline()
+            dim = header.count(",") - 3
+            columns = FIXED_COLUMNS + [f"v{i}" for i in range(dim)]
+            if dim < 1 or header != ",".join(columns) + "\n":
+                return None
+            rows = tails(fh)
+            first = next(rows, None)  # no rows: loadtxt would warn
+            if first is None:
+                return None
+            vectors = np.loadtxt(chain([first], rows), dtype=np.float64, delimiter=",",
+                                 comments=None, quotechar=None, ndmin=2)
+    except (OSError, ValueError):  # also a bad number or field count, or undecodable bytes
+        return None
+    if vectors.shape != (len(fixed), dim) or not np.isfinite(vectors).all():
+        return None
+    ids, *labels = map(list, zip(*fixed))
+    return ids, labels, vectors, range(2, len(ids) + 2)
 
 
 def _read_rows(path: Path, reader):

@@ -282,8 +282,7 @@ class TestEvaluate:
         assert run_cli("report", out / "report.csv") == 0
         text = capsys.readouterr().out
         assert text.splitlines()[0].split()[:3] == ["#", "dataset", "EER,%"]
-        assert (out / "report.txt").read_text() in text + "\n" or True
-
+        assert text == (out / "report.txt").read_text()
 
     def test_report_command_takes_no_run_flags(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -320,6 +319,25 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "lambda"
         assert [r[0] for r in rows[1:]] == ["0", "8"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("evaluate", ["--method", "aan2"]),
+    ("sweep-lambda", ["--lambdas", "0,1"]),
+])
+def test_each_split_is_read_once(tiny_run, monkeypatch, command, extra):
+    config_path, out = tiny_run
+    run_cli("gen-data", "--config", config_path)
+    run_cli("train", "--config", config_path)
+    read = []
+
+    def counting_read(path, *args):
+        read.append(Path(path).name)
+        return read_corpus(path, *args)
+
+    monkeypatch.setattr("spkdeid.cli.read_corpus", counting_read)
+    assert run_cli(command, "--config", config_path, *extra) == 0
+    assert sorted(read) == ["test.csv", "train.csv", "valid.csv"]
 
 
 class TestGradcheck:

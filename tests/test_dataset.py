@@ -274,9 +274,17 @@ class TestReaderMatchesOracle:
         HEADER.rstrip("\n"),
         "",
         "utterance_id,speaker_id,gender,accent\nu1,s1,f,a\n",
+        HEADER + "u1,s1,f,a,1.5\x1c,2\n",
+        HEADER + "u1,s1,f,a,\u0661\u0662,2\n",
+        HEADER + "u1,s\x001,f,a,1,2\n",
+        HEADER + 'u1,s1,f,a,1.5,2\nu2,s1,f,a,3,4\n"u3",s1,f,a,5,6\n',
+        HEADER + "u1,s1,f,a,1.5,2\nu2,s2,m,a,3,4",
+        HEADER + "u1,s1,f,a,1.5,2\nu2,s1,f,a,nan,2\n",
     ], ids=["quoted-labels", "crlf", "blank-line", "trailing-blank-line", "spaces",
             "underscore", "nan", "inf", "nan-before-bad-float", "short-row", "long-row",
-            "quoted-float", "header-only", "header-no-newline", "empty-file", "no-vectors"])
+            "quoted-float", "header-only", "header-no-newline", "empty-file", "no-vectors",
+            "file-separator-after-number", "arabic-indic-digits", "nul-in-label",
+            "quoted-row-after-plain-rows", "last-line-no-newline", "nan-after-plain-rows"])
     def test_same_corpus_or_same_error(self, tmp_path, text):
         path = tmp_path / "corpus.csv"
         path.write_bytes(text.encode())
@@ -288,6 +296,33 @@ class TestReaderMatchesOracle:
             assert str(got.value) == str(exc)
         else:
             assert read_corpus(path, "test") == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.text(alphabet="0123456789.eE+-", max_size=8),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g")),
+        st.sampled_from(["-0", "5e-324", "2.2250738585072009e-308", "1e309"])),
+        min_size=1, max_size=3), min_size=1, max_size=3))
+    def test_vector_fields_same_bits_or_same_error(self, rows):
+        # the fields of the plain form: every one that numpy parses must get
+        # the bits ``float`` gives it, and every other must end as the oracle does
+        header = ",".join(["utterance_id,speaker_id,gender,accent"]
+                          + [f"v{j}" for j in range(len(rows[0]))])
+        text = header + "\n" + "".join(f"u{i},s1,f,a,{','.join(fields)}\n"
+                                        for i, fields in enumerate(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.csv"
+            path.write_text(text)
+            try:
+                expected = oracle_read(path)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    read_corpus(path)
+                assert str(got.value) == str(exc)
+            else:
+                got = read_corpus(path)
+                assert got == expected
+                assert got.vectors.tobytes() == expected.vectors.tobytes()
 
     def test_not_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "corpus.csv"
