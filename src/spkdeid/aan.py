@@ -23,10 +23,12 @@ the weights (C order) then the bias; the layers are views into it, filled
 by ``build_aan`` from the RNG or by ``load_model`` from the file.  Training
 updates, snapshots, restores and checkpoints it with one vector operation
 each.  Gradient storage exists only where a backward pass runs: ``train``
-binds one flat gradient vector to the layers (``neural.bind_gradients``),
-so a model built or loaded to anonymize or evaluate holds none.  Parameter
-names ("enc0.w", ...) exist only in ``parameters()`` and ``gradients()``,
-for tests and the gradient check.
+and ``aan_gradient_check`` bind one flat gradient vector to the layers
+(``neural.bind_gradients``), so a model built or loaded to anonymize or
+evaluate holds none.  Each layer list is one contiguous slice of ``flat``,
+and the gradient check perturbs that slice and reads the same slice of the
+gradient vector.  Parameter names ("enc0.w", ...) exist only in
+``parameters()``.
 
 Training computes only what it reads: the encoder's input gradient is never
 computed.  The per-epoch validation pass (``evaluate_model``) keeps no
@@ -50,9 +52,9 @@ from .neural import (
     AdamState,
     DenseLayer,
     DivergenceError,
-    Params,
     adam_step,
     bind_gradients,
+    check_lam,
     cross_entropy_and_accuracy,
     dense_backward,
     dense_forward,
@@ -132,22 +134,6 @@ def layer_table(d: AanDims) -> list[tuple[str, int, int, str]]:
     return table
 
 
-def _check_lam(lam: float) -> None:
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-
-
-def _named(model: AanModel, gradients: bool = False, groups=GROUPS) -> Params:
-    """Name -> the weights and bias (or their gradients) of the layers of
-    ``groups``, in checkpoint order."""
-    named: Params = {}
-    for attr, prefix in groups:
-        for i, layer in enumerate(getattr(model, attr)):
-            named[f"{prefix}{i}.w"] = layer.weight_grad if gradients else layer.weights
-            named[f"{prefix}{i}.b"] = layer.bias_grad if gradients else layer.bias
-    return named
-
-
 class AanModel:
     """The dims, ``lam`` and ``flat``; the layer lists (``encoder``, ...,
     ``speaker_head``) are views into ``flat``, laid out by ``layer_table``."""
@@ -169,18 +155,11 @@ class AanModel:
         """Every layer, in checkpoint order."""
         return [layer for attr, _ in GROUPS for layer in getattr(self, attr)]
 
-    def parameters(self) -> Params:
-        """Name -> view into ``flat``, in checkpoint order."""
-        return _named(self)
-
-    def gradients(self) -> Params:
-        """Name -> each layer's gradient array, named like ``parameters()``;
-        None for a layer that no backward pass has reached."""
-        return _named(self, gradients=True)
-
-    def group_params(self, group: str) -> Params:
-        """The parameters of one layer list ("encoder", ..., "speaker_head")."""
-        return _named(self, groups=[(group, dict(GROUPS)[group])])
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Name ("enc0.w", ...) -> view into ``flat``, in checkpoint order."""
+        return {f"{prefix}{i}.{kind}": array for attr, prefix in GROUPS
+                for i, layer in enumerate(getattr(self, attr))
+                for kind, array in (("w", layer.weights), ("b", layer.bias))}
 
     def snapshot(self) -> np.ndarray:
         """A copy of ``flat``."""
@@ -195,7 +174,7 @@ def build_aan(dims: AanDims, lam: float, seed: int,
     """Build an AAN (``layer_table``) with fresh parameters, deterministic
     under seed: one ``init_dense`` draw per layer, in checkpoint order."""
     dims.validate()
-    _check_lam(lam)
+    check_lam(lam)
     rng = np.random.default_rng(seed)
     layers = [init_dense(n_in, n_out, activation, rng, init_scale)
               for _, n_in, n_out, activation in layer_table(dims)]
@@ -316,7 +295,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        _check_lam(self.lam)
+        check_lam(self.lam)
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
@@ -458,7 +437,7 @@ def load_model(path: str | Path) -> AanModel:
         dims = AanDims(*dims_fields)
         try:
             dims.validate()
-            _check_lam(lam)
+            check_lam(lam)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         count = sum((n_in + 1) * n_out for _, n_in, n_out, _ in layer_table(dims))
@@ -476,81 +455,69 @@ def load_model(path: str | Path) -> AanModel:
     return AanModel(dims, lam, flat.astype(np.float64, copy=False))
 
 
-def relu_margin(model: AanModel, x: np.ndarray) -> tuple[float, bool]:
-    """(smallest |pre-activation|, all-units-alive flag) over ReLU layers.
-
-    Central differences straddle the ReLU kink when a pre-activation lies
-    within the perturbation window, and a unit that is dead for the whole
-    batch has an exactly-zero analytic weight gradient whose numeric
-    estimate is pure roundoff noise; gradient checks want a margin well
-    above eps and no fully-dead units.
-    """
-    caches = []
-    latent = _chain(model.encoder, np.asarray(x, dtype=np.float64), caches)
-    for attr, _ in GROUPS[1:]:
-        _chain(getattr(model, attr), latent, caches)
-    margin = np.inf
-    all_alive = True
-    for layer, cache in zip(model.layers(), caches):
-        if layer.activation == "relu":
-            margin = min(margin, float(np.abs(cache.pre).min()))
-            all_alive = all_alive and bool((cache.pre > 0).any(axis=0).all())
-    return margin, all_alive
+# The gradient check's perturbation, and the batch sampler's smallest ReLU
+# pre-activation magnitude and number of draws.  A perturbation of eps moves
+# a pre-activation by at most about eps (a bias), so 10x eps is margin enough.
+GRADCHECK_EPS = 1e-5
+GRADCHECK_MARGIN = 1e-4
+GRADCHECK_MAX_TRIES = 2000
 
 
-def sample_gradcheck_batch(model: AanModel, batch_size: int, seed: int,
-                           margin: float = 1e-4, max_tries: int = 2000):
+def sample_gradcheck_batch(model: AanModel, batch_size: int, seed: int):
     """Random (x, gender, accent, speaker) batch safe for finite differences.
 
-    Redraws until every ReLU pre-activation is at least ``margin`` from
-    zero (a perturbation of size eps moves a pre-activation by at most
-    about eps, the layer's own bias, so 10x the checking eps is enough)
-    and no ReLU unit is dead across the whole batch.  Deterministic under
-    seed.
+    Redraws until every ReLU pre-activation is at least ``GRADCHECK_MARGIN``
+    from zero, so no central difference straddles the kink, and no ReLU unit
+    is dead across the whole batch, whose exactly-zero analytic gradient
+    would meet a numeric estimate of pure roundoff.  Deterministic under seed.
     """
     rng = np.random.default_rng(seed)
     d = model.dims
-    for _ in range(max_tries):
+    for _ in range(GRADCHECK_MAX_TRIES):
         x = rng.standard_normal((batch_size, d.input_dim))
-        worst, all_alive = relu_margin(model, x)
-        if worst >= margin and all_alive:
+        caches = []
+        latent = _chain(model.encoder, x, caches)
+        for attr, _ in GROUPS[1:]:
+            _chain(getattr(model, attr), latent, caches)
+        relu_pre = [cache.pre for layer, cache in zip(model.layers(), caches)
+                    if layer.activation == "relu"]
+        if (min(np.abs(pre).min() for pre in relu_pre) >= GRADCHECK_MARGIN
+                and all((pre > 0).any(axis=0).all() for pre in relu_pre)):
             gender = rng.integers(0, d.n_genders, size=batch_size)
             accent = rng.integers(0, d.n_accents, size=batch_size)
             speaker = rng.integers(0, d.n_speakers, size=batch_size)
             return x, gender, accent, speaker
-    raise ValueError(f"could not sample a batch with ReLU margin >= {margin} "
-                     f"in {max_tries} tries")
+    raise ValueError(f"could not sample a batch with ReLU margin >= {GRADCHECK_MARGIN} "
+                     f"in {GRADCHECK_MAX_TRIES} tries")
 
 
 def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray,
-                       accent_labels: np.ndarray, speaker_labels: np.ndarray,
-                       eps: float = 1e-5) -> dict[str, float]:
+                       accent_labels: np.ndarray, speaker_labels: np.ndarray
+                       ) -> dict[str, float]:
     """Central-difference check of each parameter group's own objective.
 
     Encoder parameters are checked against recon_loss - lam * (sum of
     branch losses), the decoder against recon_loss, each head against its
-    own cross-entropy; the analytic side is what aan_loss_and_grads leaves
-    in the layers' gradient arrays.
-    Returns the max relative error per group.
+    own cross-entropy.  A group is one contiguous slice of ``flat``
+    (``layer_table`` order); the analytic side is the same slice of the
+    gradient vector that ``aan_loss_and_grads`` writes through the layers.
+    Returns the max relative error per group, in ``GROUPS`` order.
     """
-    lam = model.lam
-
-    def objective_for(group: str):
-        def loss_and_grads():
-            breakdown = aan_loss_and_grads(
-                model, x, gender_labels, accent_labels, speaker_labels)
-            if group == "encoder":
-                loss = breakdown.recon - lam * (breakdown.gender + breakdown.accent
-                                                + breakdown.speaker)
-            elif group == "decoder":
-                loss = breakdown.recon
-            else:
-                loss = getattr(breakdown, group.removesuffix("_head"))
-            return loss, model.gradients()
-        return loss_and_grads
-
+    objectives = {"encoder": lambda b: b.recon - model.lam * (b.gender + b.accent + b.speaker),
+                  "decoder": lambda b: b.recon, "gender_head": lambda b: b.gender,
+                  "accent_head": lambda b: b.accent, "speaker_head": lambda b: b.speaker}
+    grads = bind_gradients(model.layers())
     results = {}
-    for group in ("encoder", "decoder", "gender_head", "accent_head", "speaker_head"):
-        results[group] = finite_difference_check(
-            objective_for(group), model.group_params(group), eps=eps)
+    stop = 0
+    for attr, _ in GROUPS:
+        start = stop
+        stop += sum((n_in + 1) * n_out for group, n_in, n_out, _ in layer_table(model.dims)
+                    if group == attr)
+
+        def loss_and_grad(objective=objectives[attr], group=slice(start, stop)):
+            losses = aan_loss_and_grads(model, x, gender_labels, accent_labels, speaker_labels)
+            return objective(losses), grads[group]
+
+        results[attr] = finite_difference_check(
+            loss_and_grad, model.flat[start:stop], GRADCHECK_EPS)
     return results

@@ -338,12 +338,11 @@ def cmd_train(cfg: RunConfig, lam_override: float | None) -> int:
 
 def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
                     pool_path: str | None, top_k: int | None, require_flags: bool,
-                    train: Corpus | None = None) -> tuple[AnonymizationMethod, list[Path]]:
-    """The method, and the checkpoint and pool files it was built from.
-
-    ``train``, the corpus of the out-dir's train.csv when the caller has
-    read it, is the pool when that file is the pool path.
-    """
+                    corpus: Corpus, corpus_path: Path
+                    ) -> tuple[AnonymizationMethod, list[Path]]:
+    """The method, and the checkpoint and pool files it was built from,
+    checked against the dim of ``corpus``; that corpus, read from
+    ``corpus_path``, is the pool when that file is the pool path."""
     if kind not in METHOD_KINDS:
         raise ValueError(f"method must be one of {METHOD_KINDS}, got {kind!r}")
     out = Path(cfg.out_dir)
@@ -356,14 +355,20 @@ def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
                 raise ValueError(f"method {kind!r} requires --model")
             model_path = str(out / "model.aan")
         model = load_model(model_path)
+        if model.dims.input_dim != corpus.dim:
+            raise ValueError(f"{model_path}: model input_dim {model.dims.input_dim} does not "
+                             f"match the {corpus.dim}-dim corpus {corpus_path}")
         read.append(Path(model_path))
     if kind in ("baseline_farthest", "aan2"):
         if pool_path is None:
             if require_flags:
                 raise ValueError(f"method {kind!r} requires --pool")
             pool_path = str(out / "train.csv")
-        reuse = train is not None and Path(pool_path) == out / "train.csv"
-        pool = PseudoPool((train if reuse else read_corpus(pool_path)).matrix())
+        reuse = Path(pool_path) == corpus_path
+        pool = PseudoPool((corpus if reuse else read_corpus(pool_path)).matrix())
+        if pool.dim != corpus.dim:
+            raise ValueError(f"{pool_path}: pool dim {pool.dim} does not match the "
+                             f"{corpus.dim}-dim corpus {corpus_path}")
         read.append(Path(pool_path))
     method = AnonymizationMethod(kind=kind, model=model, pool=pool,
                                  top_k=cfg.anonymize_top_k if top_k is None else top_k)
@@ -374,9 +379,9 @@ def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     _out_dir(cfg)
     kind = args.method or cfg.anonymize_method
-    method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
-                                           require_flags=True)
     corpus = read_corpus(args.in_path)
+    method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
+                                           True, corpus, Path(args.in_path))
     anonymized = anonymize_corpus(corpus, method)
     out_path = Path(args.out_path)
     write_corpus(anonymized, out_path)
@@ -411,7 +416,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     kind = args.method or cfg.anonymize_method
     inputs, splits = _read_splits(Path(cfg.out_dir))
     method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
-                                           require_flags=False, train=splits[0])
+                                           False, splits[0], inputs[0])
     report, outputs = _evaluate_once(cfg, method, splits)
     print(format_report_table(report), end="")
     write_manifest(cfg, "evaluate", list(dict.fromkeys(inputs + method_files)), outputs,
@@ -422,28 +427,32 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     out = _out_dir(cfg)
-    lambdas = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
-    if not lambdas:
+    values = [v.strip() for v in args.lambdas.split(",") if v.strip() != ""]
+    if not values:
         raise ValueError("--lambdas must list at least one value")
+    lambdas = [float(v) for v in values]
+    tags = [f"{lam:g}" for lam in lambdas]
+    clashing = [f"{v} (lambda{tag})" for v, tag in zip(values, tags) if tags.count(tag) > 1]
+    if clashing:
+        raise ValueError(f"--lambdas values {', '.join(clashing)} name the same output files")
     inputs, splits = _read_splits(out)
     outputs = []
     summary_rows = []
-    for lam in lambdas:
-        tag = f"{lam:g}"
+    for lam, tag in zip(lambdas, tags):
         checkpoint = out / f"model_lambda{tag}.aan"
         history_path = out / f"history_lambda{tag}.csv"
         history = _train_once(cfg, lam, *splits[:2], checkpoint, history_path)
         method, _ = _resolve_method(cfg, cfg.anonymize_method, str(checkpoint),
                                     str(out / "train.csv"), cfg.anonymize_top_k,
-                                    require_flags=False, train=splits[0])
+                                    False, splits[0], inputs[0])
         report, report_files = _evaluate_once(cfg, method, splits, suffix=f"_lambda{tag}")
         last = history[-1]
-        summary_rows.append([f"{lam:g}", f"{last.valid.recon:.17g}",
+        summary_rows.append([tag, f"{last.valid.recon:.17g}",
                              f"{last.valid_gender_acc:.17g}",
                              f"{last.valid_accent_acc:.17g}",
                              f"{last.valid_speaker_acc:.17g}"])
         outputs.extend([checkpoint, history_path] + report_files)
-        print(f"lambda={lam:g}: valid recon loss {last.valid.recon:.5f}, "
+        print(f"lambda={tag}: valid recon loss {last.valid.recon:.5f}, "
               f"valid speaker acc {last.valid_speaker_acc:.3f}")
     summary_path = out / "sweep_summary.csv"
     with summary_path.open("w", newline="") as fh:
@@ -465,7 +474,7 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
                       init_scale=0.1)
     x, gender, accent, speaker = sample_gradcheck_batch(
         model, batch_size=4, seed=derive_seed(cfg.seed, "gradcheck"))
-    results = aan_gradient_check(model, x, gender, accent, speaker, eps=1e-5)
+    results = aan_gradient_check(model, x, gender, accent, speaker)
     worst = max(results.values())
     for group, err in results.items():
         print(f"{group}: max relative error {err:.3e}")

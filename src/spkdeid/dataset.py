@@ -165,13 +165,12 @@ class Corpus:
         return [Embedding(u, s, g, a, v) for u, s, g, a, v in
                 zip(self.utterance_ids, *self._label_columns(), self.vectors)]
 
-    def with_vectors(self, vectors: np.ndarray, split_tag: str | None = None) -> "Corpus":
+    def with_vectors(self, vectors: np.ndarray) -> "Corpus":
         """This corpus's ids and labels (shared) with ``vectors`` (not copied) as its matrix."""
         if vectors.shape != (len(self), self.dim):
             raise ValueError(
                 f"vectors shape {vectors.shape} does not match corpus ({len(self)}, {self.dim})")
-        return dataclasses.replace(self, vectors=np.ascontiguousarray(vectors, dtype=np.float64),
-                                   split_tag=self.split_tag if split_tag is None else split_tag)
+        return dataclasses.replace(self, vectors=np.ascontiguousarray(vectors, dtype=np.float64))
 
     def _take(self, rows: np.ndarray, split_tag: str) -> "Corpus":
         return dataclasses.replace(

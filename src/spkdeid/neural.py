@@ -1,5 +1,6 @@
 """Dense-network numerical kernel: forward/backward passes, losses,
-gradient reversal, optimizers, and a finite-difference gradient checker.
+gradient reversal, optimizers, and a finite-difference gradient checker
+over a flat parameter vector.
 
 Plain numpy, float64 end to end.  Arrays follow the (batch, features)
 convention.  Every backward pass is an exact analytic derivative of its
@@ -11,7 +12,8 @@ them into the layer's ``weight_grad`` and ``bias_grad``, allocating those
 on a bare layer's first call, and skips the input gradient when nothing
 reads it.  ``bind_gradients`` rebinds the gradient arrays of a layer list
 as views of one flat vector and ``flatten`` does the same for the
-parameters, so a model is trained by one ``adam_step`` on two flat arrays.
+parameters, so a model is trained by one ``adam_step`` on two flat arrays
+and checked by ``finite_difference_check`` on slices of the same two.
 ``adam_step`` updates the parameters and moments in place through ufunc
 ``out=`` calls on scratch arrays held by its ``AdamState``, so the update
 allocates nothing.  For a pass without gradients,
@@ -225,10 +227,15 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient reversal layer backward pass: -lam * upstream."""
+def check_lam(lam: float) -> None:
+    """Reject a gradient-reversal weight that is not finite and >= 0."""
     if not np.isfinite(lam) or lam < 0:
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+
+
+def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
+    """Gradient reversal layer backward pass: -lam * upstream."""
+    check_lam(lam)
     return -lam * np.asarray(upstream, dtype=np.float64)
 
 
@@ -299,37 +306,30 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
     params -= lr * grads
 
 
-Params = dict[str, np.ndarray]
-LossAndGradsFn = Callable[[], tuple[float, Params]]
-
-
-def finite_difference_check(loss_and_grads: LossAndGradsFn, params: Params,
-                            eps: float = 1e-5) -> float:
+def finite_difference_check(loss_and_grad: Callable[[], tuple[float, np.ndarray]],
+                            params: np.ndarray, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``loss_and_grads`` evaluates the scalar objective at the current
-    parameter values and returns (loss, analytic gradients by name); the
-    gradients are copied before any perturbed evaluation, which only uses
-    the loss, so they may live in buffers that the next call overwrites.
-    Parameters are perturbed in place and restored.  Relative error uses
+    ``params`` is a 1-d writable view of the parameters, perturbed in place
+    one element at a time and restored.  ``loss_and_grad`` evaluates the
+    scalar objective at the current parameter values and returns (loss,
+    analytic gradient shaped like ``params``); the gradient is copied before
+    any perturbed evaluation, which only uses the loss, so it may be a view
+    of a buffer that the next call overwrites.  Relative error uses
     max(|analytic|, |numeric|, 1e-8) as the denominator.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _, grads = loss_and_grads()
-    analytic = {name: grads[name].copy() for name in params}
+    analytic = np.array(loss_and_grad()[1], dtype=np.float64)
     worst = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            loss_plus, _ = loss_and_grads()
-            flat[i] = orig - eps
-            loss_minus, _ = loss_and_grads()
-            flat[i] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            rel = abs(grad_flat[i] - numeric) / max(abs(grad_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + eps
+        loss_plus, _ = loss_and_grad()
+        params[i] = orig - eps
+        loss_minus, _ = loss_and_grad()
+        params[i] = orig
+        numeric = (loss_plus - loss_minus) / (2.0 * eps)
+        rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, rel)
     return worst

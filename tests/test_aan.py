@@ -48,6 +48,14 @@ def tiny_batch(model, seed=0, batch=4):
     return sample_gradcheck_batch(model, batch_size=batch, seed=seed)
 
 
+def gradients(model):
+    """Name -> each layer's gradient array, named like ``parameters()``;
+    None for a layer that no backward pass has reached."""
+    return {f"{prefix}{i}.{kind}": grad for attr, prefix in GROUPS
+            for i, layer in enumerate(getattr(model, attr))
+            for kind, grad in (("w", layer.weight_grad), ("b", layer.bias_grad))}
+
+
 def zero_out(model):
     for p in model.parameters().values():
         p[...] = 0.0
@@ -112,7 +120,7 @@ class TestLossAndGrads:
         model = tiny_model(lam=0.0)
         x, g, a, s = tiny_batch(model)
         aan_loss_and_grads(model, x, g, a, s)
-        grads = model.gradients()
+        grads = gradients(model)
 
         h1 = np.tanh(x @ model.encoder[0].weights.T + model.encoder[0].bias)
         latent = np.tanh(h1 @ model.encoder[1].weights.T + model.encoder[1].bias)
@@ -142,10 +150,25 @@ class TestLossAndGrads:
     def test_gradient_check_all_groups(self):
         model = tiny_model(lam=8.0, seed=1)
         x, g, a, s = tiny_batch(model, seed=0)
-        results = aan_gradient_check(model, x, g, a, s, eps=1e-5)
+        results = aan_gradient_check(model, x, g, a, s)
         assert set(results) == {"encoder", "decoder", "gender_head",
                                 "accent_head", "speaker_head"}
         assert max(results.values()) < 1e-4
+
+    @pytest.mark.parametrize("seed", [1, 5, 8])
+    def test_gradient_check_matches_per_array_oracle(self, seed):
+        # the flat-slice check perturbs the same elements in the same order
+        # as a walk over name-keyed arrays, so the errors agree bit for bit
+        # (compared with the oracle, not pinned, since roundoff follows the BLAS)
+        model = tiny_model(seed=seed)
+        x, g, a, s = tiny_batch(model, seed=seed)
+        before = model.flat.copy()
+        results = aan_gradient_check(model, x, g, a, s)
+        expected = oracle_gradient_check(tiny_model(seed=seed), x, g, a, s)
+        assert list(results) == list(expected) == [attr for attr, _ in GROUPS]
+        assert [float(v).hex() for v in results.values()] == \
+            [float(v).hex() for v in expected.values()]
+        assert model.flat.tobytes() == before.tobytes()
 
     def test_out_of_range_labels_rejected(self):
         model = tiny_model()
@@ -164,12 +187,12 @@ class TestGradientBuffer:
         flat_grad[...] = np.nan
         assert aan_loss_and_grads(model, x, g, a, s) == expected
         assert flat_grad.tobytes() == np.concatenate(
-            [grad.ravel() for grad in ref.gradients().values()]).tobytes()
-        grads = model.gradients()
+            [grad.ravel() for grad in gradients(ref).values()]).tobytes()
+        grads = gradients(model)
         assert list(grads) == list(model.parameters())
         for name, grad in grads.items():
             assert np.shares_memory(grad, flat_grad)
-            assert not np.shares_memory(ref.gradients()[name], flat_grad)
+            assert not np.shares_memory(gradients(ref)[name], flat_grad)
 
     def test_forward_only_models_hold_no_gradients(self, tmp_path):
         model = tiny_model()
@@ -180,7 +203,7 @@ class TestGradientBuffer:
         evaluate_model(loaded, x, g, a, s)
         for m in (model, loaded):
             assert not hasattr(m, "grad")
-            assert all(grad is None for grad in m.gradients().values())
+            assert all(grad is None for grad in gradients(m).values())
 
 
 def reference_evaluate(model, x, g, a, s):
@@ -460,15 +483,17 @@ class TestFlatParameters:
         start = sum(sizes[:list(model.parameters()).index("gender1.b")])
         assert np.array_equal(model.snapshot()[start:start + 2], [7.0, -7.0])
 
-    def test_group_params_partition_parameters(self):
+    def test_groups_are_contiguous_slices_of_flat_in_groups_order(self):
+        # the gradient check perturbs each group as one slice of flat
         model = tiny_model()
-        merged = {}
+        stop = 0
         for attr, _ in GROUPS:
-            merged.update(model.group_params(attr))
-        params = model.parameters()
-        assert list(merged) == list(params)
-        for name, p in params.items():
-            assert np.shares_memory(merged[name], p)
+            for layer in getattr(model, attr):
+                for array in (layer.weights, layer.bias):
+                    start, stop = stop, stop + array.size
+                    assert np.shares_memory(array, model.flat[start:stop])
+                    assert array.ravel().tobytes() == model.flat[start:stop].tobytes()
+        assert stop == model.flat.size
 
     def test_snapshot_restore_round_trip(self):
         model = tiny_model()
@@ -609,7 +634,7 @@ class LayerListModel:
     """The AAN with separate arrays per layer and no flat vector."""
 
     parameters = AanModel.parameters
-    gradients = AanModel.gradients
+    gradients = gradients
 
     def __init__(self, model: AanModel):
         for attr, _ in GROUPS:
@@ -618,6 +643,42 @@ class LayerListModel:
                                  for layer in getattr(model, attr)])
         self.lam = model.lam
         self.dims = model.dims
+
+
+def oracle_gradient_check(model, x, g, a, s, eps=1e-5):
+    """The gradient check over name-keyed arrays: per group, per array, per
+    element, with the analytic side read from each layer's own arrays."""
+    objectives = {"encoder": lambda b: b.recon - model.lam * (b.gender + b.accent + b.speaker),
+                  "decoder": lambda b: b.recon, "gender_head": lambda b: b.gender,
+                  "accent_head": lambda b: b.accent, "speaker_head": lambda b: b.speaker}
+    results = {}
+    for attr, prefix in GROUPS:
+        params = {f"{prefix}{i}.{kind}": array
+                  for i, layer in enumerate(getattr(model, attr))
+                  for kind, array in (("w", layer.weights), ("b", layer.bias))}
+
+        def loss_and_grads():
+            losses = aan_loss_and_grads(model, x, g, a, s)
+            return objectives[attr](losses), gradients(model)
+
+        _, grads = loss_and_grads()
+        analytic = {name: grads[name].copy() for name in params}
+        worst = 0.0
+        for name, p in params.items():
+            flat = p.reshape(-1)
+            grad_flat = analytic[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                loss_plus, _ = loss_and_grads()
+                flat[i] = orig - eps
+                loss_minus, _ = loss_and_grads()
+                flat[i] = orig
+                numeric = (loss_plus - loss_minus) / (2.0 * eps)
+                rel = abs(grad_flat[i] - numeric) / max(abs(grad_flat[i]), abs(numeric), 1e-8)
+                worst = max(worst, rel)
+        results[attr] = worst
+    return results
 
 
 def reference_train(model, train_c, valid_c, config):

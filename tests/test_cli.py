@@ -320,6 +320,18 @@ class TestSweep:
         assert rows[0][0] == "lambda"
         assert [r[0] for r in rows[1:]] == ["0", "8"]
 
+    @pytest.mark.parametrize("lambdas", ["1,1.0", "1.0000001,1.0000002,3"])
+    def test_lambdas_sharing_a_file_tag_train_nothing(self, tiny_run, capsys, lambdas):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        capsys.readouterr()
+        assert run_cli("sweep-lambda", "--config", config_path, "--lambdas", lambdas) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --lambdas")
+        clashing = lambdas.split(",")[:2]
+        assert all(f"{v} (lambda1)" in err[0] for v in clashing) and "3" not in err[0]
+        assert list(out.glob("*lambda*")) == [] and not (out / "sweep_summary.csv").exists()
+
 
 @pytest.mark.parametrize("command, extra", [
     ("evaluate", ["--method", "aan2"]),
@@ -338,6 +350,32 @@ def test_each_split_is_read_once(tiny_run, monkeypatch, command, extra):
     monkeypatch.setattr("spkdeid.cli.read_corpus", counting_read)
     assert run_cli(command, "--config", config_path, *extra) == 0
     assert sorted(read) == ["test.csv", "train.csv", "valid.csv"]
+
+
+@pytest.mark.parametrize("command", ["anonymize", "evaluate"])
+@pytest.mark.parametrize("method, flag", [("aan1", "--model"), ("baseline_farthest", "--pool")])
+def test_dim_mismatch_names_the_files(tiny_run, tmp_path, capsys, command, method, flag):
+    # a checkpoint and a pool from a 12-dim run, used on the 8-dim run's corpus
+    config_path, out = tiny_run
+    other_config = tmp_path / "other.json"
+    other = tmp_path / "other"
+    config = dict(TINY_CONFIG, out_dir=str(other))
+    config["corpus"] = dict(config["corpus"], dim=12)
+    other_config.write_text(json.dumps(config))
+    for config_file in (config_path, other_config):
+        run_cli("gen-data", "--config", config_file)
+    run_cli("train", "--config", other_config)
+    source = other / ("model.aan" if flag == "--model" else "train.csv")
+    corpus = out / ("test.csv" if command == "anonymize" else "train.csv")
+    io_flags = (["--in", out / "test.csv", "--out", out / "anon.csv"]
+                if command == "anonymize" else [])
+    capsys.readouterr()
+    assert run_cli(command, "--config", config_path, "--method", method,
+                   flag, source, *io_flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {source}: ")
+    assert f"8-dim corpus {corpus}" in err[0] and "12" in err[0]
+    assert not (out / "anon.csv").exists() and not (out / "report.csv").exists()
 
 
 class TestGradcheck:

@@ -341,15 +341,36 @@ class TestFiniteDifferenceCheck:
         x = np.random.default_rng(1).normal(size=(4, 3))
         target = np.random.default_rng(2).normal(size=(4, 2))
 
-        def loss_and_grads():
+        params, grads = flatten([layer])
+
+        def loss_and_grad():
             out, cache = dense_forward(layer, x)
             loss, d_out = mse_loss(out, target)
-            _, dw, db = dense_backward(layer, cache, d_out)
-            return loss, {"w": dw, "b": db}
+            dense_backward(layer, cache, d_out)
+            return loss, grads
 
-        err = finite_difference_check(
-            loss_and_grads, {"w": layer.weights, "b": layer.bias})
-        assert err < 1e-9
+        before = params.copy()
+        assert finite_difference_check(loss_and_grad, params) < 1e-9
+        assert params.tobytes() == before.tobytes()
+
+    def test_a_slice_is_checked_against_its_gradient_slice(self):
+        # the bias slice of one layer, as the AAN checks each layer group
+        layer = init_dense(3, 2, "tanh", np.random.default_rng(3), scale=0.5)
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        params, grads = flatten([layer])
+
+        def loss_and_grad():
+            out, cache = dense_forward(layer, x)
+            loss, d_out = mse_loss(out, np.zeros_like(out))
+            dense_backward(layer, cache, d_out)
+            return loss, grads[6:]
+
+        assert finite_difference_check(loss_and_grad, params[6:]) < 1e-8
+
+        def misaligned():  # the bias slice against the weights' gradient
+            return loss_and_grad()[0], grads[:2]
+
+        assert finite_difference_check(misaligned, params[6:]) > 0.1
 
     def test_gradients_in_a_reused_buffer(self):
         # f(p) = sum((p - c)^2) writes its gradient into one array that every
@@ -358,15 +379,15 @@ class TestFiniteDifferenceCheck:
         p = np.array([1.5, 0.25, -0.75])
         buffer = np.empty(3)
 
-        def loss_and_grads():
+        def loss_and_grad():
             np.multiply(2.0, p - c, out=buffer)
-            return float(((p - c) ** 2).sum()), {"p": buffer}
+            return float(((p - c) ** 2).sum()), buffer
 
-        assert finite_difference_check(loss_and_grads, {"p": p}) < 1e-9
+        assert finite_difference_check(loss_and_grad, p) < 1e-9
 
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError, match="eps must be positive"):
-            finite_difference_check(lambda: (0.0, {}), {}, eps=0.0)
+            finite_difference_check(lambda: (0.0, np.empty(0)), np.empty(0), eps=0.0)
 
 
 class TestFlatten:
