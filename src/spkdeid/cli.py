@@ -299,9 +299,15 @@ def _history_csv(history, path: Path) -> None:
 
 def _read_splits(out: Path, names=("train", "valid", "test")
                  ) -> tuple[list[Path], list[Corpus]]:
-    """The paths of the named split CSVs in ``out``, and their corpora."""
+    """The paths of the named split CSVs in ``out``, and their corpora, which
+    must all have the first one's dim."""
     paths = [out / f"{name}.csv" for name in names]
-    return paths, [read_corpus(path, path.stem) for path in paths]
+    corpora = [read_corpus(path, path.stem) for path in paths]
+    for path, corpus in zip(paths[1:], corpora[1:]):
+        if corpus.dim != corpora[0].dim:
+            raise ValueError(f"{path}: corpus dim {corpus.dim} does not match the "
+                             f"{corpora[0].dim}-dim corpus {paths[0]}")
+    return paths, corpora
 
 
 def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: Corpus,

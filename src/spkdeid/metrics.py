@@ -44,6 +44,16 @@ Conventions:
 
 EER and minCllr are invariant under strictly increasing transforms of the
 scores; Cllr is not (it reads the raw score values as LLRs).
+
+Probes: ``probe_attack`` takes (train, test) corpus pairs for one attribute
+and trains their probes as one stack, full batch, from one shared init.
+``evaluate_conditions`` passes the original and the anonymized pair, so an
+attribute costs one call.  Each epoch is one stacked matmul per direction,
+reductions over the class axis and one Adam step over the stack's flat
+parameter vector, in the operation order of ``dense_forward``,
+``softmax_cross_entropy`` and ``dense_backward``; each probe comes out
+bit-identical to one trained on its own.  The loss is never computed,
+because nothing reads it.
 """
 
 from __future__ import annotations
@@ -57,16 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Corpus, csv_rows
-from .neural import (
-    AdamState,
-    DenseLayer,
-    adam_step,
-    dense_backward,
-    dense_forward,
-    flatten,
-    init_dense,
-    softmax_cross_entropy,
-)
+from .neural import AdamState, adam_step, init_dense
 
 LOG2 = np.log(2.0)
 POSTERIOR_CLIP = 1e-12
@@ -378,50 +379,102 @@ def compute_min_cllr(scored: ScoredTrials) -> float:
 PROBE_ATTRIBUTES = ("speaker", "gender", "accent")
 
 
-def probe_attack(train_corpus: Corpus, test_corpus: Corpus, attribute: str,
-                 seed: int, epochs: int = 400, lr: float = 0.05) -> float:
-    """Top-1 accuracy of a linear softmax probe for one attribute.
+def probe_attack(pairs: list[tuple[Corpus, Corpus]], attribute: str, seed: int,
+                 epochs: int = 400, lr: float = 0.05) -> list[float]:
+    """Top-1 accuracy of a linear softmax probe for one attribute, per
+    (train corpus, test corpus) pair.
 
-    The probe trains full-batch on the train corpus vectors and is scored
-    on the test corpus; deterministic under seed.  Higher accuracy means
-    more residual attribute information in the embeddings.
+    Each probe trains full-batch on its train corpus vectors, every one from
+    the same init drawn under seed, and is scored on its test corpus.  The
+    train corpora must agree in row count, dim and class count, because
+    the probes train as one stack.  Higher accuracy means more residual
+    attribute information in the embeddings.
     """
     if attribute not in PROBE_ATTRIBUTES:
         raise ValueError(f"attribute must be one of {PROBE_ATTRIBUTES}, got {attribute!r}")
-    vocab = getattr(train_corpus, f"{attribute}_vocab")
-    if getattr(test_corpus, f"{attribute}_vocab") != vocab:
-        raise ValueError("train and test corpora must share vocabularies")
-    n_classes = len(vocab)
+    vocab = f"{attribute}_vocab"
+    for train_corpus, test_corpus in pairs:
+        if getattr(test_corpus, vocab) != getattr(train_corpus, vocab):
+            raise ValueError("train and test corpora must share vocabularies")
+        if test_corpus.dim != train_corpus.dim:
+            raise ValueError(f"test corpus dim {test_corpus.dim} != train corpus dim "
+                             f"{train_corpus.dim}")
+    for what, size in (("row count", len), ("dim", lambda corpus: corpus.dim),
+                       ("class count", lambda corpus: len(getattr(corpus, vocab)))):
+        values = [size(train_corpus) for train_corpus, _ in pairs]
+        if len(set(values)) > 1:
+            raise ValueError(f"probe pairs differ in {what}: {values}")
+    n_classes = len(getattr(pairs[0][0], vocab))
     if n_classes < 2:
         raise ValueError(f"attribute {attribute!r} has {n_classes} class; probe needs >= 2")
     index = {"gender": 0, "accent": 1, "speaker": 2}[attribute]
-    x_train = train_corpus.matrix()
-    y_train = train_corpus.label_indices()[index]
-    x_test = test_corpus.matrix()
-    y_test = test_corpus.label_indices()[index]
-
-    layer = _train_probe(x_train, y_train, n_classes, seed, epochs, lr)
-    test_logits, _ = dense_forward(layer, x_test)
-    return float((test_logits.argmax(axis=1) == y_test).mean())
+    x = np.stack([train.matrix() for train, _ in pairs])
+    labels = np.stack([train.label_indices()[index] for train, _ in pairs])
+    weights, bias = _train_probe(x, labels, n_classes, seed, epochs, lr)
+    accuracies = []
+    for w, b, (_, test_corpus) in zip(weights, bias, pairs):
+        logits = test_corpus.matrix() @ w.T
+        logits += b
+        accuracies.append(float((logits.argmax(axis=1)
+                                 == test_corpus.label_indices()[index]).mean()))
+    return accuracies
 
 
 def _train_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, seed: int,
-                 epochs: int, lr: float) -> DenseLayer:
-    """Full-batch Adam training of a linear softmax layer.
+                 epochs: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch Adam training of a stack of linear softmax layers.
 
-    The weights and the bias live in one flat vector that Adam updates in
-    one call, and each step's gradients land in one flat gradient vector
-    (``flatten``); the input gradient is never computed.
+    ``x`` is (s, n, d) and ``labels`` (s, n).  Every slice starts from one
+    ``init_dense`` draw; returns the trained (s, k, d) weights and (s, k)
+    biases.  Slice i holds ``k * d`` weights then ``k`` biases of one flat
+    vector that Adam updates in one call, and its gradients land in the
+    same places of one flat gradient vector.  Each epoch repeats the
+    operations of ``dense_forward``, ``softmax_cross_entropy`` and
+    ``dense_backward`` in their order, stacked, so each slice gets the bits
+    of a probe trained on its own; the loss and the input gradient are not
+    computed.
     """
-    layer = init_dense(x.shape[1], n_classes, "linear", np.random.default_rng(seed))
-    params, grads = flatten([layer])
+    s, n, d = x.shape
+    k = n_classes
+    if labels.shape != (s, n) or labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"labels must be an ({s}, {n}) array of classes in [0, {k})")
+    layer = init_dense(d, k, "linear", np.random.default_rng(seed))
+    params = np.tile(np.concatenate([layer.weights.ravel(), layer.bias]), s)
+    grads = np.empty_like(params)
+
+    def split(flat):  # (s, k, d) weights and (s, k) bias views of a flat vector
+        rows = flat.reshape(s, k * d + k)
+        return rows[:, :k * d].reshape(s, k, d), rows[:, k * d:]
+
+    weights, bias = split(params)
+    weight_grad, bias_grad = split(grads)
+    one_hot = np.arange(s * n) * k + labels.ravel()
+    z = np.empty((s, n, k))  # logits, then log-probabilities, then their gradient
+    flat_z = z.reshape(-1)
+    row = np.empty((s, n, 1))
+    scratch = np.empty(z.size)
+    by_class, exp_z = scratch.reshape(s, k, n), scratch.reshape(s, n, k)
     state = AdamState.for_params(params)
     for _ in range(epochs):
-        logits, cache = dense_forward(layer, x)
-        _, d_logits = softmax_cross_entropy(logits, labels)
-        dense_backward(layer, cache, d_logits, input_grad=False)
+        np.matmul(x, weights.transpose(0, 2, 1), out=z)
+        z += bias[:, None, :]
+        # the row max, which is exact in any order, over a class-major copy:
+        # numpy reduces a short last axis one row at a time
+        np.copyto(by_class, z.transpose(0, 2, 1))
+        by_class.max(axis=1, out=row.reshape(s, n))
+        z -= row
+        np.exp(z, out=exp_z)
+        # on the last axis, as in softmax_cross_entropy: the same pairwise order
+        exp_z.sum(axis=2, keepdims=True, out=row)
+        np.log(row, out=row)
+        z -= row
+        np.exp(z, out=z)
+        flat_z[one_hot] -= 1.0
+        z /= n
+        np.matmul(z.transpose(0, 2, 1), x, out=weight_grad)
+        z.sum(axis=1, out=bias_grad)
         adam_step(params, grads, state, lr=lr)
-    return layer
+    return weights, bias
 
 
 def _column(header: str):
@@ -472,10 +525,9 @@ def evaluate_conditions(original: tuple[Corpus, Corpus, Corpus],
     anonymized-corpus probes.
     """
     corpora = {"o": original, "a": anonymized}
-    probes = {condition: {attribute: probe_attack(train, trial, attribute,
-                                                  seed=seed + 1 + i)
-                          for i, attribute in enumerate(PROBE_ATTRIBUTES)}
-              for condition, (train, _, trial) in corpora.items()}
+    pairs = [(train, trial) for train, _, trial in corpora.values()]
+    probes = {attribute: dict(zip(corpora, probe_attack(pairs, attribute, seed=seed + 1 + i)))
+              for i, attribute in enumerate(PROBE_ATTRIBUTES)}
 
     genders = sorted(original[2].gender_vocab)
     rows: list[ReportRow] = []
@@ -492,9 +544,9 @@ def evaluate_conditions(original: tuple[Corpus, Corpus, Corpus],
                 eer_pct=100.0 * compute_eer(subset),
                 min_cllr=compute_min_cllr(subset),
                 cllr=compute_cllr(subset),
-                probe_speaker=probes[trial_cond]["speaker"],
-                probe_gender=probes[trial_cond]["gender"],
-                probe_accent=probes[trial_cond]["accent"],
+                probe_speaker=probes["speaker"][trial_cond],
+                probe_gender=probes["gender"][trial_cond],
+                probe_accent=probes["accent"][trial_cond],
             ))
     return MetricsReport(rows)
 

@@ -11,9 +11,10 @@ Gradients exist only where a backward pass runs: ``dense_backward`` writes
 them into the layer's ``weight_grad`` and ``bias_grad``, allocating those
 on a bare layer's first call, and skips the input gradient when nothing
 reads it.  ``bind_gradients`` rebinds the gradient arrays of a layer list
-as views of one flat vector and ``flatten`` does the same for the
-parameters, so a model is trained by one ``adam_step`` on two flat arrays
-and checked by ``finite_difference_check`` on slices of the same two.
+as views of one flat vector, laid out as a model whose layers are views of
+one flat parameter vector (``aan.AanModel.flat``) lays out its parameters,
+so the model is trained by one ``adam_step`` on two flat arrays and checked
+by ``finite_difference_check`` on slices of the same two.
 ``adam_step`` updates the parameters and moments in place through ufunc
 ``out=`` calls on scratch arrays held by its ``AdamState``, so the update
 allocates nothing.  For a pass without gradients,
@@ -148,16 +149,6 @@ def bind_gradients(layers: list[DenseLayer]) -> np.ndarray:
     grads = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
     _rebind(layers, grads, ("weight_grad", "bias_grad"))
     return grads
-
-
-def flatten(layers: list[DenseLayer]) -> tuple[np.ndarray, np.ndarray]:
-    """Move the layers' parameters into one float64 vector, rebinding their
-    ``weights`` and ``bias`` as views; returns it with ``bind_gradients``'s
-    gradient vector, which has the same layout."""
-    params = np.concatenate([a.ravel() for layer in layers
-                             for a in (layer.weights, layer.bias)], dtype=np.float64)
-    _rebind(layers, params, ("weights", "bias"))
-    return params, bind_gradients(layers)
 
 
 def _checked_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -191,8 +191,7 @@ def test_criterion_5_deidentification_direction(desk_splits, desk_run):
     assert aa2 >= oo + 15.0  # (c)
 
     anon_train = anonymize_corpus(train_c, aan1)
-    probes = {attr: (probe_attack(train_c, test_c, attr, seed=3),
-                     probe_attack(anon_train, anon_test, attr, seed=3))
+    probes = {attr: probe_attack([(train_c, test_c), (anon_train, anon_test)], attr, seed=3)
               for attr in ("speaker", "gender", "accent")}
     assert probes["speaker"][1] <= 0.25 * probes["speaker"][0]  # (d)
     assert probes["gender"][1] < probes["gender"][0]

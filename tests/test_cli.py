@@ -273,6 +273,15 @@ class TestEvaluate:
         assert digest(out / "trials.csv") == \
             "6b6c70534599ab551c6cedae4e61fafba38d79eb857f6df64a48bfab6cb10a46"
 
+    def test_report_bytes_pinned(self, tiny_run):
+        # sha256 of the tiny config's identity report.csv, computed before the
+        # probes of a pair were trained as one stack
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 0
+        assert digest(out / "report.csv") == \
+            "0825d4b4bd26cd022240d8c32fe332bb4aa1150421a5bf9f02fcc4b4515f6339"
+
     def test_report_command_renders_table(self, tiny_run, capsys):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
@@ -350,6 +359,26 @@ def test_each_split_is_read_once(tiny_run, monkeypatch, command, extra):
     monkeypatch.setattr("spkdeid.cli.read_corpus", counting_read)
     assert run_cli(command, "--config", config_path, *extra) == 0
     assert sorted(read) == ["test.csv", "train.csv", "valid.csv"]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_split_dim_mismatch_names_the_file(tiny_run, tmp_path, capsys, command):
+    # a 6-dim valid.csv from another run in the 8-dim run's out-dir
+    config_path, out = tiny_run
+    other_config = tmp_path / "other.json"
+    config = dict(TINY_CONFIG, out_dir=str(tmp_path / "other"))
+    config["corpus"] = dict(config["corpus"], dim=6)
+    other_config.write_text(json.dumps(config))
+    for config_file in (config_path, other_config):
+        run_cli("gen-data", "--config", config_file)
+    (out / "valid.csv").write_bytes((tmp_path / "other" / "valid.csv").read_bytes())
+    capsys.readouterr()
+    extra = ["--method", "identity"] if command == "evaluate" else []
+    assert run_cli(command, "--config", config_path, *extra) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {out / 'valid.csv'}: corpus dim 6 does not match the "
+                   f"8-dim corpus {out / 'train.csv'}"]
+    assert not (out / "model.aan").exists() and not (out / "report.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["anonymize", "evaluate"])

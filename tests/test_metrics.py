@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tempfile
 import tracemalloc
@@ -478,23 +479,61 @@ def reference_probe(train_c, test_c, attribute, seed, epochs, lr):
     return accuracy, layer
 
 
+def probe_pairs():
+    """Two (train, test) pairs with the same ids and labels and different
+    vectors, as the original and anonymized sides of an evaluation."""
+    train_c, test_c = trial_corpora()
+    warp = np.random.default_rng(21).normal(size=(train_c.dim, train_c.dim))
+    return [(train_c, test_c),
+            (train_c.with_vectors(np.tanh(train_c.matrix() @ warp)),
+             test_c.with_vectors(np.tanh(test_c.matrix() @ warp)))]
+
+
 class TestProbe:
     @pytest.mark.parametrize("attribute", ["speaker", "gender", "accent"])
     def test_flat_probe_matches_separate_arrays(self, attribute):
-        train_c, test_c = trial_corpora()
-        accuracy, ref_layer = reference_probe(train_c, test_c, attribute, seed=5,
-                                              epochs=80, lr=0.05)
-        assert probe_attack(train_c, test_c, attribute, seed=5, epochs=80,
-                            lr=0.05) == accuracy
+        pairs = probe_pairs()
+        references = [reference_probe(train_c, test_c, attribute, seed=5, epochs=80, lr=0.05)
+                      for train_c, test_c in pairs]
+        assert probe_attack(pairs, attribute, seed=5, epochs=80, lr=0.05) == \
+            [accuracy for accuracy, _ in references]
         index = {"gender": 0, "accent": 1, "speaker": 2}[attribute]
-        layer = _train_probe(train_c.matrix(), train_c.label_indices()[index],
-                             ref_layer.n_out, seed=5, epochs=80, lr=0.05)
-        assert np.array_equal(layer.weights, ref_layer.weights)
-        assert np.array_equal(layer.bias, ref_layer.bias)
+        weights, bias = _train_probe(np.stack([train_c.matrix() for train_c, _ in pairs]),
+                                     np.stack([train_c.label_indices()[index]
+                                               for train_c, _ in pairs]),
+                                     references[0][1].n_out, seed=5, epochs=80, lr=0.05)
+        assert not np.array_equal(weights[0], weights[1])
+        for w, b, (_, ref_layer) in zip(weights, bias, references):
+            assert w.tobytes() == ref_layer.weights.tobytes()
+            assert b.tobytes() == ref_layer.bias.tobytes()
+
+    @pytest.mark.parametrize("what", ["row count", "dim", "class count"])
+    def test_pairs_that_cannot_stack_rejected_naming_why(self, what):
+        train_c, test_c = trial_corpora()
+        rows = train_c.embeddings
+        if what == "row count":
+            rows = rows[:-1]
+        elif what == "dim":
+            rows = [dataclasses.replace(e, vector=e.vector[:-1]) for e in rows]
+        else:  # one speaker per (gender, accent)
+            first: dict[tuple[str, str], str] = {}
+            rows = [dataclasses.replace(e, speaker_id=first.setdefault((e.gender, e.accent),
+                                                                       e.speaker_id))
+                    for e in rows]
+        other = make_corpus(rows, split_tag="train")
+        with pytest.raises(ValueError, match=f"probe pairs differ in {what}"):
+            probe_attack([(train_c, test_c), (other, other)], "speaker", seed=0, epochs=1)
+
+    def test_test_dim_must_match_train_dim(self):
+        (train_c, test_c), _ = probe_pairs()
+        narrow = make_corpus([dataclasses.replace(e, vector=e.vector[:-1])
+                              for e in test_c.embeddings])
+        with pytest.raises(ValueError, match="test corpus dim 5 != train corpus dim 6"):
+            probe_attack([(train_c, narrow)], "gender", seed=0, epochs=1)
 
     def test_speaker_probe_on_original_corpus(self, desk_splits):
         train_c, _, test_c = desk_splits
-        assert probe_attack(train_c, test_c, "speaker", seed=3) >= 0.95
+        assert probe_attack([(train_c, test_c)], "speaker", seed=3)[0] >= 0.95
 
     def test_shuffled_labels_give_chance(self):
         # permutation oracle: shuffling labels against the vectors leaves
@@ -513,7 +552,7 @@ class TestProbe:
 
         train_c = build(80, "tr")
         test_c = build(60, "te")
-        accuracy = probe_attack(train_c, test_c, "gender", seed=2)
+        [accuracy] = probe_attack([(train_c, test_c)], "gender", seed=2)
         sigma = math.sqrt(0.25 / len(test_c))
         assert abs(accuracy - 0.5) <= 3 * sigma
 
@@ -529,14 +568,14 @@ class TestProbe:
                                                  ("s3", "m"), ("s3", "m")])]
         test_c = make_corpus(test_rows, split_tag="test")
         # train majority is f; test has 2/4 f
-        assert probe_attack(train_c, test_c, "gender", seed=0) == 0.5
+        assert probe_attack([(train_c, test_c)], "gender", seed=0) == [0.5]
 
     def test_single_class_attribute_rejected(self):
         rows = [Embedding(f"u{i}", f"s{i}", "f", "a00", rng.normal(size=3))
                 for i in range(4)]
         corpus = make_corpus(rows)
         with pytest.raises(ValueError, match="class"):
-            probe_attack(corpus, corpus, "gender", seed=0)
+            probe_attack([(corpus, corpus)], "gender", seed=0)
 
 
 def evaluate_method(train_c, enroll_c, trial_c, method, n_nontarget_per_target, seed,

@@ -15,7 +15,6 @@ from spkdeid.neural import (
     dense_backward,
     dense_forward,
     finite_difference_check,
-    flatten,
     grl_backward,
     init_dense,
     mse_loss,
@@ -24,6 +23,19 @@ from spkdeid.neural import (
 )
 
 rng = np.random.default_rng(20240214)
+
+
+def flatten(layers):
+    """Move the layers' parameters into one vector laid out as
+    ``bind_gradients`` lays out gradients, rebinding ``weights`` and ``bias``
+    as its views; returns it with a gradient vector that ``bind_gradients``
+    binds."""
+    params = bind_gradients(layers)
+    for layer in layers:
+        layer.weight_grad[...] = layer.weights
+        layer.bias_grad[...] = layer.bias
+        layer.weights, layer.bias = layer.weight_grad, layer.bias_grad
+    return params, bind_gradients(layers)
 
 
 class TestDenseForward:
