@@ -310,6 +310,14 @@ def _read_splits(out: Path, names=("train", "valid", "test")
     return paths, corpora
 
 
+# A run whose best valid reconstruction loss exceeds this many times the
+# loss of predicting the train mean for every valid row has exploded.  The
+# desk, bench, demo and sweep runs end at 0.01 to 0.96 times that loss, and
+# a 20-epoch desk run at lr 10 at 1.2 times; at lr 1e3 it ends at 9e3 times
+# and at lr 1e150 at 9e297 times, still finite.
+EXPLODED_RATIO = 1e3
+
+
 def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: Corpus,
                 checkpoint: Path, history_path: Path):
     dims = desk_dims(train_corpus, hidden=cfg.model_hidden, latent=cfg.model_latent,
@@ -321,6 +329,13 @@ def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: 
     if not history:
         raise DivergenceError(f"training diverged in epoch 1 (lambda={lam:g}, "
                               f"lr={config.lr:g}); no checkpoint written")
+    best = min(row.valid.recon for row in history)
+    mean_loss = float(((valid_corpus.vectors - train_corpus.vectors.mean(axis=0)) ** 2).mean())
+    if best > EXPLODED_RATIO * mean_loss:
+        raise DivergenceError(
+            f"training exploded (lambda={lam:g}, lr={config.lr:g}): best valid recon loss "
+            f"{best:.4g} is {best / mean_loss:.3g} times the {mean_loss:.4g} of predicting "
+            f"the train mean; no checkpoint written")
     save_model(model, checkpoint)
     _history_csv(history, history_path)
     return history

@@ -12,20 +12,27 @@ A ``Corpus`` is stored by column: the utterance ids, one index array per
 label (speaker, gender, accent) into that label's sorted vocabulary, and
 one C-contiguous (N, dim) float64 matrix.  No per-row objects exist unless
 a caller asks for ``Corpus.embeddings``.  The CSV writer formats each row
-with one ``%`` operation.  The reader streams a file's lines.  A file in
-the plain form, which the writer produces when no label needs quotes, has
-its vectors parsed by numpy's C text reader in one call; any other file is
-parsed row by row by a ``csv.reader`` and Python ``float``, with the same
-result and the same errors.  Neither holds more than a row of text at a
-time.
+with one ``%`` operation.  Next to a CSV whose labels need no quotes it
+also writes a binary sidecar, ``<name>.csv.parsed``: the ids, labels and
+float64 matrix it had in memory, plus a sha256 over the CSV's bytes and the
+sidecar.  The reader takes the columns from a sidecar whose size and
+digest match the CSV beside it, without parsing the text.  Otherwise it
+streams the file's lines: a file in the plain form has its vectors parsed
+by numpy's C text reader in one call, and any other file is parsed row by
+row by a ``csv.reader`` and Python ``float``.  All three give the same
+result and the same errors, and none holds more than a row of text or a
+fixed-size buffer at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import math
+import os
 import re
+import struct
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -310,7 +317,9 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as CSV (see module layout note); raises on empty corpus.
 
     Each row is one ``%`` format; the ids and labels of a column that holds
-    a comma, quote, CR or LF are quoted, so every corpus reads back.
+    a comma, quote, CR or LF are quoted, so every corpus reads back.  When
+    no label is quoted and ``path`` is a regular file, the sidecar (see
+    ``_write_sidecar``) is written too; a failure to write it is ignored.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -318,26 +327,40 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     if bad.any():
         raise ValueError(f"utterance {corpus.utterance_ids[int(bad.argmax())]!r}: "
                          "non-finite vector entries")
+    path = Path(path)
+    fields = [corpus.utterance_ids, *corpus._label_columns()]
     columns = [list(map(_quoted, column)) if _NEEDS_QUOTES.search("".join(column)) else column
-               for column in (corpus.utterance_ids, *corpus._label_columns())]
+               for column in fields]
     row_format = "%s,%s,%s,%s," + ",".join(["%.17g"] * corpus.dim) + "\n"
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(FIXED_COLUMNS + [f"v{i}" for i in range(corpus.dim)]) + "\n")
-        for u, s, g, a, v in zip(*columns, corpus.vectors):
-            fh.write(row_format % (u, s, g, a, *v.tolist()))
+    digest = hashlib.sha256()
+    with path.open("w", newline="") as fh:
+        encoding = fh.encoding
+        header = ",".join(FIXED_COLUMNS + [f"v{i}" for i in range(corpus.dim)]) + "\n"
+        rows = (row_format % (u, s, g, a, *v.tolist())
+                for u, s, g, a, v in zip(*columns, corpus.vectors))
+        for row in chain([header], rows):
+            fh.write(row)
+            digest.update(row.encode(encoding))
+    text = "\n".join(chain(*fields))
+    # the sidecar's rows are the CSV's lines, in the plain form: no label is
+    # quoted, holds a NUL or is longer than the field limit a parse enforces
+    if (columns == fields and "\0" not in text and path.is_file()
+            and max(map(len, chain(*fields))) <= csv.field_size_limit()):
+        _write_sidecar(path, digest, text.encode(encoding), corpus.vectors)
 
 
 def read_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
     """Read a corpus CSV; the file does not carry the split tag, pass it in.
 
+    A file with a matching sidecar (see ``_read_sidecar``) is not parsed.
     A file in the plain form (see ``_read_plain``) has its vectors parsed by
     numpy; any other file, and every malformed one, is read again from the
-    start by the ``csv.reader`` path, so both accept the same files with the
-    same result.  Every error names the path, and the line when it is about
-    one.
+    start by the ``csv.reader`` path, so all three accept the same files
+    with the same result.  Every error names the path, and the line when it
+    is about one.  A read writes no file.
     """
     path = Path(path)
-    parsed = _read_plain(path)
+    parsed = _read_sidecar(path) or _read_plain(path)
     if parsed is None:
         with csv_rows(path) as reader:
             parsed = _read_rows(path, reader)
@@ -371,6 +394,81 @@ def csv_rows(path: str | Path):
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise decode_error(path, exc) from None
+
+
+# The sidecar of a CSV that ``write_corpus`` wrote, ``<name>.csv.parsed``:
+# a header (magic, version, rows N, dim D, text bytes T), then T bytes of
+# text: the N ids and the 3N speaker, gender and accent labels, joined by
+# "\n" and encoded as the CSV is; then the (N, D) matrix as little-endian
+# float64; then the sha256 of the CSV's bytes followed by all of the above.
+_SIDECAR = struct.Struct("<8sIQQQ")
+_SIDECAR_MAGIC = b"SPKDCSV\0"
+_SIDECAR_VERSION = 1
+_DIGEST_BYTES = 32
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + ".parsed")
+
+
+def _write_sidecar(path: Path, digest, text: bytes, vectors: np.ndarray) -> None:
+    """Write the sidecar of ``path``; ``digest`` has hashed the CSV's bytes.
+
+    A sidecar that cannot be written, or is left partial, fails the
+    reader's size or digest check, so the CSV alone is the result.
+    """
+    vectors = np.ascontiguousarray(vectors, dtype="<f8")
+    parts = [_SIDECAR.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, *vectors.shape, len(text)),
+             text, vectors]
+    for part in parts:
+        digest.update(part)
+    try:
+        with _sidecar_path(path).open("wb") as fh:
+            for part in parts + [digest.digest()]:
+                fh.write(part)
+    except OSError:
+        pass
+
+
+def _read_sidecar(path: Path):
+    """``_read_rows``' result from the sidecar of ``path``, or None.
+
+    The sidecar is used only when its size is the one its header implies
+    and its digest matches the bytes of ``path`` as they are now; a missing,
+    short, stale or corrupt sidecar gives None.  The text is split at "\\n"
+    alone: ``str.splitlines`` also splits at characters a plain label may
+    hold.  It is decoded with the encoding a parse of ``path`` would use,
+    which opening ``path`` as text gives.
+    """
+    try:
+        with _sidecar_path(path).open("rb") as side, path.open("r", newline="") as fh:
+            header = side.read(_SIDECAR.size)
+            if len(header) != _SIDECAR.size:
+                return None
+            magic, version, n, dim, text_bytes = _SIDECAR.unpack(header)
+            if ((magic, version) != (_SIDECAR_MAGIC, _SIDECAR_VERSION)
+                    or os.fstat(side.fileno()).st_size
+                    != _SIDECAR.size + text_bytes + 8 * n * dim + _DIGEST_BYTES):
+                return None
+            text = side.read(text_bytes)
+            vectors = np.empty((n, dim), dtype="<f8")
+            side.readinto(vectors)
+            stored = side.read(_DIGEST_BYTES)
+            digest = hashlib.sha256()
+            chunk = bytearray(1 << 18)
+            while size := fh.buffer.readinto(chunk):
+                digest.update(memoryview(chunk)[:size])
+            for part in (header, text, vectors):
+                digest.update(part)
+            if digest.digest() != stored:
+                return None
+            fields = text.decode(fh.encoding).split("\n")
+    except (OSError, ValueError):  # also text the reader's encoding cannot decode
+        return None
+    if len(fields) != 4 * n:
+        return None
+    ids, *labels = (fields[i * n:(i + 1) * n] for i in range(4))
+    return ids, labels, vectors, range(2, n + 2)
 
 
 # A row in the plain form: four labels without a comma, quote, CR, LF or

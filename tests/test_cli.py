@@ -172,6 +172,29 @@ class TestTrain:
         assert not (tmp_path / "run" / "manifest_train.json").exists()
         assert not (tmp_path / "run" / "model.aan").exists()
 
+    @pytest.mark.parametrize("lr", [1e150, 1e3])
+    @pytest.mark.parametrize("command, extra, written", [
+        ("train", [], ["model.aan", "history.csv", "manifest_train.json"]),
+        ("sweep-lambda", ["--lambdas", "8"],
+         ["model_lambda8.aan", "history_lambda8.csv", "manifest_sweep-lambda.json"]),
+    ])
+    def test_exploded_run_is_one_error_line(self, tmp_path, capsys, lr, command, extra,
+                                            written):
+        # these runs stay finite, with a best valid recon loss about 6e4 and
+        # 9e298 times that of predicting the train mean
+        config = dict(TINY_CONFIG, out_dir=str(tmp_path / "run"))
+        config["train"] = dict(config["train"], epochs=20, lr=lr)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        run_cli("gen-data", "--config", path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--config", path, *extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "exploded" in err[0]
+        assert not any((tmp_path / "run" / name).exists() for name in written)
+
     def test_valid_split_missing_a_speaker_is_one_error_line(self, tiny_run, capsys):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
@@ -359,6 +382,30 @@ def test_each_split_is_read_once(tiny_run, monkeypatch, command, extra):
     monkeypatch.setattr("spkdeid.cli.read_corpus", counting_read)
     assert run_cli(command, "--config", config_path, *extra) == 0
     assert sorted(read) == ["test.csv", "train.csv", "valid.csv"]
+
+
+def test_outputs_same_bytes_without_sidecars(tiny_run):
+    config_path, out = tiny_run
+    run_cli("gen-data", "--config", config_path)
+    manifest = json.loads((out / "manifest_gen-data.json").read_text())
+    assert sorted(Path(p).name for p in manifest["outputs"]) == [
+        "test.csv", "train.csv", "valid.csv"]
+    run_cli("train", "--config", config_path)
+
+    def outputs():
+        assert run_cli("anonymize", "--config", config_path, "--method", "aan2",
+                       "--model", out / "model.aan", "--pool", out / "train.csv",
+                       "--in", out / "valid.csv", "--out", out / "anon.csv") == 0
+        assert run_cli("evaluate", "--config", config_path, "--method", "aan2") == 0
+        return {name: digest(out / name) for name in ("anon.csv", "trials.csv", "report.csv")}
+
+    with_sidecars = outputs()
+    sidecars = sorted(out.glob("*.parsed"))
+    assert [p.name for p in sidecars] == [f"{name}.csv.parsed"
+                                          for name in ("anon", "test", "train", "valid")]
+    for path in sidecars:
+        path.unlink()
+    assert outputs() == with_sidecars
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

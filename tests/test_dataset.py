@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spkdeid.dataset import (
+    LABELS,
     AttributeStrength,
     CorpusSpec,
     Embedding,
@@ -385,6 +387,154 @@ class TestWriterMatchesOracle:
         write_corpus(corpus, tmp_path / "got.csv")
         oracle_write(corpus, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def sidecar(path):
+    return path.with_name(path.name + ".parsed")
+
+
+def files_and_mtimes(directory):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+def assert_same_read(got, want):
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.utterance_ids == want.utterance_ids
+    for label in LABELS:
+        assert getattr(got, f"{label}_vocab") == getattr(want, f"{label}_vocab")
+    for a, b in zip(got.label_indices(), want.label_indices()):
+        assert a.tolist() == b.tolist()
+
+
+# labels a sidecar must keep apart as a parse does: "\x1c"-"\x1e", "\x85" and
+# "\u2028" end a line for str.splitlines but not for a CSV reader
+PLAIN_CHARS = ["a", "b", " ", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u00e9"]
+SPECIAL_FLOATS = [-0.0, 5e-324, -2.5e-310, 2.2250738585072009e-308, 1e308, -1e308]
+
+
+class TestSidecar:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_read_with_sidecar_equals_read_without(self, data):
+        n = data.draw(st.integers(1, 6))
+        dim = data.draw(st.integers(1, 3))
+        label = st.text(alphabet=st.sampled_from(PLAIN_CHARS), max_size=3)
+        ids = data.draw(st.lists(label, min_size=n, max_size=n, unique=True))
+        speakers = data.draw(st.lists(label, min_size=n, max_size=n))
+        attributes = {s: (data.draw(label), data.draw(label)) for s in sorted(set(speakers))}
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(SPECIAL_FLOATS))
+        rows = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                  min_size=n, max_size=n))
+        corpus = make_corpus([Embedding(u, s, *attributes[s], np.array(v))
+                              for u, s, v in zip(ids, speakers, rows)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.csv"
+            write_corpus(corpus, path)
+            assert sidecar(path).exists()
+            with_sidecar = read_corpus(path, "test")
+            sidecar(path).unlink()
+            without = read_corpus(path, "test")
+        assert_same_read(with_sidecar, without)
+        assert_same_read(with_sidecar, corpus)
+        assert with_sidecar.split_tag == "test"
+
+    def test_matching_sidecar_is_read_without_parsing(self, tmp_path, monkeypatch):
+        corpus = generate_corpus(small_spec())
+        path = tmp_path / "corpus.csv"
+        write_corpus(corpus, path)
+
+        def no_parse(*args):
+            raise AssertionError("parsed a file that has a matching sidecar")
+
+        monkeypatch.setattr("spkdeid.dataset._read_plain", no_parse)
+        monkeypatch.setattr("spkdeid.dataset.csv_rows", no_parse)
+        assert_same_read(read_corpus(path), corpus)
+
+    def test_csv_edited_after_writing_reads_as_the_edit(self, tmp_path):
+        corpus = generate_corpus(small_spec(dim=3))
+        path = tmp_path / "corpus.csv"
+        write_corpus(corpus, path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[0], fields[4] = "edited", "0.5"
+        lines[1] = ",".join(fields)
+        path.write_text("".join(lines))
+        vectors = corpus.vectors.copy()
+        vectors[0, 0] = 0.5
+        edited = dataclasses.replace(corpus.with_vectors(vectors),
+                                     utterance_ids=["edited"] + corpus.utterance_ids[1:])
+        assert_same_read(read_corpus(path), edited)
+
+    def test_flipped_float_byte_reads_the_csv_values(self, tmp_path):
+        corpus = generate_corpus(small_spec())
+        path = tmp_path / "corpus.csv"
+        write_corpus(corpus, path)
+        raw = bytearray(sidecar(path).read_bytes())
+        raw[-33] ^= 0x40  # the exponent byte of the last float
+        sidecar(path).write_bytes(bytes(raw))
+        assert_same_read(read_corpus(path), corpus)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw, other: b"",
+        lambda raw, other: raw[:-1],
+        lambda raw, other: raw[:30],
+        lambda raw, other: raw + b"\0",
+        lambda raw, other: bytes(len(raw)),
+        lambda raw, other: b"not a sidecar\n" * 100,
+        lambda raw, other: other,
+    ], ids=["empty", "truncated-digest", "truncated-header", "trailing-byte", "zeros",
+            "garbage", "stale"])
+    def test_damaged_sidecar_falls_back_to_a_parse(self, tmp_path, damage):
+        corpus = generate_corpus(small_spec())
+        other = corpus.with_vectors(corpus.vectors + 1.0)
+        path = tmp_path / "corpus.csv"
+        write_corpus(other, path)
+        stale = sidecar(path).read_bytes()
+        write_corpus(corpus, path)
+        sidecar(path).write_bytes(damage(sidecar(path).read_bytes(), stale))
+        assert_same_read(read_corpus(path), corpus)
+
+    @pytest.mark.parametrize("label, reads_back", [
+        ("s,1", True), ('s"1', True), ("s\r1", True), ("s\n1", True), ("s\x001", False),
+        ("s" * (csv.field_size_limit() + 1), False),
+    ], ids=["comma", "quote", "cr", "lf", "nul", "longer-than-the-field-limit"])
+    def test_no_sidecar_unless_labels_are_plain(self, tmp_path, label, reads_back):
+        corpus = make_corpus([Embedding("u1", label, "f", "a", np.array([1.5])),
+                              Embedding("u2", "s2", "m", "a", np.array([-0.0]))])
+        path = tmp_path / "corpus.csv"
+        write_corpus(corpus, path)
+        assert not sidecar(path).exists()
+        if reads_back:
+            assert_same_read(read_corpus(path), corpus)
+
+    def test_duplicate_ids_same_error_with_and_without_sidecar(self, tmp_path):
+        corpus = generate_corpus(small_spec())
+        ids = list(corpus.utterance_ids)
+        ids[3] = ids[1]
+        path = tmp_path / "corpus.csv"
+        write_corpus(dataclasses.replace(corpus, utterance_ids=ids), path)
+        assert sidecar(path).exists()
+        with pytest.raises(ValueError) as with_sidecar:
+            read_corpus(path)
+        sidecar(path).unlink()
+        with pytest.raises(ValueError) as without:
+            read_corpus(path)
+        assert str(with_sidecar.value) == str(without.value) == \
+            f"{path}: line 5: duplicate utterance_id {ids[1]!r}"
+
+    def test_read_writes_nothing(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        write_corpus(generate_corpus(small_spec()), path)
+        for _ in range(2):  # with the sidecar, then without it
+            before = files_and_mtimes(tmp_path)
+            read_corpus(path)
+            assert files_and_mtimes(tmp_path) == before
+            sidecar(path).unlink(missing_ok=True)
+
+    def test_no_sidecar_for_a_device(self):
+        write_corpus(generate_corpus(small_spec()), os.devnull)
+        assert not os.path.exists(os.devnull + ".parsed")
 
 
 def test_csv_round_trip_memory_is_about_the_result():
