@@ -15,13 +15,11 @@ no per-vector forms, and a single vector is a one-row matrix.  The AAN
 methods only run the model forward, so a model loaded to anonymize holds
 no gradient storage.
 
-BLAS is called one query at a time: one pool gemv and one norm per query,
-and one one-row encoder+decoder pass per reconstruction.  A multi-row
-matmul sums in a different order, so the last bits of a row would depend
-on how many rows shared the call; one call per row makes every output
-row independent of N and of its neighbours.  The elementwise work (the
-cosine division, the top_k selection and the gather-mean) runs over
-blocks of queries.
+BLAS is called once per row, from numpy's C loop over stacked matmuls:
+one ``ddot`` per query norm, one pool gemv per query and one gemv per row
+and encoder or decoder layer, the calls the 1-d and one-row products make.
+A multi-row gemm sums in another order, so one call per row keeps every
+output row independent of N and of its neighbours.
 """
 
 from __future__ import annotations
@@ -32,12 +30,12 @@ import numpy as np
 
 from .aan import AanModel
 from .dataset import Corpus
-from .neural import DivergenceError, dense_forward
+from .neural import DivergenceError
 
 METHOD_KINDS = ("identity", "baseline_farthest", "aan1", "aan2")
 
-# Queries per block are sized so the block's similarities, and its gathered
-# pool vectors, hold about this many float64 values (1 MB), whatever N is.
+# Rows per block are sized so a block's largest temporary holds about this
+# many float64 values (1 MB), whatever N is.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -45,13 +43,12 @@ _BLOCK_ELEMENTS = 1 << 17
 class PseudoPool:
     """Candidate vectors for pseudo-embedding construction.
 
-    The row norms and the zero-norm flag are computed once, at
-    construction, so ``vectors`` is read-only afterwards.
+    The row norms are computed once, at construction, so ``vectors`` is
+    read-only afterwards.
     """
 
     vectors: np.ndarray  # (n, dim)
     norms: np.ndarray = field(init=False, repr=False)  # (n,)
-    has_zero_norm: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -61,7 +58,6 @@ class PseudoPool:
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("pool contains non-finite vectors")
         self.norms = np.linalg.norm(self.vectors, axis=1)
-        self.has_zero_norm = bool(np.any(self.norms == 0.0))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -79,23 +75,23 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     Ranking is by ascending cosine similarity, ties broken by pool index;
     scaling a query by any c > 0 leaves its selection and output unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pool.dim:
         raise ValueError(f"x has shape {x.shape}, expected an (N, dim) matrix with the "
                          f"pool dim {pool.dim}")
     if not 1 <= top_k <= len(pool):
         raise ValueError(f"top_k must be in [1, {len(pool)}], got {top_k}")
-    if pool.has_zero_norm:
+    if np.any(pool.norms == 0.0):
         raise ValueError("degenerate vector: zero norm, cosine distance undefined")
     out = np.empty_like(x)
     block = max(1, _BLOCK_ELEMENTS // max(len(pool), top_k * pool.dim))
     for start in range(0, len(x), block):
-        queries = x[start:start + block]
-        query_norms = np.array([np.linalg.norm(q) for q in queries])
+        queries = x[start:start + block, :, None]
+        query_norms = np.sqrt(queries.transpose(0, 2, 1) @ queries)[:, 0]
         if np.any(query_norms == 0.0):
             raise ValueError("degenerate vector: zero norm, cosine distance undefined")
-        sims = np.stack([pool.vectors @ q for q in queries])
-        sims /= pool.norms * query_norms[:, None]
+        sims = (pool.vectors @ queries)[:, :, 0]
+        sims /= pool.norms * query_norms
         if not np.all(np.isfinite(sims)):
             raise ValueError("degenerate vector: non-finite cosine similarity")
         # averaging in pool index order keeps the output independent of the
@@ -123,17 +119,20 @@ def _farthest(sims: np.ndarray, top_k: int) -> np.ndarray:
 
 
 def _reconstruct(model: AanModel, x: np.ndarray) -> np.ndarray:
-    """Encoder then decoder on each row of ``x``, one row per call.
-
-    The branch heads are skipped: anonymization never reads their logits.
-    """
+    """Encoder then decoder on each row of ``x``; the branch heads go unread."""
+    if x.shape[1] != model.dims.input_dim:
+        raise ValueError(f"input has {x.shape[1]} features, layer expects {model.dims.input_dim}")
     layers = model.encoder + model.decoder
     out = np.empty((len(x), model.dims.input_dim))
-    for i in range(len(x)):
-        row = x[i:i + 1]
+    block = max(1, _BLOCK_ELEMENTS // max(layer.n_out for layer in layers))
+    for start in range(0, len(x), block):
+        rows = x[start:start + block, None, :]
         for layer in layers:
-            row, _ = dense_forward(layer, row)
-        out[i] = row[0]
+            rows = rows @ layer.weights.T
+            rows += layer.bias
+            if layer.activation == "tanh":  # the rest are linear (layer_table)
+                np.tanh(rows, out=rows)
+        out[start:start + block] = rows[:, 0]
     if not np.all(np.isfinite(out)):
         raise DivergenceError("divergence detected: non-finite reconstruction")
     return out

@@ -39,9 +39,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import resource
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .aan import (
@@ -237,6 +241,28 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# the environment variables that set the BLAS and OpenMP thread counts
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _resources() -> dict:
+    """Peak RSS of this process so far, the numpy version, the BLAS numpy
+    was built with (None where numpy cannot report it as a dict, as on
+    numpy 1.24) and the BLAS thread variables (None where unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def write_manifest(cfg: RunConfig, command: str, inputs: list[Path],
                    outputs: list[Path], elapsed: float) -> Path:
     manifest = {
@@ -246,6 +272,7 @@ def write_manifest(cfg: RunConfig, command: str, inputs: list[Path],
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": {str(p): sha256_file(p) for p in outputs},
         "elapsed_seconds": round(elapsed, 3),
+        "resources": _resources(),
     }
     path = Path(cfg.out_dir) / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")

@@ -529,11 +529,11 @@ def evaluate_conditions(original: tuple[Corpus, Corpus, Corpus],
     probes = {attribute: dict(zip(corpora, probe_attack(pairs, attribute, seed=seed + 1 + i)))
               for i, attribute in enumerate(PROBE_ATTRIBUTES)}
 
+    models = {side: enroll_speaker_models(enroll) for side, (_, enroll, _) in corpora.items()}
     genders = sorted(original[2].gender_vocab)
     rows: list[ReportRow] = []
     for enroll_cond, trial_cond in CONDITIONS:
-        models = enroll_speaker_models(corpora[enroll_cond][1])
-        scored = score_trials(trials, models, corpora[trial_cond][2])
+        scored = score_trials(trials, models[enroll_cond], corpora[trial_cond][2])
         for gender in genders:
             subset = scored.for_gender(gender)
             rows.append(ReportRow(

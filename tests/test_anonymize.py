@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spkdeid import anonymize
 from spkdeid.aan import AanDims, build_aan
 from spkdeid.anonymize import (
     _BLOCK_ELEMENTS,
+    METHOD_KINDS,
     AnonymizationMethod,
     PseudoPool,
     _farthest,
@@ -14,6 +16,7 @@ from spkdeid.anonymize import (
     baseline_anonymize,
 )
 from spkdeid.dataset import Embedding, make_corpus
+from spkdeid.neural import dense_forward
 
 rng = np.random.default_rng(77)
 
@@ -23,15 +26,32 @@ def farthest_mean(pool, x, top_k):
     return baseline_anonymize(pool, x[None, :], top_k)[0]
 
 
+def anonymize_one(kind, x, **params):
+    """The ``kind`` anonymization of the vector ``x``, applied as a one-row matrix."""
+    return AnonymizationMethod(kind, **params).apply(x[None, :])[0]
+
+
+def reconstruct_oracle(model, x):
+    """The per-row reference for the AAN reconstruction of the rows of ``x``:
+    one ``dense_forward`` call per encoder and decoder layer and row."""
+    out = np.empty((len(x), model.dims.input_dim))
+    for i in range(len(x)):
+        row = x[i:i + 1]
+        for layer in model.encoder + model.decoder:
+            row, _ = dense_forward(layer, row)
+        out[i] = row[0]
+    return out
+
+
 def aan1(model, x):
-    """The aan1 anonymization of the vector ``x``, applied as a one-row matrix."""
-    return AnonymizationMethod("aan1", model=model).apply(x[None, :])[0]
+    """The reference aan1 anonymization of the vector ``x``."""
+    return reconstruct_oracle(model, x[None, :])[0]
 
 
 def aan2(model, pool, x, top_k):
-    """The aan2 anonymization of the vector ``x``, applied as a one-row matrix."""
-    method = AnonymizationMethod("aan2", model=model, pool=pool, top_k=top_k)
-    return method.apply(x[None, :])[0]
+    """The reference aan2 anonymization of the vector ``x``: the per-query
+    baseline, then the per-row reconstruction."""
+    return aan1(model, stable_argsort_oracle(pool.vectors, x, top_k))
 
 
 def zeroed_model(dim=16):
@@ -179,11 +199,12 @@ class TestAanPipelines:
         model = zeroed_model()
         model.decoder[-1].bias[:] = np.arange(16.0)
         for x in rng.normal(size=(3, 16)):
-            np.testing.assert_array_equal(aan1(model, x), np.arange(16.0))
+            np.testing.assert_array_equal(anonymize_one("aan1", x, model=model),
+                                          np.arange(16.0))
 
     def test_output_width(self, small_trained_model):
         dim = small_trained_model.dims.input_dim
-        out = aan1(small_trained_model, rng.normal(size=dim))
+        out = anonymize_one("aan1", rng.normal(size=dim), model=small_trained_model)
         assert out.shape == (dim,)
 
     def test_reconstruction_not_identity(self, small_corpus_splits,
@@ -191,7 +212,7 @@ class TestAanPipelines:
         _, _, test_c = small_corpus_splits
         strictly_moved = 0
         for e in test_c.embeddings:
-            out = aan1(small_trained_model, e.vector)
+            out = anonymize_one("aan1", e.vector, model=small_trained_model)
             cos = np.dot(out, e.vector) / (np.linalg.norm(out)
                                            * np.linalg.norm(e.vector))
             strictly_moved += cos < 1.0
@@ -202,8 +223,9 @@ class TestAanPipelines:
         pool = PseudoPool(rng.normal(size=(20, dim)))
         for _ in range(50):
             x = rng.normal(size=dim)
-            composed = aan1(small_trained_model, farthest_mean(pool, x, top_k=5))
-            direct = aan2(small_trained_model, pool, x, top_k=5)
+            composed = anonymize_one("aan1", farthest_mean(pool, x, top_k=5),
+                                     model=small_trained_model)
+            direct = anonymize_one("aan2", x, model=small_trained_model, pool=pool, top_k=5)
             np.testing.assert_array_equal(direct, composed)
 
     def test_aan2_singleton_pool(self, small_trained_model):
@@ -212,20 +234,124 @@ class TestAanPipelines:
         pool = PseudoPool(p[None, :])
         x = rng.normal(size=dim)
         np.testing.assert_array_equal(
-            aan2(small_trained_model, pool, x, top_k=1),
-            aan1(small_trained_model, p))
+            anonymize_one("aan2", x, model=small_trained_model, pool=pool, top_k=1),
+            anonymize_one("aan1", p, model=small_trained_model))
 
     def test_twice_is_not_once(self, small_corpus_splits, small_trained_model):
         _, _, test_c = small_corpus_splits
         x = test_c.embeddings[0].vector
-        once = aan1(small_trained_model, x)
-        twice = aan1(small_trained_model, once)
+        once = anonymize_one("aan1", x, model=small_trained_model)
+        twice = anonymize_one("aan1", once, model=small_trained_model)
         assert not np.array_equal(once, twice)
 
     def test_dimension_mismatch_names_sizes(self, small_trained_model):
         wrong = rng.normal(size=(2, small_trained_model.dims.input_dim + 1))
         with pytest.raises(ValueError, match="features"):
             AnonymizationMethod("aan1", model=small_trained_model).apply(wrong)
+
+
+# widths that are not multiples of a SIMD lane count, a one-unit latent (a
+# layer with one input feature, which numpy multiplies without BLAS), and
+# the desk widths
+ORACLE_DIMS = (AanDims(7, 20, 3, 5, 2, 2, 3), AanDims(5, 9, 1, 3, 2, 2, 2),
+               AanDims(64, 128, 8, 64, 2, 4, 40))
+
+
+def baseline_oracle(pool, x, top_k):
+    """The per-query baseline reference, row by row over ``x``."""
+    return np.array([stable_argsort_oracle(pool.vectors, q, top_k)
+                     for q in x]).reshape(x.shape)
+
+
+def assert_same_bytes(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def row_blocks(model, pool, top_k):
+    """Rows per block of the reconstruction and of the baseline."""
+    widest = max(layer.n_out for layer in model.encoder + model.decoder)
+    return (max(1, anonymize._BLOCK_ELEMENTS // widest),
+            max(1, anonymize._BLOCK_ELEMENTS // max(len(pool), top_k * pool.dim)))
+
+
+class TestStackedKernels:
+    """The stacked-matmul kernels against the per-row references, byte for
+    byte.  The hypothesis tests shrink the block size so that small inputs
+    cross blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_aan_methods_match_per_row_reference(self, data):
+        dims = data.draw(st.sampled_from(ORACLE_DIMS))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 31))
+        r = np.random.default_rng(seed)
+        model = build_aan(dims, 8.0, seed=seed % 1000)
+        pool = PseudoPool(r.normal(size=(data.draw(st.integers(1, 40)), dims.input_dim)))
+        top_k = data.draw(st.integers(1, len(pool)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anonymize, "_BLOCK_ELEMENTS",
+                          data.draw(st.sampled_from([1, 50, 300])))
+            edge = data.draw(st.sampled_from(row_blocks(model, pool, top_k)))
+            n = data.draw(st.sampled_from([0, 1, 2, edge - 1, edge, edge + 1]))
+            x = r.normal(size=(n, dims.input_dim))
+            got_aan1 = AnonymizationMethod("aan1", model=model).apply(x)
+            got_aan2 = AnonymizationMethod("aan2", model=model, pool=pool,
+                                           top_k=top_k).apply(x)
+        assert_same_bytes(got_aan1, reconstruct_oracle(model, x))
+        assert_same_bytes(got_aan2, reconstruct_oracle(model, baseline_oracle(pool, x, top_k)))
+
+    @pytest.mark.parametrize("edge, offset", [("none", 0), ("none", 1), ("none", 2),
+                                              ("baseline", -1), ("baseline", 0),
+                                              ("baseline", 1), ("reconstruct", -1),
+                                              ("reconstruct", 0), ("reconstruct", 1)])
+    def test_desk_widths_at_the_real_block_boundaries(self, edge, offset):
+        r = np.random.default_rng(offset + 5)
+        model = build_aan(ORACLE_DIMS[-1], 8.0, seed=3)
+        pool = PseudoPool(r.normal(size=(400, 64)))
+        reconstruct_rows, baseline_rows = row_blocks(model, pool, 10)
+        assert baseline_rows < reconstruct_rows
+        n = offset + {"none": 0, "baseline": baseline_rows,
+                      "reconstruct": reconstruct_rows}[edge]
+        x = r.normal(size=(n, 64))
+        expected = reconstruct_oracle(model, x)
+        assert_same_bytes(AnonymizationMethod("aan1", model=model).apply(x), expected)
+        expected = reconstruct_oracle(model, baseline_oracle(pool, x, 10))
+        assert_same_bytes(AnonymizationMethod("aan2", model=model, pool=pool,
+                                              top_k=10).apply(x), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 31),
+           top_k=st.sampled_from([1, 3, 12]))
+    def test_scaled_pool_copies_tie_break_as_reference(self, seed, top_k):
+        # scaled copies of one direction have equal cosines up to rounding, so
+        # which copies are chosen turns on the last bits of every similarity,
+        # the query norm's included
+        r = np.random.default_rng(seed)
+        direction = r.normal(size=64)
+        copies = r.uniform(0.5, 4.0, size=(24, 1)) * direction
+        pool = PseudoPool(np.vstack([copies, r.normal(size=(40, 64))]))
+        queries = 0.1 * r.normal(size=(20, 64)) - direction
+        assert_same_bytes(baseline_anonymize(pool, queries, top_k),
+                          baseline_oracle(pool, queries, top_k))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_each_row_equals_its_one_row_call(self, data):
+        dims = data.draw(st.sampled_from(ORACLE_DIMS))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 31))
+        r = np.random.default_rng(seed)
+        pool = PseudoPool(r.normal(size=(data.draw(st.integers(1, 40)), dims.input_dim)))
+        method = AnonymizationMethod(data.draw(st.sampled_from(METHOD_KINDS)),
+                                     model=build_aan(dims, 8.0, seed=seed % 1000),
+                                     pool=pool, top_k=data.draw(st.integers(1, len(pool))))
+        x = r.normal(size=(data.draw(st.integers(1, 30)), dims.input_dim))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anonymize, "_BLOCK_ELEMENTS",
+                          data.draw(st.sampled_from([1, 50, 300])))
+            out = method.apply(x)
+            for i in range(len(x)):
+                assert_same_bytes(method.apply(x[i:i + 1]), out[i:i + 1])
 
 
 class TestAnonymizeCorpus:

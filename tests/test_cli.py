@@ -480,6 +480,23 @@ class TestManifest:
             from pathlib import Path
             assert digest(Path(path)) == recorded
 
+    def test_every_manifest_records_resources(self, tiny_run):
+        config_path, out = tiny_run
+        for command, *extra in (["gen-data"], ["train"],
+                                ["anonymize", "--model", out / "model.aan",
+                                 "--in", out / "test.csv", "--out", out / "anon.csv"],
+                                ["evaluate", "--model", out / "model.aan"],
+                                ["sweep-lambda", "--lambdas", "0"]):
+            assert run_cli(command, "--config", config_path, *extra) == 0
+            manifest = json.loads((out / f"manifest_{command}.json").read_text())
+            resources = manifest["resources"]
+            assert sorted(resources) == ["blas", "blas_threads", "numpy", "peak_rss_mb"]
+            assert resources["peak_rss_mb"] > 0
+            assert resources["numpy"] == np.__version__
+            assert resources["blas"] is None or sorted(resources["blas"]) == ["name",
+                                                                              "version"]
+            assert "OPENBLAS_NUM_THREADS" in resources["blas_threads"]
+
     @pytest.mark.parametrize("command, extra, expected", [
         ("evaluate", ["--method", "aan1"], ["train.csv", "valid.csv", "test.csv",
                                             "model.aan"]),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spkdeid import metrics
 from spkdeid.anonymize import AnonymizationMethod, anonymize_corpus
 from spkdeid.dataset import AttributeStrength, CorpusSpec, Embedding, generate_corpus, \
     make_corpus, split_corpus
@@ -604,6 +605,19 @@ class TestEvaluateConditions:
             by_condition.setdefault(key, set()).add(value)
         for values in by_condition.values():
             assert len(values) == 1
+
+    def test_each_side_enrolled_once(self, monkeypatch):
+        enroll_c, trial_c = trial_corpora()
+        enrolled = []
+        real = metrics.enroll_speaker_models
+        monkeypatch.setattr(metrics, "enroll_speaker_models",
+                            lambda corpus: enrolled.append(corpus) or real(corpus))
+        original = (enroll_c, enroll_c, trial_c)
+        anonymized = tuple(c.with_vectors(-c.matrix()) for c in original)
+        trials = make_trials(enroll_c, trial_c, 3, seed=12)
+        evaluate_conditions(original, anonymized, trials, seed=12)
+        assert len(enrolled) == 2
+        assert enrolled[0] is original[1] and enrolled[1] is anonymized[1]
 
     def test_cllr_at_least_min_cllr_in_every_row(self, small_corpus_splits,
                                                  small_trained_model):
