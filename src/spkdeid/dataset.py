@@ -11,17 +11,20 @@ so the relative scales control how separable each attribute is.
 A ``Corpus`` is stored by column: the utterance ids, one index array per
 label (speaker, gender, accent) into that label's sorted vocabulary, and
 one C-contiguous (N, dim) float64 matrix.  No per-row objects exist unless
-a caller asks for ``Corpus.embeddings``.  The CSV writer formats each row
-with one ``%`` operation.  Next to a CSV whose labels need no quotes it
-also writes a binary sidecar, ``<name>.csv.parsed``: the ids, labels and
-float64 matrix it had in memory, plus a sha256 over the CSV's bytes and the
-sidecar.  The reader takes the columns from a sidecar whose size and
-digest match the CSV beside it, without parsing the text.  Otherwise it
-streams the file's lines: a file in the plain form has its vectors parsed
-by numpy's C text reader in one call, and any other file is parsed row by
-row by a ``csv.reader`` and Python ``float``.  All three give the same
-result and the same errors, and none holds more than a row of text or a
-fixed-size buffer at a time.
+a caller asks for ``Corpus.embeddings``.  The CSV writer prints each float
+as ``"%.17g" % x`` does, so it reads back with the same bits.  It formats
+blocks of rows in numpy by the exact integer arithmetic of a correctly
+rounded conversion (Gay 1990; Adams 2019): the 53-bit significand times
+5**q is a 128-bit product in two uint64 words, shifted and rounded half to
+even, for 1e-11 <= |x| < 2**51; zero, subnormals and other magnitudes go
+to ``%`` itself.  Next to a CSV whose labels need no quotes it also writes
+a binary sidecar, ``<name>.csv.parsed``: the ids, labels and float64
+matrix it had in memory, plus a sha256 over the CSV's bytes and the
+sidecar.  The reader takes the columns from a sidecar whose size and digest
+match the CSV beside it, without parsing the text.  Otherwise it parses the
+file row by row with a ``csv.reader`` and Python ``float``.  Both give the
+same result and the same errors, and neither holds more than a row of text
+or a fixed-size buffer at a time.
 """
 
 from __future__ import annotations
@@ -316,10 +319,11 @@ def _quoted(field: str) -> str:
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as CSV (see module layout note); raises on empty corpus.
 
-    Each row is one ``%`` format; the ids and labels of a column that holds
-    a comma, quote, CR or LF are quoted, so every corpus reads back.  When
-    no label is quoted and ``path`` is a regular file, the sidecar (see
-    ``_write_sidecar``) is written too; a failure to write it is ignored.
+    Each block of rows is formatted (``_format_rows``), written and hashed
+    once; the ids and labels of a column that holds a comma, quote, CR or LF
+    are quoted.  When no label is quoted and ``path`` is a regular file, the
+    sidecar (see ``_write_sidecar``) is written too; a failure to write it
+    is ignored.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -331,36 +335,142 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     fields = [corpus.utterance_ids, *corpus._label_columns()]
     columns = [list(map(_quoted, column)) if _NEEDS_QUOTES.search("".join(column)) else column
                for column in fields]
-    row_format = "%s,%s,%s,%s," + ",".join(["%.17g"] * corpus.dim) + "\n"
+    prefixes = map("{},{},{},{},".format, *columns)
+    step = max(1, _BLOCK_VALUES // corpus.dim)
     digest = hashlib.sha256()
     with path.open("w", newline="") as fh:
         encoding = fh.encoding
         header = ",".join(FIXED_COLUMNS + [f"v{i}" for i in range(corpus.dim)]) + "\n"
-        rows = (row_format % (u, s, g, a, *v.tolist())
-                for u, s, g, a, v in zip(*columns, corpus.vectors))
-        for row in chain([header], rows):
-            fh.write(row)
-            digest.update(row.encode(encoding))
+        blocks = ("".join(chain(*zip(islice(prefixes, step),
+                                     _format_rows(corpus.vectors[i:i + step]))))
+                  for i in range(0, len(corpus), step))
+        for block in chain([header], blocks):
+            fh.write(block)
+            digest.update(block.encode(encoding))
     text = "\n".join(chain(*fields))
-    # the sidecar's rows are the CSV's lines, in the plain form: no label is
-    # quoted, holds a NUL or is longer than the field limit a parse enforces
+    # a parse of the CSV gives the sidecar's labels: no label is quoted,
+    # holds a NUL or is longer than the field limit a parse enforces
     if (columns == fields and "\0" not in text and path.is_file()
             and max(map(len, chain(*fields))) <= csv.field_size_limit()):
         _write_sidecar(path, digest, text.encode(encoding), corpus.vectors)
 
 
+# The float formatter (see the module docstring).  For 1e-11 <= |x| < 2**51,
+# x = M * 2**E with a 53-bit M and decimal exponent P in [-11, 15], so
+# q = 16 - P is in [1, 27], 5**q < 2**63, M * 5**q < 2**116 and the shift
+# -(E + q) is in [1, 62].  uint64 never meets int64: numpy makes that float64.
+_BLOCK_VALUES = 4096
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
+_U1, _U32, _U48, _U64, _LOW32 = (np.uint64(k) for k in (1, 32, 48, 64, 0xFFFF_FFFF))
+_E4, _E8, _E16, _E17 = (np.uint64(10 ** k) for k in (4, 8, 16, 17))
+
+
+def _scaled(M: np.ndarray, E: np.ndarray, P: np.ndarray):
+    """floor(M * 2**E * 10**(16 - P)) from the 128-bit product M * 5**q in
+    32-bit halves, and whether rounding it half to even adds one."""
+    q = 16 - P
+    shift = np.clip(-(E + q), 1, 63).astype(np.uint64)
+    f = _POW5[q]
+    m0, m1, f0, f1 = M & _LOW32, M >> _U32, f & _LOW32, f >> _U32
+    low = m0 * f0
+    mid = m1 * f0 + m0 * f1
+    lo = low + (mid << _U32)
+    hi = m1 * f1 + (mid >> _U32) + (lo < low)
+    floor = (hi << (_U64 - shift)) | (lo >> shift)
+    rest, half = lo & ((_U1 << shift) - _U1), _U1 << (shift - _U1)
+    return floor, (rest > half) | ((rest == half) & ((floor & _U1) == _U1))
+
+
+def _decimal(x: np.ndarray):
+    """(D, P, ok): where ok, |x| to 17 digits is D * 10**(P - 16), 10**16 <= D < 10**17."""
+    a = np.abs(x)
+    m, e = np.frexp(a)
+    M, E = (m * 2.0 ** 53).astype(np.uint64), e.astype(np.int64) - 53
+    ok = (a >= 1e-11) & (a < 2.0 ** 51)
+    P = np.floor(np.log10(np.where(ok, a, 1.0))).astype(np.int64).clip(-11, 15)
+    D, up = _scaled(M, E, P)
+    # log10 can miss P by one next to a power of ten; a D in range proves P
+    fix = np.flatnonzero(ok & ((D < _E16) | (D >= _E17)))
+    P[fix] = np.clip(P[fix] + np.where(D[fix] < _E16, -1, 1), -11, 15)
+    D[fix], up[fix] = _scaled(M[fix], E[fix], P[fix])
+    ok &= (D >= _E16) & (D < _E17)
+    D = np.where(ok, D + up, _E16)
+    carry = D == _E17
+    return np.where(carry, _E16, D), P + carry, ok
+
+
+# A value's text is in a 48-byte cell (six uint64 words): sign, "0.000", 17
+# digits each with a point slot after it, "e-NN", separator.  The rest depends
+# only on the key (P, sign, digits without trailing zeros), so a cell is its
+# key's characters OR its raw digits (spread 4-digit groups); its text is its
+# nonzero bytes, as unwritten characters and dropped zero digits are 0.
+_QUADS = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_DIGITS = (_QUADS.astype(np.uint64) << np.array([0, 16, 32, 48], dtype=np.uint64)).sum(axis=1)
+_TRAILING_ZEROS = np.where(np.arange(10_000) == 0, 4, np.argmax(_QUADS[:, ::-1] != 0, axis=1))
+
+
+def _cell_table():
+    """The characters and text length of a cell for every key."""
+    P = np.arange(-11, 16)[:, None, None, None]
+    neg = np.arange(2)[:, None, None]
+    n_digits = np.arange(1, 18)[:, None]
+    col = np.arange(48)
+    before = np.where(P >= 0, P + 1, np.where(P < -4, 1, 0))  # digits before the point
+    zone = (P < 0) & (P >= -4) & (col >= 1) & (col <= 1 - P)  # "0." and -P - 1 zeros
+    j = (col - 6) // 2  # digit j is in column 6 + 2j, its point slot after it
+    digit = (col >= 6) & (col < 40) & (col % 2 == 0) & (j < np.maximum(n_digits, before))
+    point = (col >= 7) & (col < 38) & (col % 2 == 1) & (j == before - 1) & (n_digits > before)
+    exponent = (P < -4) & (col >= 40) & (col < 44)
+    chars = np.select(
+        [(col == 0) & (neg == 1), zone & (col == 2), zone | digit, point,
+         exponent & (col == 40), exponent & (col == 41), exponent, col == 44],
+        [ord("-"), ord("."), ord("0"), ord("."), ord("e"), ord("-"),
+         np.where(col == 42, 48 + -P // 10, 48 + -P % 10), ord(",")], 0)
+    chars = chars.astype(np.uint8).reshape(-1, 48)
+    return chars.view("<u8"), np.count_nonzero(chars, axis=1)
+
+
+_CELLS, _CELL_LENGTHS = _cell_table()
+
+
+def _format_rows(block: np.ndarray) -> list[str]:
+    """The rows of a 2-d float block as CSV lines, each float as ``"%.17g" %``
+    writes it."""
+    x = block.ravel()
+    D, P, ok = _decimal(x)
+    lead, rest = np.divmod(D, _E16)
+    high, low = np.divmod(rest, _E8)
+    groups = np.stack([*np.divmod(high, _E4), *np.divmod(low, _E4)]).astype(np.intp)
+    zeros = 0
+    for z in _TRAILING_ZEROS[groups]:
+        zeros = np.where(z == 4, zeros + 4, z)
+    key = ((P + 11) * 2 + np.signbit(x)) * 17 + 16 - zeros
+    cells = _CELLS.take(key, axis=0)
+    cells[:, 0] |= lead << _U48
+    for k, g in enumerate(groups):
+        cells[:, 1 + k] |= _DIGITS[g]
+    lengths = _CELL_LENGTHS.take(key)
+    chars = cells.view(np.uint8)
+    chars.reshape(*block.shape, 48)[:, -1, 44] = ord("\n")
+    for i in np.flatnonzero(~ok).tolist():
+        text = b"%.17g" % x[i]
+        chars[i, :44] = np.frombuffer(text.ljust(44, b"\0"), dtype=np.uint8)
+        lengths[i] = len(text) + 1
+    text = chars.tobytes().translate(None, b"\0").decode("ascii")
+    ends = np.cumsum(lengths.reshape(block.shape).sum(axis=1)).tolist()
+    return [text[begin:end] for begin, end in zip([0] + ends, ends)]
+
+
 def read_corpus(path: str | Path, split_tag: str = "unsplit") -> Corpus:
     """Read a corpus CSV; the file does not carry the split tag, pass it in.
 
-    A file with a matching sidecar (see ``_read_sidecar``) is not parsed.
-    A file in the plain form (see ``_read_plain``) has its vectors parsed by
-    numpy; any other file, and every malformed one, is read again from the
-    start by the ``csv.reader`` path, so all three accept the same files
-    with the same result.  Every error names the path, and the line when it
-    is about one.  A read writes no file.
+    A file with a matching sidecar (see ``_read_sidecar``) is not parsed;
+    any other file is parsed by ``csv.reader`` and ``float``, and both give
+    the same result.  Every error names the path, and the line when it is
+    about one.  A read writes no file.
     """
     path = Path(path)
-    parsed = _read_sidecar(path) or _read_plain(path)
+    parsed = _read_sidecar(path)
     if parsed is None:
         with csv_rows(path) as reader:
             parsed = _read_rows(path, reader)
@@ -436,8 +546,8 @@ def _read_sidecar(path: Path):
     The sidecar is used only when its size is the one its header implies
     and its digest matches the bytes of ``path`` as they are now; a missing,
     short, stale or corrupt sidecar gives None.  The text is split at "\\n"
-    alone: ``str.splitlines`` also splits at characters a plain label may
-    hold.  It is decoded with the encoding a parse of ``path`` would use,
+    alone: ``str.splitlines`` also splits at characters an unquoted label
+    may hold.  It is decoded with the encoding a parse of ``path`` would use,
     which opening ``path`` as text gives.
     """
     try:
@@ -469,57 +579,6 @@ def _read_sidecar(path: Path):
         return None
     ids, *labels = (fields[i * n:(i + 1) * n] for i in range(4))
     return ids, labels, vectors, range(2, n + 2)
-
-
-# A row in the plain form: four labels without a comma, quote, CR, LF or
-# NUL, then the vector fields, made only of digits, ".", "e", "E", "+", "-"
-# and commas.  Over that alphabet numpy's parser accepts exactly the strings
-# ``float`` accepts, with the same bits; outside it numpy reads some that
-# ``float`` rejects ("31\x1c" as 31.0).
-_LABEL = '([^,"\r\n\0]*),'
-_PLAIN_ROW = re.compile(_LABEL * 4 + r"([0-9.eE+\-,]+)\n?")
-
-
-def _read_plain(path: Path):
-    """``_read_rows``' result for a file in the plain form, or None.
-
-    The plain form is the exact header, then only plain rows, each shorter
-    than ``csv.field_size_limit()``, with as many finite numbers as the
-    header has vector columns: the form ``write_corpus`` writes for labels
-    that need no quotes.  The csv reader splits such a row at its commas
-    alone, so its labels are the regex groups; the vector fields of all
-    rows are streamed into one ``np.loadtxt`` call.
-    """
-    limit = csv.field_size_limit()
-    fixed: list[tuple[str, ...]] = []
-
-    def tails(rows):
-        for row in rows:
-            match = len(row) < limit and _PLAIN_ROW.fullmatch(row)
-            if not match:
-                raise ValueError("not a plain row")
-            fixed.append(match.group(1, 2, 3, 4))
-            yield match[5]
-
-    try:
-        with path.open("r", newline="") as fh:
-            header = fh.readline()
-            dim = header.count(",") - 3
-            columns = FIXED_COLUMNS + [f"v{i}" for i in range(dim)]
-            if dim < 1 or header != ",".join(columns) + "\n":
-                return None
-            rows = tails(fh)
-            first = next(rows, None)  # no rows: loadtxt would warn
-            if first is None:
-                return None
-            vectors = np.loadtxt(chain([first], rows), dtype=np.float64, delimiter=",",
-                                 comments=None, quotechar=None, ndmin=2)
-    except (OSError, ValueError):  # also a bad number or field count, or undecodable bytes
-        return None
-    if vectors.shape != (len(fixed), dim) or not np.isfinite(vectors).all():
-        return None
-    ids, *labels = map(list, zip(*fixed))
-    return ids, labels, vectors, range(2, len(ids) + 2)
 
 
 def _read_rows(path: Path, reader):

@@ -65,6 +65,17 @@ class TestGenData:
         second = {p.name: digest(p) for p in out.glob("*.csv")}
         assert first == second
 
+    def test_split_bytes_pinned(self, tiny_run):
+        # sha256 of the tiny config's splits, computed before the writer
+        # formatted its floats in numpy blocks
+        config_path, out = tiny_run
+        assert run_cli("gen-data", "--config", config_path) == 0
+        assert {name: digest(out / f"{name}.csv") for name in ("train", "valid", "test")} == {
+            "train": "401019ca4856163c3a49724de16117a322d7be5ab774979e51061bd8abdce4d1",
+            "valid": "342aafe5d77bd32ef260c7fc1d7dd8aff19ebe88455e7cd121186c35764db16c",
+            "test": "bd016273f6b0e2385c1bc3ff737fd739a6912d0642440ae47c0aada372e94ad1",
+        }
+
     def test_invalid_spec_fails_naming_field(self, tmp_path, capsys):
         config = dict(TINY_CONFIG, out_dir=str(tmp_path / "r"))
         config["corpus"] = dict(config["corpus"], n_speakers=0)
@@ -194,6 +205,27 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "exploded" in err[0]
         assert not any((tmp_path / "run" / name).exists() for name in written)
+
+    @pytest.mark.parametrize("train, reason", [
+        ({"epochs": 60, "lr": 1.2, "optimizer": "sgd"}, "diverged in epoch 27"),
+        ({"epochs": 60, "lr": 300}, "exploded"),
+    ], ids=["diverges-mid-run", "ends-at-729-times-the-mean-predictor"])
+    def test_failed_desk_run_is_one_error_line(self, tmp_path, capsys, train, reason):
+        # on the default desk corpus the first run hits a non-finite loss in
+        # epoch 27 after 26 finite ones, and the second runs all 60 epochs to
+        # a best valid recon loss about 729 times that of the train mean
+        out = tmp_path / "run"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"out_dir": str(out), "train": train}))
+        run_cli("gen-data", "--config", path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("train", "--config", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+        assert not any((out / name).exists()
+                       for name in ("model.aan", "history.csv", "manifest_train.json"))
 
     def test_valid_split_missing_a_speaker_is_one_error_line(self, tiny_run, capsys):
         config_path, out = tiny_run

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import os
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,6 +16,8 @@ from spkdeid.dataset import (
     AttributeStrength,
     CorpusSpec,
     Embedding,
+    _decimal,
+    _format_rows,
     generate_corpus,
     make_corpus,
     read_corpus,
@@ -306,8 +309,8 @@ class TestReaderMatchesOracle:
         st.sampled_from(["-0", "5e-324", "2.2250738585072009e-308", "1e309"])),
         min_size=1, max_size=3), min_size=1, max_size=3))
     def test_vector_fields_same_bits_or_same_error(self, rows):
-        # the fields of the plain form: every one that numpy parses must get
-        # the bits ``float`` gives it, and every other must end as the oracle does
+        # every vector field the reader accepts must get the bits ``float``
+        # gives it, and every other must end as the oracle does
         header = ",".join(["utterance_id,speaker_id,gender,accent"]
                           + [f"v{j}" for j in range(len(rows[0]))])
         text = header + "\n" + "".join(f"u{i},s1,f,a,{','.join(fields)}\n"
@@ -388,6 +391,77 @@ class TestWriterMatchesOracle:
         oracle_write(corpus, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("block_values", [1, 10, None])
+    def test_same_bytes_across_blocks(self, tmp_path, monkeypatch, block_values):
+        # a block holds one row, several rows with a partial last block, or
+        # the whole corpus; zeros and out-of-range magnitudes go to "%"
+        if block_values is not None:
+            monkeypatch.setattr("spkdeid.dataset._BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(5)
+        vectors = rng.standard_normal((23, 3)) * 10.0 ** rng.integers(-14, 18, (23, 3))
+        vectors[::4, 1] = 0.0
+        vectors[1, 2] = -0.0
+        corpus = generate_corpus(small_spec(n_speakers=23, utterances_per_speaker=1,
+                                            dim=3)).with_vectors(vectors)
+        write_corpus(corpus, tmp_path / "got.csv")
+        oracle_write(corpus, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def formatted(values):
+    """``_format_rows`` of ``values`` as one column, without line ends."""
+    return [line.removesuffix("\n") for line in
+            _format_rows(np.array(values, dtype=np.float64).reshape(-1, 1))]
+
+
+def ulp_neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+class TestFloatFormat:
+    """The CSV writer's float formatter against ``"%.17g" %``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), min_size=1, max_size=40))
+    def test_any_finite_bit_pattern(self, patterns):
+        values = [v for v in struct.unpack(f"<{len(patterns)}d",
+                                           struct.pack(f"<{len(patterns)}Q", *patterns))
+                  if np.isfinite(v)]
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=24),
+           st.integers(min_value=1, max_value=6))
+    def test_rows_are_comma_joined_lines(self, values, dim):
+        block = np.resize(np.array(values), (len(values) // dim + 1, dim))
+        assert _format_rows(block) == [",".join("%.17g" % v for v in row) + "\n"
+                                       for row in block.tolist()]
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0],
+        [5e-324, -5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308],
+        ulp_neighbours(1e-5) + ulp_neighbours(1e-4) + ulp_neighbours(-1e-4),
+        ulp_neighbours(1e16) + ulp_neighbours(1e17) + ulp_neighbours(2.0 ** 51),
+        [v for k in range(-20, 24) for v in ulp_neighbours(10.0 ** k)],
+        [v for k in range(-12, 17) for v in ulp_neighbours(-9.5 * 10.0 ** k)],
+        [1e-11, 9.999999999999999e-12, 0.1, 0.5, 1.0, 100.0, 123456.0, -2.5e-7],
+    ], ids=["zeros", "subnormal-and-smallest-normal", "fixed-to-exponent",
+            "large", "powers-of-ten", "negative-every-exponent", "short"])
+    def test_named_cases(self, values):
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_covered_range_needs_no_fallback(self):
+        # log10 misses the exponent of some of these by one; the formatter
+        # corrects it rather than handing them to "%"
+        values = [v for k in range(-10, 16) for v in ulp_neighbours(10.0 ** k)]
+        values += list(np.random.default_rng(0).standard_normal(1000))
+        assert _decimal(np.array(values))[2].all()
+
+    def test_exact_ties_round_half_to_even(self):
+        assert formatted([1234567890123456.75, 1234567890123456.25]) == \
+            ["1234567890123456.8", "1234567890123456.2"]
+
 
 def sidecar(path):
     return path.with_name(path.name + ".parsed")
@@ -447,7 +521,7 @@ class TestSidecar:
         def no_parse(*args):
             raise AssertionError("parsed a file that has a matching sidecar")
 
-        monkeypatch.setattr("spkdeid.dataset._read_plain", no_parse)
+        monkeypatch.setattr("spkdeid.dataset._read_rows", no_parse)
         monkeypatch.setattr("spkdeid.dataset.csv_rows", no_parse)
         assert_same_read(read_corpus(path), corpus)
 
