@@ -15,11 +15,14 @@ no per-vector forms, and a single vector is a one-row matrix.  The AAN
 methods only run the model forward, so a model loaded to anonymize holds
 no gradient storage.
 
-BLAS is called once per row, from numpy's C loop over stacked matmuls:
-one ``ddot`` per query norm, one pool gemv per query and one gemv per row
-and encoder or decoder layer, the calls the 1-d and one-row products make.
-A multi-row gemm sums in another order, so one call per row keeps every
-output row independent of N and of its neighbours.
+The baseline ranks each block of queries with one gemm.  Its sums run in
+another order than a one-row product's, but the output depends only on
+the chosen index set: a row whose choice a rounding bound settles takes
+it from the gemm, and any other row is ranked again as a one-row call
+ranks it, with one ``ddot`` for its norm and one pool gemv.  The
+reconstruction's outputs are values, so it stays one gemv per row and
+layer, from numpy's C loop over stacked matmuls.  Either way every output
+row is independent of N and of its neighbours.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     ``x`` is an (N, dim) matrix of queries and the result is (N, dim).
     Ranking is by ascending cosine similarity, ties broken by pool index;
     scaling a query by any c > 0 leaves its selection and output unchanged.
+
+    Each block is ranked with one gemm.  A row takes its selection from it
+    when exactly ``top_k`` gemm values lie within twice the rounding bound
+    of the k-th smallest, and is ranked again from the exact similarities
+    otherwise, so every row's output is that of its one-row call.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pool.dim:
@@ -83,6 +91,24 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
         raise ValueError(f"top_k must be in [1, {len(pool)}], got {top_k}")
     if np.any(pool.norms == 0.0):
         raise ValueError("degenerate vector: zero norm, cosine distance undefined")
+    # A row's exact similarity to pool row v is s = fl(fl(x.v) / fl(|v|^ |x|^)),
+    # |v|^ and |x|^ the computed norms; the gemm gives f = fl(x.fl(v / |v|^)),
+    # about |x|^ s.  Each d-term dot product, in any summation order, is
+    # within gamma_d |x||v| of its exact value, gamma_d = d u / (1 - d u),
+    # u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 3.1).  With one u each for v / |v|^, the norm product and the division,
+    # |f / |x|^ - s| <= (2d + 3) u to first order; the norms, within
+    # gamma_(d+2) of |x| and |v|, scale it by 1 + O(d u).  E = 4 (d + 3) u is
+    # twice that plus 6 u, which covers the second-order terms for d < 2**26,
+    # the rounding of kth + 2 E |x|^ and any underflow while all norms lie in
+    # [low, high], where no product overflows and every gemm value is finite.
+    # Every exact top_k member has f <= kth + 2 E |x|^, where kth is the k-th
+    # smallest f, so a window of exactly top_k entries is the exact choice.
+    slack = 2 * 4 * (pool.dim + 3) * 2.0 ** -53
+    low, high = 2.0 ** -400, 2.0 ** 400
+    pool_ranked = pool.dim < 2 ** 26 and low <= pool.norms.min() and pool.norms.max() <= high
+    unit_pool = np.empty((pool.dim, len(pool)))
+    np.divide(pool.vectors.T, pool.norms, out=unit_pool)
     out = np.empty_like(x)
     block = max(1, _BLOCK_ELEMENTS // max(len(pool), top_k * pool.dim))
     for start in range(0, len(x), block):
@@ -90,13 +116,25 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
         query_norms = np.sqrt(queries.transpose(0, 2, 1) @ queries)[:, 0]
         if np.any(query_norms == 0.0):
             raise ValueError("degenerate vector: zero norm, cosine distance undefined")
-        sims = (pool.vectors @ queries)[:, :, 0]
-        sims /= pool.norms * query_norms
-        if not np.all(np.isfinite(sims)):
-            raise ValueError("degenerate vector: non-finite cosine similarity")
+        exact = ~((low <= query_norms[:, 0]) & (query_norms[:, 0] <= high) & pool_ranked)
+        ranked = np.flatnonzero(~exact)
+        fast = x[start + ranked] @ unit_pool
+        kth = np.partition(fast, top_k - 1, axis=1)[:, top_k - 1, None]
+        window = np.flatnonzero(fast <= kth + slack * query_norms[ranked])
+        rows = window // len(pool)
+        certified = np.bincount(rows, minlength=len(ranked)) == top_k
+        exact[ranked[~certified]] = True
+        chosen = np.empty((len(queries), top_k), dtype=np.intp)
+        chosen[~exact] = (window[certified[rows]] % len(pool)).reshape(-1, top_k)
+        if exact.any():
+            sims = (pool.vectors @ queries[exact])[:, :, 0]
+            sims /= pool.norms * query_norms[exact]
+            if not np.all(np.isfinite(sims)):
+                raise ValueError("degenerate vector: non-finite cosine similarity")
+            chosen[exact] = _farthest(sims, top_k)
         # averaging in pool index order keeps the output independent of the
         # rank order within the selected set
-        out[start:start + block] = pool.vectors[_farthest(sims, top_k)].mean(axis=1)
+        out[start:start + block] = pool.vectors[chosen].mean(axis=1)
     return out
 
 

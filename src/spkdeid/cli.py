@@ -352,12 +352,15 @@ def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: 
     model = build_aan(dims, lam, seed=derive_seed(cfg.seed, "build"))
     config = dataclasses.replace(cfg.train, lam=lam,
                                  seed=derive_seed(cfg.seed, "train"))
+    mean_loss = float(((valid_corpus.vectors - train_corpus.vectors.mean(axis=0)) ** 2).mean())
+    if mean_loss == 0.0:
+        raise ValueError("the valid split has no spread around the train mean, so a run's "
+                         "reconstruction loss cannot be judged; no checkpoint written")
     model, history = train(model, train_corpus, valid_corpus, config)
     if len(history) < config.epochs:  # train stops at a non-finite loss
         raise DivergenceError(f"training diverged in epoch {len(history) + 1} (lambda={lam:g}, "
                               f"lr={config.lr:g}); no checkpoint written")
     best = min(row.valid.recon for row in history)
-    mean_loss = float(((valid_corpus.vectors - train_corpus.vectors.mean(axis=0)) ** 2).mean())
     if best > EXPLODED_RATIO * mean_loss:
         raise DivergenceError(
             f"training exploded (lambda={lam:g}, lr={config.lr:g}): best valid recon loss "

@@ -263,6 +263,19 @@ def baseline_oracle(pool, x, top_k):
                      for q in x]).reshape(x.shape)
 
 
+def reference_is_finite(pool, x):
+    """Whether every cosine similarity of the per-query reference is finite."""
+    return all(np.all(np.isfinite((pool.vectors @ q) / (pool.norms * np.linalg.norm(q))))
+               for q in x)
+
+
+def scaled_rows(data, r, rows):
+    """``rows``, each scaled by 1 or by one of a drawn set of 1e+-150 and 1e+-300."""
+    scales = data.draw(st.lists(st.sampled_from([1e150, 1e-150, 1e300, 1e-300]),
+                                max_size=3, unique=True))
+    return rows * r.choice([1.0] + scales, size=(len(rows), 1))
+
+
 def assert_same_bytes(got, expected):
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
@@ -334,6 +347,65 @@ class TestStackedKernels:
         queries = 0.1 * r.normal(size=(20, 64)) - direction
         assert_same_bytes(baseline_anonymize(pool, queries, top_k),
                           baseline_oracle(pool, queries, top_k))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_certified_ranking_matches_reference(self, data):
+        # near-tie pools, and rows scaled until norms or dot products overflow
+        # or underflow: the reference's bytes, or a refusal exactly where the
+        # reference has a non-finite similarity
+        r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 31)))
+        dim = data.draw(st.sampled_from([1, 3, 8, 64]))
+        n, rows = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30))
+        kind = data.draw(st.sampled_from(["copies", "duplicates", "integers"]))
+        if kind == "copies":
+            direction = r.normal(size=dim)
+            vectors = r.uniform(0.5, 4.0, size=(n, 1)) * direction
+            others = r.random(n) < 0.3
+            vectors[others] = r.normal(size=(others.sum(), dim))
+            x = 0.1 * r.normal(size=(rows, dim)) - direction
+        elif kind == "duplicates":
+            distinct = r.normal(size=(r.integers(1, 7), dim))
+            vectors = distinct[r.integers(0, len(distinct), size=n)]
+            x = np.vstack([distinct, r.normal(size=(rows, dim))])[r.permutation(rows)]
+        else:
+            vectors = r.integers(-2, 3, size=(n, dim)).astype(np.float64)
+            x = r.integers(-2, 3, size=(rows, dim)).astype(np.float64)
+        vectors[np.abs(vectors).sum(axis=1) == 0, 0] = 1.0
+        x[np.abs(x).sum(axis=1) == 0, 0] = -1.0
+        vectors, x = scaled_rows(data, r, vectors), scaled_rows(data, r, x)
+        top_k = data.draw(st.sampled_from(sorted({1, min(3, n), (n + 1) // 2, n})))
+        block_elements = data.draw(st.sampled_from([1, 50, 300, _BLOCK_ELEMENTS]))
+        # the scaled norms overflow and underflow in PseudoPool and in the
+        # reference alike
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anonymize, "_BLOCK_ELEMENTS", block_elements)
+            pool = PseudoPool(vectors)
+            if reference_is_finite(pool, x):
+                assert_same_bytes(baseline_anonymize(pool, x, top_k),
+                                  baseline_oracle(pool, x, top_k))
+            else:
+                with pytest.raises(ValueError, match="degenerate"):
+                    baseline_anonymize(pool, x, top_k)
+
+    def test_only_near_ties_are_ranked_again(self, monkeypatch):
+        reranked = []
+
+        def spy(sims, top_k):
+            reranked.append(len(sims))
+            return _farthest(sims, top_k)
+
+        monkeypatch.setattr(anonymize, "_farthest", spy)
+        r = np.random.default_rng(18)
+        baseline_anonymize(PseudoPool(r.normal(size=(400, 64))), r.normal(size=(400, 64)), 10)
+        assert reranked == []
+        # the scaled copies' cosines differ by rounding alone
+        direction = r.normal(size=64)
+        copies = r.uniform(0.5, 4.0, size=(24, 1)) * direction
+        pool = PseudoPool(np.vstack([copies, r.normal(size=(40, 64))]))
+        baseline_anonymize(pool, 0.1 * r.normal(size=(20, 64)) - direction, 12)
+        assert sum(reranked) == 20
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())

@@ -227,6 +227,28 @@ class TestTrain:
         assert not any((out / name).exists()
                        for name in ("model.aan", "history.csv", "manifest_train.json"))
 
+    def test_valid_split_without_spread_is_one_error_line(self, tmp_path, capsys):
+        # one noiseless speaker: every vector equals the train mean, so the
+        # mean predictor's valid loss, the explosion yardstick, is 0
+        out = tmp_path / "run"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "out_dir": str(out),
+            "corpus": {"n_speakers": 1, "n_genders": 1, "n_accents": 1,
+                       "utterances_per_speaker": 6, "dim": 4, "noise_sigma": 0.0},
+            "split": {"n_heldout_per_speaker": 1},
+            "model": {"hidden": 4, "latent": 2, "branch_hidden": 4},
+            "train": {"epochs": 5}}))
+        assert run_cli("gen-data", "--config", path) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("train", "--config", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "no spread" in err[0]
+        assert not any((out / name).exists()
+                       for name in ("model.aan", "history.csv", "manifest_train.json"))
+
     def test_valid_split_missing_a_speaker_is_one_error_line(self, tiny_run, capsys):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
@@ -259,6 +281,17 @@ class TestAnonymize:
                        "--method", "identity",
                        "--in", out / "test.csv", "--out", out / "anon.csv") == 0
         assert digest(out / "anon.csv") == digest(out / "test.csv")
+
+    def test_baseline_bytes_pinned(self, tiny_run):
+        # sha256 of the tiny config's baseline_farthest test split, computed
+        # while every query was ranked by its own pool gemv
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        assert run_cli("anonymize", "--config", config_path, "--method", "baseline_farthest",
+                       "--pool", out / "train.csv", "--in", out / "test.csv",
+                       "--out", out / "anon.csv") == 0
+        assert digest(out / "anon.csv") == \
+            "f9c116eea228f6fa322bd804221c67c4aba8b99253473a880c73175a17e357f5"
 
     def test_aan1_preserves_row_count(self, tiny_run):
         config_path, out = tiny_run
