@@ -32,10 +32,10 @@ gradient vector.  Parameter names ("enc0.w", ...) exist only in
 
 Training computes only what it reads: the encoder's input gradient is never
 computed.  The per-epoch validation pass (``evaluate_model``) keeps no
-backward caches and computes each head's loss and accuracy in place on its
-logits, so beside the forward outputs it holds no further array of the
-logits' size; with 1251 speakers the speaker logits dominate, and its peak
-is about one (rows, n_speakers) matrix.
+backward caches, runs the split in blocks of rows (``_BLOCK_ELEMENTS``) and
+computes each head's per-row losses and hits in place on a block's logits.
+Its peak is about one block's outputs plus one (rows, input_dim) buffer of
+squared errors: with 1251 speakers it no longer grows as rows x speakers.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ from .neural import (
     DenseLayer,
     DivergenceError,
     adam_step,
+    as_batch,
     bind_gradients,
+    check_labels,
     check_lam,
     cross_entropy_and_accuracy,
     dense_backward,
@@ -70,6 +72,11 @@ CHECKPOINT_MAGIC = b"AAN1"
 CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<4s8Id")  # magic, version, 7 dims, lam
 CHECKPOINT_HEADER_SIZE = _HEADER.size
+
+# Forward passes over many rows (the validation pass here, anonymization)
+# run in blocks of rows sized so that a block's largest temporary holds
+# about this many float64 values (1 MB), whatever the number of rows.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -319,19 +326,40 @@ def evaluate_model(model: AanModel, x: np.ndarray, gender_labels: np.ndarray,
                    ) -> tuple[LossBreakdown, tuple[float, float, float]]:
     """Full-pass losses and head accuracies, no gradients.
 
-    Each head's loss and accuracy are computed in place on its logits, so
-    besides the forward outputs the pass holds no array of the logits' size:
-    its peak is about one (rows, n_speakers) matrix.  The values have the
-    bits of ``softmax_cross_entropy`` losses and ``argmax`` accuracies.
+    The rows run through ``aan_forward`` in blocks sized so that a block's
+    widest output holds about ``_BLOCK_ELEMENTS`` values.  Each block's
+    squared reconstruction errors, and each head's per-row losses and hits
+    (computed in place on its logits), land in buffers as long as the split,
+    and each mean is taken once over the whole split.  So the peak is about
+    one block's outputs plus the squared errors, whatever the number of
+    speakers.  A split of one block has the bits of ``mse_loss`` and
+    ``softmax_cross_entropy`` losses and ``argmax`` accuracies; over several
+    blocks, a gemm's last bits may depend on the block's row count.
     """
-    output = aan_forward(model, x)
-    recon_loss, _ = mse_loss(output.reconstruction, x)
-    gender_loss, gender_acc = cross_entropy_and_accuracy(output.gender_logits, gender_labels)
-    accent_loss, accent_acc = cross_entropy_and_accuracy(output.accent_logits, accent_labels)
-    speaker_loss, speaker_acc = cross_entropy_and_accuracy(output.speaker_logits,
-                                                           speaker_labels)
-    return (LossBreakdown(recon_loss, gender_loss, accent_loss, speaker_loss),
-            (gender_acc, accent_acc, speaker_acc))
+    x = as_batch(x)
+    d = model.dims
+    labels = [check_labels(y, len(x), k) for y, k in
+              ((gender_labels, d.n_genders), (accent_labels, d.n_accents),
+               (speaker_labels, d.n_speakers))]
+    squared = np.empty((len(x), d.input_dim))
+    losses = np.empty((3, len(x)))
+    hits = np.empty((3, len(x)), dtype=bool)
+    block = max(1, _BLOCK_ELEMENTS // max(vars(d).values()))
+    for start in range(0, len(x), block):
+        rows = slice(start, start + block)
+        output = aan_forward(model, x[rows])
+        np.subtract(output.reconstruction, x[rows], out=squared[rows])
+        np.square(squared[rows], out=squared[rows])
+        for i, logits in enumerate((output.gender_logits, output.accent_logits,
+                                    output.speaker_logits)):
+            losses[i, rows], hits[i, rows] = cross_entropy_and_accuracy(
+                logits, labels[i][rows], check=False)
+        del output, logits  # so that no two blocks' logits are alive at once
+    # negated back and forth, so the mean has the bits of softmax_cross_entropy's
+    # loss, the sign of an all-zero mean included
+    return (LossBreakdown(float(squared.mean()),
+                          *(float(-np.negative(row).mean()) for row in losses)),
+            tuple(float(row.mean()) for row in hits))
 
 
 def _corpus_tensors(corpus: Corpus, dims: AanDims):

@@ -31,15 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aan import AanModel
+from .aan import _BLOCK_ELEMENTS, AanModel
 from .dataset import Corpus
 from .neural import DivergenceError
 
 METHOD_KINDS = ("identity", "baseline_farthest", "aan1", "aan2")
-
-# Rows per block are sized so a block's largest temporary holds about this
-# many float64 values (1 MB), whatever N is.
-_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -60,7 +56,9 @@ class PseudoPool:
                              f"{self.vectors.shape}")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("pool contains non-finite vectors")
-        self.norms = np.linalg.norm(self.vectors, axis=1)
+        # an overflowing norm reads inf, which baseline_anonymize refuses
+        with np.errstate(over="ignore"):
+            self.norms = np.linalg.norm(self.vectors, axis=1)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -76,7 +74,11 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
 
     ``x`` is an (N, dim) matrix of queries and the result is (N, dim).
     Ranking is by ascending cosine similarity, ties broken by pool index;
-    scaling a query by any c > 0 leaves its selection and output unchanged.
+    scaling a query by any c > 0 under which its squared entries neither
+    overflow nor underflow leaves its selection and output unchanged.  A
+    query or pool row whose norm is 0 or overflows float64 (its squares
+    summing past about 1.8e308) is refused as degenerate, since an
+    overflowed norm would make its similarities read 0.
 
     Each block is ranked with one gemm.  A row takes its selection from it
     when exactly ``top_k`` gemm values lie within twice the rounding bound
@@ -89,8 +91,7 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
                          f"pool dim {pool.dim}")
     if not 1 <= top_k <= len(pool):
         raise ValueError(f"top_k must be in [1, {len(pool)}], got {top_k}")
-    if np.any(pool.norms == 0.0):
-        raise ValueError("degenerate vector: zero norm, cosine distance undefined")
+    _check_norms(pool.norms)
     # A row's exact similarity to pool row v is s = fl(fl(x.v) / fl(|v|^ |x|^)),
     # |v|^ and |x|^ the computed norms; the gemm gives f = fl(x.fl(v / |v|^)),
     # about |x|^ s.  Each d-term dot product, in any summation order, is
@@ -113,9 +114,9 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     block = max(1, _BLOCK_ELEMENTS // max(len(pool), top_k * pool.dim))
     for start in range(0, len(x), block):
         queries = x[start:start + block, :, None]
-        query_norms = np.sqrt(queries.transpose(0, 2, 1) @ queries)[:, 0]
-        if np.any(query_norms == 0.0):
-            raise ValueError("degenerate vector: zero norm, cosine distance undefined")
+        with np.errstate(over="ignore"):
+            query_norms = np.sqrt(queries.transpose(0, 2, 1) @ queries)[:, 0]
+        _check_norms(query_norms)
         exact = ~((low <= query_norms[:, 0]) & (query_norms[:, 0] <= high) & pool_ranked)
         ranked = np.flatnonzero(~exact)
         fast = x[start + ranked] @ unit_pool
@@ -136,6 +137,15 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
         # rank order within the selected set
         out[start:start + block] = pool.vectors[chosen].mean(axis=1)
     return out
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    """Refuse a zero norm, where cosine distance is undefined, and a
+    non-finite one, against which every similarity would read 0 or NaN."""
+    if np.any(norms == 0.0):
+        raise ValueError("degenerate vector: zero norm, cosine distance undefined")
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("degenerate vector: non-finite norm, cosine distance undefined")
 
 
 def _farthest(sims: np.ndarray, top_k: int) -> np.ndarray:

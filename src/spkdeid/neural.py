@@ -18,8 +18,10 @@ by ``finite_difference_check`` on slices of the same two.
 ``adam_step`` updates the parameters and moments in place through ufunc
 ``out=`` calls on scratch arrays held by its ``AdamState``, so the update
 allocates nothing.  For a pass without gradients,
-``cross_entropy_and_accuracy`` works on the logits in place, so it holds
-nothing of their size beyond the logits themselves.
+``cross_entropy_and_accuracy`` gives each row's loss and top-1 hit, working
+on the logits in place, so it holds nothing of their size beyond the logits
+themselves; a caller that takes the means over a whole split can run the
+split in blocks of rows.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def init_dense(n_in: int, n_out: int, activation: str,
     return DenseLayer(weights, np.zeros(n_out), activation)
 
 
-def _as_batch(x: np.ndarray) -> np.ndarray:
+def as_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected a (batch, features) array with batch >= 1, got shape {x.shape}")
@@ -87,7 +89,7 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, DenseCache]:
-    x = _as_batch(x)
+    x = as_batch(x)
     if x.shape[1] != layer.n_in:
         raise ValueError(f"input has {x.shape[1]} features, layer expects {layer.n_in}")
     pre = x @ layer.weights.T
@@ -151,11 +153,11 @@ def bind_gradients(layers: list[DenseLayer]) -> np.ndarray:
     return grads
 
 
-def _checked_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def check_labels(labels: np.ndarray, batch: int, k: int) -> np.ndarray:
+    """``labels`` as an array, checked to be ``batch`` class indices in [0, k)."""
     labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(f"labels shape {labels.shape} != (batch,) = ({logits.shape[0]},)")
-    k = logits.shape[1]
+    if labels.shape != (batch,):
+        raise ValueError(f"labels shape {labels.shape} != (batch,) = ({batch},)")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k}), got range "
                          f"[{labels.min()}, {labels.max()}]")
@@ -169,8 +171,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     Returns (loss, gradient w.r.t. logits).  The gradient is
     (softmax - one_hot) / batch, matching the mean reduction.
     """
-    logits = _as_batch(logits)
-    labels = _checked_labels(logits, labels)
+    logits = as_batch(logits)
+    labels = check_labels(labels, *logits.shape)
     n = logits.shape[0]
     rows = np.arange(n)
     # one (batch, classes) buffer: shifted logits, log-probabilities, gradient
@@ -183,25 +185,28 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     return loss, grad
 
 
-def cross_entropy_and_accuracy(logits: np.ndarray, labels: np.ndarray
-                               ) -> tuple[float, float]:
-    """(mean softmax cross-entropy, top-1 accuracy) of float64 logits, in place.
+def cross_entropy_and_accuracy(logits: np.ndarray, labels: np.ndarray, check: bool = True
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (softmax cross-entropy, top-1 hit) of float64 logits, in place.
 
     ``logits`` is overwritten: the caller hands over an array it no longer
-    needs, and no other array of its size is allocated.  The loss has the
-    bits of ``softmax_cross_entropy``'s loss: each element is the shifted
-    label logit minus the log of the row's exp-sum, the subtraction that
-    its ``log_probs`` performs.  The argmax is taken first, so ties go to
-    the lowest index as in ``logits.argmax(axis=1)``.
+    needs, and no other array of its size is allocated.  Each row's loss has
+    the bits of ``-log_probs[row, label]`` in ``softmax_cross_entropy``: the
+    shifted label logit minus the log of the row's exp-sum, negated, so the
+    negated mean of the negated losses has the bits of its loss.  The argmax
+    is taken first, so ties go to the lowest index as in
+    ``logits.argmax(axis=1)``.  ``check=False`` skips the label check, for a
+    caller that has checked the labels of a whole split once.
     """
-    logits = _as_batch(logits)
-    labels = _checked_labels(logits, labels)
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    logits = as_batch(logits)
+    if check:
+        labels = check_labels(labels, *logits.shape)
+    hits = logits.argmax(axis=1) == labels
     logits -= logits.max(axis=1, keepdims=True)
-    label_logits = logits[np.arange(logits.shape[0]), labels]
+    losses = logits[np.arange(logits.shape[0]), labels]
     np.exp(logits, out=logits)
-    log_sums = np.log(logits.sum(axis=1))
-    return float(-(label_logits - log_sums).mean()), accuracy
+    losses -= np.log(logits.sum(axis=1))
+    return np.negative(losses, out=losses), hits
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -209,8 +214,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
     Returns (loss, gradient w.r.t. pred) with grad = 2 (pred - target) / size.
     """
-    pred = _as_batch(pred)
-    target = _as_batch(target)
+    pred = as_batch(pred)
+    target = as_batch(target)
     if pred.shape != target.shape:
         raise ValueError(f"pred shape {pred.shape} != target shape {target.shape}")
     diff = pred - target

@@ -271,6 +271,95 @@ class TestEvaluateModel:
             tracemalloc.stop()
         assert peak <= 1.5 * rows * dims.n_speakers * 8
 
+    @staticmethod
+    def blocked_reference(model, x, g, a, s, block):
+        """evaluate_model rebuilt block by block from ``aan_forward`` and
+        one-row ``softmax_cross_entropy`` calls, each mean taken once over
+        the full per-row arrays as ``mse_loss`` and ``softmax_cross_entropy``
+        reduce them."""
+        squared = np.empty(x.shape)
+        log_probs = np.empty((3, len(x)))
+        hits = np.empty((3, len(x)), dtype=bool)
+        for start in range(0, len(x), block):
+            out = aan_forward(model, x[start:start + block])
+            squared[start:start + block] = (out.reconstruction - x[start:start + block]) ** 2
+            for i, (logits, labels) in enumerate(((out.gender_logits, g), (out.accent_logits, a),
+                                                  (out.speaker_logits, s))):
+                labels = labels[start:start + block]
+                hits[i, start:start + block] = logits.argmax(axis=1) == labels
+                for j in range(len(logits)):
+                    loss, _ = softmax_cross_entropy(logits[j:j + 1], labels[j:j + 1])
+                    log_probs[i, start + j] = -loss
+        return (LossBreakdown(float(squared.mean()), *(float(-row.mean()) for row in log_probs)),
+                tuple(float(row.mean()) for row in hits))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_blocks_match_blocked_reference_exactly(self, data):
+        sizes = st.integers(min_value=1, max_value=9)
+        dims = AanDims(input_dim=data.draw(sizes), hidden=data.draw(sizes),
+                       latent=data.draw(sizes), branch_hidden=data.draw(sizes),
+                       n_genders=data.draw(sizes), n_accents=data.draw(sizes),
+                       n_speakers=data.draw(st.integers(min_value=1, max_value=40)))
+        seed = data.draw(st.integers(min_value=0, max_value=2**16))
+        budget = data.draw(st.sampled_from([1, 7, 50, 300]))
+        block = max(1, budget // max(vars(dims).values()))
+        rows = data.draw(st.sampled_from([1, block - 1, block, block + 1, 3 * block + 2,
+                                          40]).filter(lambda n: n >= 1))
+        model = build_aan(dims, lam=1.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, dims.input_dim))
+        labels = [rng.integers(0, n, rows) for n in (dims.n_genders, dims.n_accents,
+                                                     dims.n_speakers)]
+        calls = []
+
+        def spy(model, x):
+            calls.append(len(x))
+            return aan_forward(model, x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aan_module, "_BLOCK_ELEMENTS", budget)
+            patch.setattr(aan_module, "aan_forward", spy)
+            losses, accs = evaluate_model(model, x, *labels)
+        assert calls == [min(block, rows - start) for start in range(0, rows, block)]
+        ref_losses, ref_accs = self.blocked_reference(model, x, *labels, block)
+        assert (np.array(dataclasses.astuple(losses)).tobytes()
+                == np.array(dataclasses.astuple(ref_losses)).tobytes())
+        assert accs == ref_accs
+
+    def test_peak_memory_does_not_grow_with_rows_times_speakers(self):
+        # one speaker logits matrix of 6000 x 1500 float64 would be 72 MB
+        dims = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
+                       n_genders=2, n_accents=3, n_speakers=1500)
+        model = build_aan(dims, lam=1.0, seed=3)
+        rng = np.random.default_rng(3)
+        rows = 6000
+        x = rng.normal(size=(rows, dims.input_dim))
+        labels = [rng.integers(0, n, rows) for n in (2, 3, dims.n_speakers)]
+        tracemalloc.start()
+        try:
+            evaluate_model(model, x, *labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about one block's logits, plus the per-row buffers: squared errors,
+        # losses and hits
+        assert peak <= 8 * (1.5 * aan_module._BLOCK_ELEMENTS + rows * (dims.input_dim + 8))
+
+    def test_out_of_range_label_across_blocks_is_checked_once(self, monkeypatch):
+        model = tiny_model()
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(20, TINY_DIMS.input_dim))
+        g, a = np.zeros(20, dtype=int), np.zeros(20, dtype=int)
+        s = np.full(20, 2)
+        s[0], s[-1] = 0, TINY_DIMS.n_speakers
+        monkeypatch.setattr(aan_module, "_BLOCK_ELEMENTS", 3 * TINY_DIMS.input_dim)
+        monkeypatch.setattr(aan_module, "aan_forward",
+                            lambda *_: pytest.fail("a block ran before the labels were checked"))
+        # the range is that of the whole split, not of the last block
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 5\), got range \[0, 5\]"):
+            evaluate_model(model, x, g, a, s)
+
 
 class TestGrlEquivalence:
     def test_sgd_step_matches_two_role_update(self):

@@ -106,6 +106,23 @@ class TestBaseline:
         with pytest.raises(ValueError, match="degenerate"):
             farthest_mean(pool, np.array([1.0, 1.0]), top_k=1)
 
+    def test_overflowing_query_norm_rejected(self):
+        # 1e160 x has finite entries, but its squared norm overflows, and
+        # every similarity would read 0 against an infinite norm
+        r = np.random.default_rng(5)
+        pool = PseudoPool(r.normal(size=(50, 8)))
+        x = r.normal(size=8)
+        with pytest.raises(ValueError, match="degenerate vector: non-finite norm"):
+            farthest_mean(pool, 1e160 * x, top_k=3)
+
+    def test_overflowing_pool_norm_rejected(self):
+        # the pool row -1e160 x is the farthest from x, but its norm is inf
+        r = np.random.default_rng(6)
+        x = r.normal(size=8)
+        pool = PseudoPool(np.vstack([r.normal(size=(49, 8)), -1e160 * x]))
+        with pytest.raises(ValueError, match="degenerate vector: non-finite norm"):
+            farthest_mean(pool, x, top_k=1)
+
     def test_top_k_bounds(self):
         pool = PseudoPool(np.ones((2, 3)))
         with pytest.raises(ValueError, match="top_k"):
@@ -264,9 +281,12 @@ def baseline_oracle(pool, x, top_k):
 
 
 def reference_is_finite(pool, x):
-    """Whether every cosine similarity of the per-query reference is finite."""
-    return all(np.all(np.isfinite((pool.vectors @ q) / (pool.norms * np.linalg.norm(q))))
-               for q in x)
+    """Whether every norm and cosine similarity of the per-query reference is
+    finite."""
+    return np.all(np.isfinite(pool.norms)) and all(
+        np.isfinite(np.linalg.norm(q))
+        and np.all(np.isfinite((pool.vectors @ q) / (pool.norms * np.linalg.norm(q))))
+        for q in x)
 
 
 def scaled_rows(data, r, rows):
@@ -353,7 +373,7 @@ class TestStackedKernels:
     def test_certified_ranking_matches_reference(self, data):
         # near-tie pools, and rows scaled until norms or dot products overflow
         # or underflow: the reference's bytes, or a refusal exactly where the
-        # reference has a non-finite similarity
+        # reference has a non-finite norm or similarity
         r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 31)))
         dim = data.draw(st.sampled_from([1, 3, 8, 64]))
         n, rows = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30))

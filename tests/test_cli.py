@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from spkdeid.aan import load_model
 from spkdeid.cli import RunConfig, main
-from spkdeid.dataset import read_corpus
+from spkdeid.dataset import read_corpus, write_corpus
 from spkdeid.metrics import read_report_csv
 
 
@@ -324,6 +324,26 @@ class TestAnonymize:
                        "--in", out / "bad.csv", "--out", out / "anon.csv") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {out / 'bad.csv'}: line 3:")
+        assert not (out / "anon.csv").exists()
+
+    @pytest.mark.parametrize("scaled", ["in", "pool"])
+    def test_overflowing_norm_is_one_error_line(self, tiny_run, capsys, scaled):
+        # a row of 1e160 times a normal vector has finite entries, but its
+        # squared norm overflows
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        name = {"in": "test.csv", "pool": "train.csv"}[scaled]
+        corpus = read_corpus(out / name)
+        vectors = corpus.matrix().copy()
+        vectors[1] *= 1e160
+        write_corpus(corpus.with_vectors(vectors), out / "scaled.csv")
+        files = {"in": out / "test.csv", "pool": out / "train.csv", scaled: out / "scaled.csv"}
+        capsys.readouterr()
+        assert run_cli("anonymize", "--config", config_path, "--method", "baseline_farthest",
+                       "--pool", files["pool"], "--in", files["in"],
+                       "--out", out / "anon.csv") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: degenerate vector: non-finite norm, cosine distance undefined"]
         assert not (out / "anon.csv").exists()
 
     def test_aan2_requires_model_and_pool_flags(self, tiny_run, capsys):

@@ -192,10 +192,14 @@ class TestSoftmaxCrossEntropy:
         labels = data.draw(hnp.arrays(np.int64, shape[0],
                                       elements=st.integers(0, shape[1] - 1)))
         loss, _ = softmax_cross_entropy(logits, labels)
-        accuracy = float((logits.argmax(axis=1) == labels).mean())
-        got_loss, got_accuracy = cross_entropy_and_accuracy(logits.copy(), labels)
-        assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
-        assert got_accuracy == accuracy
+        rows = np.arange(shape[0])
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        hits = logits.argmax(axis=1) == labels
+        got_losses, got_hits = cross_entropy_and_accuracy(logits.copy(), labels)
+        assert got_losses.tobytes() == (-log_probs[rows, labels]).tobytes()
+        assert np.float64(-np.negative(got_losses).mean()).tobytes() == np.float64(loss).tobytes()
+        assert got_hits.tobytes() == hits.tobytes()
 
     def test_in_place_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
