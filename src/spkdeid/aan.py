@@ -31,9 +31,13 @@ gradient vector.  Parameter names ("enc0.w", ...) exist only in
 ``parameters()``.
 
 Training computes only what it reads: the encoder's input gradient is never
-computed.  The per-epoch validation pass (``evaluate_model``) keeps no
-backward caches, runs the split in blocks of rows (``_BLOCK_ELEMENTS``) and
-computes each head's per-row losses and hits in place on a block's logits.
+computed.  It holds six parameter-sized vectors: ``flat``, the gradient,
+Adam's two moments, one Adam scratch array (Adam's denominator overwrites the
+spent gradient vector, which the next backward pass rewrites in full) and
+one best-checkpoint buffer, copied into at each new best epoch.  The
+per-epoch validation pass (``evaluate_model``) keeps no backward caches,
+runs the split in blocks of rows (``_BLOCK_ELEMENTS``) and computes each
+head's per-row losses and hits in place on a block's logits.
 Its peak is about one block's outputs plus one (rows, input_dim) buffer of
 squared errors: with 1251 speakers it no longer grows as rows x speakers.
 """
@@ -386,6 +390,11 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     Returns the model restored to its best-validation-reconstruction
     checkpoint plus the per-epoch history.  A non-finite loss aborts the
     run and returns the last good checkpoint with the history so far.
+
+    Its working set is six parameter-sized vectors: the parameters, the
+    gradient, Adam's m and v, one Adam scratch array (the denominator is
+    the spent gradient vector) and the best checkpoint, which each new best
+    epoch overwrites in place.
     """
     config.validate()
     for name in ("speaker", "gender", "accent"):
@@ -397,7 +406,9 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     x_valid, g_valid, a_valid, s_valid = _corpus_tensors(valid_corpus, model.dims)
 
     grads = bind_gradients(model.layers())
-    adam_state = AdamState.for_params(model.flat)
+    # every step's backward pass rewrites all of grads, so Adam's denominator
+    # can overwrite it
+    adam_state = AdamState.for_params(model.flat, grads)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
 
@@ -430,7 +441,7 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
         history.append(EpochStats(epoch, train_mean, valid_mean, *accs))
         if valid_mean.recon < best_recon:
             best_recon = valid_mean.recon
-            best_snapshot = model.snapshot()
+            np.copyto(best_snapshot, model.flat)
 
     model.restore(best_snapshot)
     return model, history

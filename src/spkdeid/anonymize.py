@@ -28,6 +28,7 @@ row is independent of N and of its neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,10 +44,13 @@ class PseudoPool:
     """Candidate vectors for pseudo-embedding construction.
 
     The row norms are computed once, at construction, so ``vectors`` is
-    read-only afterwards.
+    read-only afterwards.  ``rescaled`` is ``vectors`` with each row whose
+    norm under- or overflows scaled into range (``_rescale``), or
+    ``vectors`` itself when no row is, and ``norms`` holds its row norms.
     """
 
     vectors: np.ndarray  # (n, dim)
+    rescaled: np.ndarray = field(init=False, repr=False)  # (n, dim)
     norms: np.ndarray = field(init=False, repr=False)  # (n,)
 
     def __post_init__(self):
@@ -56,9 +60,8 @@ class PseudoPool:
                              f"{self.vectors.shape}")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("pool contains non-finite vectors")
-        # an overflowing norm reads inf, which baseline_anonymize refuses
-        with np.errstate(over="ignore"):
-            self.norms = np.linalg.norm(self.vectors, axis=1)
+        self.rescaled, self.norms = _rescale(self.vectors,
+                                             lambda rows: np.linalg.norm(rows, axis=1))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -76,9 +79,10 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     Ranking is by ascending cosine similarity, ties broken by pool index;
     scaling a query by any c > 0 under which its squared entries neither
     overflow nor underflow leaves its selection and output unchanged.  A
-    query or pool row whose norm is 0 or overflows float64 (its squares
-    summing past about 1.8e308) is refused as degenerate, since an
-    overflowed norm would make its similarities read 0.
+    finite query or pool row whose computed norm is 0 or inf (its squares
+    underflowed or overflowed) is ranked as its exact power-of-two scaling
+    into range (``_rescale``); the output still averages the pool rows as
+    given.  An all-zero row is refused as degenerate.
 
     Each block is ranked with one gemm.  A row takes its selection from it
     when exactly ``top_k`` gemm values lie within twice the rounding bound
@@ -109,27 +113,25 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     low, high = 2.0 ** -400, 2.0 ** 400
     pool_ranked = pool.dim < 2 ** 26 and low <= pool.norms.min() and pool.norms.max() <= high
     unit_pool = np.empty((pool.dim, len(pool)))
-    np.divide(pool.vectors.T, pool.norms, out=unit_pool)
+    np.divide(pool.rescaled.T, pool.norms, out=unit_pool)
     out = np.empty_like(x)
     block = max(1, _BLOCK_ELEMENTS // max(len(pool), top_k * pool.dim))
     for start in range(0, len(x), block):
-        queries = x[start:start + block, :, None]
-        with np.errstate(over="ignore"):
-            query_norms = np.sqrt(queries.transpose(0, 2, 1) @ queries)[:, 0]
+        queries, query_norms = _rescale(x[start:start + block], _row_norms)
         _check_norms(query_norms)
-        exact = ~((low <= query_norms[:, 0]) & (query_norms[:, 0] <= high) & pool_ranked)
+        exact = ~((low <= query_norms) & (query_norms <= high) & pool_ranked)
         ranked = np.flatnonzero(~exact)
-        fast = x[start + ranked] @ unit_pool
+        fast = queries[ranked] @ unit_pool
         kth = np.partition(fast, top_k - 1, axis=1)[:, top_k - 1, None]
-        window = np.flatnonzero(fast <= kth + slack * query_norms[ranked])
+        window = np.flatnonzero(fast <= kth + slack * query_norms[ranked, None])
         rows = window // len(pool)
         certified = np.bincount(rows, minlength=len(ranked)) == top_k
         exact[ranked[~certified]] = True
         chosen = np.empty((len(queries), top_k), dtype=np.intp)
         chosen[~exact] = (window[certified[rows]] % len(pool)).reshape(-1, top_k)
         if exact.any():
-            sims = (pool.vectors @ queries[exact])[:, :, 0]
-            sims /= pool.norms * query_norms[exact]
+            sims = (pool.rescaled @ queries[exact, :, None])[:, :, 0]
+            sims /= pool.norms * query_norms[exact, None]
             if not np.all(np.isfinite(sims)):
                 raise ValueError("degenerate vector: non-finite cosine similarity")
             chosen[exact] = _farthest(sims, top_k)
@@ -137,6 +139,37 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
         # rank order within the selected set
         out[start:start + block] = pool.vectors[chosen].mean(axis=1)
     return out
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's norm as a one-row call computes it: the square root of the
+    row's product with itself."""
+    columns = rows[:, :, None]
+    return np.sqrt(columns.transpose(0, 2, 1) @ columns)[:, 0, 0]
+
+
+def _rescale(rows: np.ndarray, norm: Callable[[np.ndarray], np.ndarray]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` as the baseline ranks them, and their ``norm(rows)``.
+
+    A finite, nonzero row whose computed norm is 0 or inf is replaced by
+    itself times 2**-e, e the ``np.frexp`` exponent of its largest |entry|,
+    which puts that entry in [0.5, 1) and the norm in [0.5, sqrt(dim)].
+    Scaling by a power of two is exact, save for entries 2**-1021 or more
+    below the largest, far below any rounding of the norm, so the row is
+    ranked as its direction is.  ``rows`` itself is returned when no row is
+    replaced; an all-zero or non-finite row is left to ``_check_norms``.
+    """
+    with np.errstate(over="ignore"):
+        norms = norm(rows)
+    index = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+    index = index[rows[index].any(axis=1) & np.isfinite(rows[index]).all(axis=1)]
+    if len(index):
+        _, exponents = np.frexp(np.abs(rows[index]).max(axis=1, keepdims=True))
+        rows = rows.copy()
+        rows[index] = np.ldexp(rows[index], -exponents)
+        norms[index] = norm(rows[index])
+    return rows, norms
 
 
 def _check_norms(norms: np.ndarray) -> None:

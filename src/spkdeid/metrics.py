@@ -454,7 +454,9 @@ def _train_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, seed: int,
     row = np.empty((s, n, 1))
     scratch = np.empty(z.size)
     by_class, exp_z = scratch.reshape(s, k, n), scratch.reshape(s, n, k)
-    state = AdamState.for_params(params)
+    # each epoch's matmul and sum rewrite all of grads, so Adam's denominator
+    # can overwrite it
+    state = AdamState.for_params(params, grads)
     for _ in range(epochs):
         np.matmul(x, weights.transpose(0, 2, 1), out=z)
         z += bias[:, None, :]

@@ -16,12 +16,16 @@ one flat parameter vector (``aan.AanModel.flat``) lays out its parameters,
 so the model is trained by one ``adam_step`` on two flat arrays and checked
 by ``finite_difference_check`` on slices of the same two.
 ``adam_step`` updates the parameters and moments in place through ufunc
-``out=`` calls on scratch arrays held by its ``AdamState``, so the update
-allocates nothing.  For a pass without gradients,
-``cross_entropy_and_accuracy`` gives each row's loss and top-1 hit, working
-on the logits in place, so it holds nothing of their size beyond the logits
-themselves; a caller that takes the means over a whole split can run the
-split in blocks of rows.
+``out=`` calls on two scratch arrays held by its ``AdamState``, so the update
+allocates nothing.  The second scratch array, the denominator, is written
+only after the step's last read of the gradient, so a caller whose backward
+pass rewrites the whole gradient vector before every step passes that vector
+as the denominator (``AdamState.for_params(params, grads)``) and trains with
+one parameter-sized array fewer; the step then overwrites the gradient.
+For a pass without gradients, ``cross_entropy_and_accuracy`` gives each
+row's loss and top-1 hit, working on the logits in place, so it holds
+nothing of their size beyond the logits themselves; a caller that takes the
+means over a whole split can run the split in blocks of rows.
 """
 
 from __future__ import annotations
@@ -243,7 +247,15 @@ def _check_finite_grads(grads: np.ndarray) -> None:
 @dataclass
 class AdamState:
     """Step count, first and second moments, and two scratch arrays for the
-    in-place update, each shaped like the parameters."""
+    in-place update, the step and the denominator, each shaped like the
+    parameters.
+
+    ``for_params(params)`` allocates both scratch arrays.
+    ``for_params(params, grads)`` makes the gradient vector ``grads`` the
+    denominator, so the state holds one parameter-sized array fewer; every
+    ``adam_step`` on this state then overwrites ``grads`` (see there), which
+    suits a caller that rewrites every gradient entry before each step.
+    """
 
     t: int
     m: np.ndarray
@@ -251,9 +263,13 @@ class AdamState:
     scratch: tuple[np.ndarray, np.ndarray]
 
     @classmethod
-    def for_params(cls, params: np.ndarray) -> "AdamState":
+    def for_params(cls, params: np.ndarray, grads: np.ndarray | None = None
+                   ) -> "AdamState":
+        if grads is not None and grads.shape != params.shape:
+            raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
         return cls(t=0, m=np.zeros_like(params), v=np.zeros_like(params),
-                   scratch=(np.empty_like(params), np.empty_like(params)))
+                   scratch=(np.empty_like(params),
+                            np.empty_like(params) if grads is None else grads))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -268,7 +284,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
         p = p - (lr (m / (1 - beta1^t))) / (sqrt(v / (1 - beta2^t)) + eps)
 
     evaluated in exactly that operation order, through in-place ufunc calls
-    on the state's scratch arrays, so the update allocates no arrays.
+    on the state's scratch arrays, so the update allocates no arrays.  The
+    denominator scratch array is first written after the last read of
+    ``grads`` (``step *= grads``), so it may be ``grads`` itself: then the
+    update has the same bits, and ``grads`` is left holding the denominator.
     """
     if lr < 0 or not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0) or eps <= 0:
         raise ValueError(f"bad Adam hyperparameters lr={lr}, beta1={beta1}, "
@@ -283,7 +302,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     m += step
     v *= beta2
     np.multiply(grads, 1.0 - beta2, out=step)
-    step *= grads
+    step *= grads  # the last read of grads, which denom may overwrite from here
     v += step
     np.divide(v, 1.0 - beta2 ** t, out=denom)
     np.sqrt(denom, out=denom)

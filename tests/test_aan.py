@@ -30,8 +30,8 @@ from spkdeid.aan import (
     save_model,
     train,
 )
-from spkdeid.dataset import (AttributeStrength, CorpusSpec, generate_corpus, make_corpus,
-                             split_corpus)
+from spkdeid.dataset import (AttributeStrength, Corpus, CorpusSpec, generate_corpus,
+                             make_corpus, split_corpus)
 from spkdeid.neural import (DenseLayer, DivergenceError, bind_gradients, mse_loss,
                             softmax_cross_entropy)
 from test_neural import per_tensor_adam
@@ -691,6 +691,39 @@ class TestTrain:
         assert list(params) == list(expected_params)
         for name, p in params.items():
             assert np.array_equal(p, expected_params[name]), name
+
+    def test_peak_memory_is_six_parameter_vectors(self):
+        # an 8000-speaker head makes each parameter-sized vector 2.1 MB, and a
+        # batch of 4 keeps the step's (batch, speakers) arrays under one
+        # validation block's logits
+        dims = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=32,
+                       n_genders=2, n_accents=3, n_speakers=8000)
+        model = build_aan(dims, lam=1.0, seed=4)
+        rng = np.random.default_rng(4)
+        vocabs = [{f"{name}{i}": i for i in range(n)} for name, n in
+                  (("s", dims.n_speakers), ("g", dims.n_genders), ("a", dims.n_accents))]
+
+        def corpus(rows, tag):
+            labels = [rng.integers(0, n, rows) for n in (dims.n_speakers, dims.n_genders,
+                                                          dims.n_accents)]
+            return Corpus([f"{tag}{i}" for i in range(rows)], *labels,
+                          rng.normal(size=(rows, dims.input_dim)), *vocabs, split_tag=tag)
+
+        train_c, valid_c = corpus(32, "train"), corpus(32, "valid")
+        tracemalloc.start()
+        try:
+            _, history = train(model, train_c, valid_c,
+                               TrainConfig(epochs=4, batch_size=4, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        recon = [h.valid.recon for h in history]
+        assert any(later < min(recon[:i]) for i, later in enumerate(recon) if i), \
+            "no best checkpoint after the first epoch"
+        # six parameter-sized vectors: the model's own (built before tracing),
+        # then the gradient, m, v, one Adam scratch array and the snapshot;
+        # plus one validation block's logits with half a block of slack
+        assert peak <= 5 * model.flat.nbytes + 8 * 1.5 * aan_module._BLOCK_ELEMENTS
 
     def test_corpus_model_dim_mismatch(self):
         train_c, valid_c, _ = tiny_corpus()

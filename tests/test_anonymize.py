@@ -106,22 +106,39 @@ class TestBaseline:
         with pytest.raises(ValueError, match="degenerate"):
             farthest_mean(pool, np.array([1.0, 1.0]), top_k=1)
 
-    def test_overflowing_query_norm_rejected(self):
-        # 1e160 x has finite entries, but its squared norm overflows, and
-        # every similarity would read 0 against an infinite norm
+    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["overflow", "underflow"])
+    def test_out_of_range_query_norm_is_ranked_unscaled(self, scale):
+        # the squares of scale * x overflow or underflow, so its computed norm
+        # is inf or 0, but it is ranked as x is
         r = np.random.default_rng(5)
         pool = PseudoPool(r.normal(size=(50, 8)))
         x = r.normal(size=8)
-        with pytest.raises(ValueError, match="degenerate vector: non-finite norm"):
-            farthest_mean(pool, 1e160 * x, top_k=3)
+        assert_same_bytes(farthest_mean(pool, scale * x, top_k=3),
+                          farthest_mean(pool, x, top_k=3))
 
-    def test_overflowing_pool_norm_rejected(self):
-        # the pool row -1e160 x is the farthest from x, but its norm is inf
+    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["overflow", "underflow"])
+    def test_out_of_range_pool_norm_is_ranked_unscaled(self, scale):
+        # the pool row -scale * x is the farthest from x, as -x is; the output
+        # averages the pool rows as given
         r = np.random.default_rng(6)
         x = r.normal(size=8)
-        pool = PseudoPool(np.vstack([r.normal(size=(49, 8)), -1e160 * x]))
-        with pytest.raises(ValueError, match="degenerate vector: non-finite norm"):
-            farthest_mean(pool, x, top_k=1)
+        vectors = np.vstack([r.normal(size=(49, 8)), -x])
+        scaled = vectors.copy()
+        scaled[49] *= scale
+        pool = PseudoPool(scaled)
+        assert_same_bytes(farthest_mean(pool, x, top_k=1), scaled[49])
+        chosen = farthest_indices(vectors, x, 3)
+        assert 49 in chosen
+        assert_same_bytes(farthest_mean(pool, x, top_k=3), scaled[chosen].mean(axis=0))
+
+    def test_degenerate_rows_keep_their_refusals(self):
+        # an all-zero or non-finite query is still refused, however the rest
+        # of its block is scaled
+        pool = PseudoPool(np.random.default_rng(7).normal(size=(5, 3)))
+        for row, error in (([0.0, 0.0, 0.0], "zero norm"), ([np.inf, 1e-170, 1.0],
+                                                            "non-finite norm")):
+            with pytest.raises(ValueError, match=f"degenerate vector: {error}"):
+                baseline_anonymize(pool, np.array([[1e-170, 1e160, 0.0], row]), 2)
 
     def test_top_k_bounds(self):
         pool = PseudoPool(np.ones((2, 3)))
@@ -150,12 +167,32 @@ class TestBaseline:
             atol=1e-12)
 
 
+def ranked_rows(rows):
+    """A copy of the rows as the baseline ranks them: a finite, nonzero row
+    whose norm is 0 or inf times 2**-e, e the frexp exponent of its largest
+    |entry|; every other row as it is."""
+    rows = np.array(rows, dtype=np.float64, ndmin=2)
+    for row in rows:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(row)
+        if norm in (0.0, np.inf) and np.any(row != 0.0) and np.all(np.isfinite(row)):
+            row[...] = np.ldexp(row, -np.frexp(np.max(np.abs(row)))[1])
+    return rows
+
+
+def farthest_indices(pool_vectors, x, top_k):
+    """The per-query reference choice: the first ``top_k`` of a full stable
+    argsort of the cosine similarities of the ranked rows, ascending."""
+    ranked, query = ranked_rows(pool_vectors), ranked_rows(x)[0]
+    pool_norms = np.linalg.norm(ranked, axis=1)
+    sims = (ranked @ query) / (pool_norms * np.linalg.norm(query))
+    return np.sort(np.argsort(sims, kind="stable")[:top_k])
+
+
 def stable_argsort_oracle(pool_vectors, x, top_k):
-    """The per-query reference: full stable argsort of the cosine similarities."""
-    pool_norms = np.linalg.norm(pool_vectors, axis=1)
-    sims = (pool_vectors @ x) / (pool_norms * np.linalg.norm(x))
-    farthest = np.sort(np.argsort(sims, kind="stable")[:top_k])
-    return pool_vectors[farthest].mean(axis=0)
+    """The per-query reference: the mean of the pool rows, as given, that
+    ``farthest_indices`` chooses."""
+    return pool_vectors[farthest_indices(pool_vectors, x, top_k)].mean(axis=0)
 
 
 class TestFarthestSelection:
@@ -281,12 +318,14 @@ def baseline_oracle(pool, x, top_k):
 
 
 def reference_is_finite(pool, x):
-    """Whether every norm and cosine similarity of the per-query reference is
-    finite."""
-    return np.all(np.isfinite(pool.norms)) and all(
+    """Whether every norm and cosine similarity of the per-query reference,
+    on the ranked rows, is finite."""
+    ranked = ranked_rows(pool.vectors)
+    norms = np.linalg.norm(ranked, axis=1)
+    return np.all(np.isfinite(norms)) and all(
         np.isfinite(np.linalg.norm(q))
-        and np.all(np.isfinite((pool.vectors @ q) / (pool.norms * np.linalg.norm(q))))
-        for q in x)
+        and np.all(np.isfinite((ranked @ q) / (norms * np.linalg.norm(q))))
+        for q in ranked_rows(x))
 
 
 def scaled_rows(data, r, rows):
@@ -372,8 +411,9 @@ class TestStackedKernels:
     @given(data=st.data())
     def test_certified_ranking_matches_reference(self, data):
         # near-tie pools, and rows scaled until norms or dot products overflow
-        # or underflow: the reference's bytes, or a refusal exactly where the
-        # reference has a non-finite norm or similarity
+        # or underflow: the reference's bytes, a row whose norm is 0 or inf
+        # ranked as its scaled copy, or a refusal exactly where the reference
+        # has a non-finite norm or similarity
         r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 31)))
         dim = data.draw(st.sampled_from([1, 3, 8, 64]))
         n, rows = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spkdeid.aan import load_model
+from spkdeid.anonymize import PseudoPool, baseline_anonymize
 from spkdeid.cli import RunConfig, main
 from spkdeid.dataset import read_corpus, write_corpus
 from spkdeid.metrics import read_report_csv
@@ -326,25 +327,30 @@ class TestAnonymize:
         assert len(err) == 1 and err[0].startswith(f"error: {out / 'bad.csv'}: line 3:")
         assert not (out / "anon.csv").exists()
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["overflow", "underflow"])
     @pytest.mark.parametrize("scaled", ["in", "pool"])
-    def test_overflowing_norm_is_one_error_line(self, tiny_run, capsys, scaled):
-        # a row of 1e160 times a normal vector has finite entries, but its
-        # squared norm overflows
+    def test_out_of_range_norm_is_ranked_unscaled(self, tiny_run, scaled, scale):
+        # a row of scale times a normal vector has finite entries, but its
+        # squares overflow or underflow
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
         name = {"in": "test.csv", "pool": "train.csv"}[scaled]
         corpus = read_corpus(out / name)
         vectors = corpus.matrix().copy()
-        vectors[1] *= 1e160
+        vectors[1] *= scale
         write_corpus(corpus.with_vectors(vectors), out / "scaled.csv")
         files = {"in": out / "test.csv", "pool": out / "train.csv", scaled: out / "scaled.csv"}
-        capsys.readouterr()
-        assert run_cli("anonymize", "--config", config_path, "--method", "baseline_farthest",
-                       "--pool", files["pool"], "--in", files["in"],
-                       "--out", out / "anon.csv") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: degenerate vector: non-finite norm, cosine distance undefined"]
-        assert not (out / "anon.csv").exists()
+        for pool, queries, anon in ((out / "train.csv", out / "test.csv", "plain.csv"),
+                                    (files["pool"], files["in"], "anon.csv")):
+            assert run_cli("anonymize", "--config", config_path, "--method", "baseline_farthest",
+                           "--pool", pool, "--in", queries, "--out", out / anon) == 0
+        if scaled == "in":
+            assert (out / "anon.csv").read_bytes() == (out / "plain.csv").read_bytes()
+        else:
+            # the library's answer, which ranks the row as its unscaled self
+            expected = baseline_anonymize(PseudoPool(vectors), read_corpus(files["in"]).matrix(),
+                                          TINY_CONFIG["anonymize"]["top_k"])
+            assert read_corpus(out / "anon.csv").matrix().tobytes() == expected.tobytes()
 
     def test_aan2_requires_model_and_pool_flags(self, tiny_run, capsys):
         config_path, out = tiny_run

@@ -316,17 +316,27 @@ class TestAdam:
 
         flat = start.copy()
         state = AdamState.for_params(flat)
+        # a second state whose denominator is its gradient vector, as in training
+        aliased, grad_vector = start.copy(), np.empty(n)
+        aliased_state = AdamState.for_params(aliased, grad_vector)
+        assert aliased_state.scratch[1] is grad_vector
         pieces = {f"t{i}": piece.copy() for i, piece in enumerate(np.split(start, cuts))}
         oracle = {"t": 0, "m": {k: np.zeros_like(p) for k, p in pieces.items()},
                   "v": {k: np.zeros_like(p) for k, p in pieces.items()}}
         for g in grads:
             adam_step(flat, g, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            np.copyto(grad_vector, g)
+            adam_step(aliased, grad_vector, aliased_state, lr=lr, beta1=beta1, beta2=beta2,
+                      eps=eps)
             per_tensor_adam(pieces, dict(zip(pieces, np.split(g, cuts))), oracle,
                             lr, beta1, beta2, eps)
-        assert state.t == oracle["t"] == steps
+        assert state.t == aliased_state.t == oracle["t"] == steps
         for name, ours, theirs in (("p", flat, pieces), ("m", state.m, oracle["m"]),
                                    ("v", state.v, oracle["v"])):
             assert np.array_equal(ours, np.concatenate(list(theirs.values()))), name
+        for name, ours, aliased_ours in (("p", flat, aliased), ("m", state.m, aliased_state.m),
+                                         ("v", state.v, aliased_state.v)):
+            assert ours.tobytes() == aliased_ours.tobytes(), name
 
     def test_sgd_step(self):
         params = np.array([1.0, -1.0])
