@@ -34,10 +34,11 @@ Training computes only what it reads: the encoder's input gradient is never
 computed.  It holds six parameter-sized vectors: ``flat``, the gradient,
 Adam's two moments, one Adam scratch array (Adam's denominator overwrites the
 spent gradient vector, which the next backward pass rewrites in full) and
-one best-checkpoint buffer, copied into at each new best epoch.  The
-per-epoch validation pass (``evaluate_model``) keeps no backward caches,
-runs the split in blocks of rows (``_BLOCK_ELEMENTS``) and computes each
-head's per-row losses and hits in place on a block's logits.
+one best-checkpoint buffer, copied into at each new best epoch.  SGD builds
+no Adam state and writes its step into the spent gradient, so it holds
+three.  The per-epoch validation pass (``evaluate_model``) keeps no backward
+caches, runs the split in blocks of rows (``_BLOCK_ELEMENTS``) and computes
+each head's per-row losses and hits in place on a block's logits.
 Its peak is about one block's outputs plus one (rows, input_dim) buffer of
 squared errors: with 1251 speakers it no longer grows as rows x speakers.
 """
@@ -394,7 +395,8 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     Its working set is six parameter-sized vectors: the parameters, the
     gradient, Adam's m and v, one Adam scratch array (the denominator is
     the spent gradient vector) and the best checkpoint, which each new best
-    epoch overwrites in place.
+    epoch overwrites in place.  Under SGD it is three: the parameters, the
+    gradient (which also takes the step) and the best checkpoint.
     """
     config.validate()
     for name in ("speaker", "gender", "accent"):
@@ -407,8 +409,9 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
 
     grads = bind_gradients(model.layers())
     # every step's backward pass rewrites all of grads, so Adam's denominator
-    # can overwrite it
-    adam_state = AdamState.for_params(model.flat, grads)
+    # and SGD's step can overwrite it
+    if config.optimizer == "adam":
+        adam_state = AdamState.for_params(model.flat, grads)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
 

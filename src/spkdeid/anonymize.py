@@ -15,25 +15,26 @@ no per-vector forms, and a single vector is a one-row matrix.  The AAN
 methods only run the model forward, so a model loaded to anonymize holds
 no gradient storage.
 
-The baseline ranks each block of queries with one gemm.  Its sums run in
-another order than a one-row product's, but the output depends only on
-the chosen index set: a row whose choice a rounding bound settles takes
-it from the gemm, and any other row is ranked again as a one-row call
-ranks it, with one ``ddot`` for its norm and one pool gemv.  The
-reconstruction's outputs are values, so it stays one gemv per row and
-layer, from numpy's C loop over stacked matmuls.  Either way every output
-row is independent of N and of its neighbours.
+The baseline's norms pass the guard trial scoring uses (``metrics._rescale``).
+It ranks each block of queries with one gemm, whose sums run in another
+order than a one-row product's, but the output depends only on the chosen
+index set: a row whose choice a rounding bound settles takes it from the
+gemm, and any other row is ranked again as a one-row call ranks it, with
+one ``ddot`` for its norm and one pool gemv.  The reconstruction's outputs
+are values, so it stays one gemv per row and layer, from numpy's C loop
+over stacked matmuls.  Either way every output row is independent of N
+and of its neighbours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .aan import _BLOCK_ELEMENTS, AanModel
 from .dataset import Corpus
+from .metrics import _check_norms, _rescale
 from .neural import DivergenceError
 
 METHOD_KINDS = ("identity", "baseline_farthest", "aan1", "aan2")
@@ -45,7 +46,7 @@ class PseudoPool:
 
     The row norms are computed once, at construction, so ``vectors`` is
     read-only afterwards.  ``rescaled`` is ``vectors`` with each row whose
-    norm under- or overflows scaled into range (``_rescale``), or
+    norm is out of range scaled into it (``metrics._rescale``), or
     ``vectors`` itself when no row is, and ``norms`` holds its row norms.
     """
 
@@ -79,10 +80,9 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     Ranking is by ascending cosine similarity, ties broken by pool index;
     scaling a query by any c > 0 under which its squared entries neither
     overflow nor underflow leaves its selection and output unchanged.  A
-    finite query or pool row whose computed norm is 0 or inf (its squares
-    underflowed or overflowed) is ranked as its exact power-of-two scaling
-    into range (``_rescale``); the output still averages the pool rows as
-    given.  An all-zero row is refused as degenerate.
+    finite row whose norm is out of range is ranked as its power-of-two
+    rescaled copy (``metrics._rescale``); the output still averages the
+    pool rows as given.  An all-zero row is refused as degenerate.
 
     Each block is ranked with one gemm.  A row takes its selection from it
     when exactly ``top_k`` gemm values lie within twice the rounding bound
@@ -106,79 +106,33 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     # gamma_(d+2) of |x| and |v|, scale it by 1 + O(d u).  E = 4 (d + 3) u is
     # twice that plus 6 u, which covers the second-order terms for d < 2**26,
     # the rounding of kth + 2 E |x|^ and any underflow while all norms lie in
-    # [low, high], where no product overflows and every gemm value is finite.
-    # Every exact top_k member has f <= kth + 2 E |x|^, where kth is the k-th
+    # [2**-400, 2**400], as _rescale ensures, where nothing overflows.  Every
+    # exact top_k member has f <= kth + 2 E |x|^, where kth is the k-th
     # smallest f, so a window of exactly top_k entries is the exact choice.
     slack = 2 * 4 * (pool.dim + 3) * 2.0 ** -53
-    low, high = 2.0 ** -400, 2.0 ** 400
-    pool_ranked = pool.dim < 2 ** 26 and low <= pool.norms.min() and pool.norms.max() <= high
     unit_pool = np.empty((pool.dim, len(pool)))
     np.divide(pool.rescaled.T, pool.norms, out=unit_pool)
     out = np.empty_like(x)
     block = max(1, _BLOCK_ELEMENTS // max(len(pool), top_k * pool.dim))
     for start in range(0, len(x), block):
-        queries, query_norms = _rescale(x[start:start + block], _row_norms)
+        queries, query_norms = _rescale(x[start:start + block])
         _check_norms(query_norms)
-        exact = ~((low <= query_norms) & (query_norms <= high) & pool_ranked)
-        ranked = np.flatnonzero(~exact)
-        fast = queries[ranked] @ unit_pool
+        fast = queries @ unit_pool
         kth = np.partition(fast, top_k - 1, axis=1)[:, top_k - 1, None]
-        window = np.flatnonzero(fast <= kth + slack * query_norms[ranked, None])
+        window = np.flatnonzero(fast <= kth + slack * query_norms[:, None])
         rows = window // len(pool)
-        certified = np.bincount(rows, minlength=len(ranked)) == top_k
-        exact[ranked[~certified]] = True
+        certified = (np.bincount(rows, minlength=len(queries)) == top_k) & (pool.dim < 2 ** 26)
         chosen = np.empty((len(queries), top_k), dtype=np.intp)
-        chosen[~exact] = (window[certified[rows]] % len(pool)).reshape(-1, top_k)
+        chosen[certified] = (window[certified[rows]] % len(pool)).reshape(-1, top_k)
+        exact = ~certified
         if exact.any():
             sims = (pool.rescaled @ queries[exact, :, None])[:, :, 0]
             sims /= pool.norms * query_norms[exact, None]
-            if not np.all(np.isfinite(sims)):
-                raise ValueError("degenerate vector: non-finite cosine similarity")
             chosen[exact] = _farthest(sims, top_k)
         # averaging in pool index order keeps the output independent of the
         # rank order within the selected set
         out[start:start + block] = pool.vectors[chosen].mean(axis=1)
     return out
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's norm as a one-row call computes it: the square root of the
-    row's product with itself."""
-    columns = rows[:, :, None]
-    return np.sqrt(columns.transpose(0, 2, 1) @ columns)[:, 0, 0]
-
-
-def _rescale(rows: np.ndarray, norm: Callable[[np.ndarray], np.ndarray]
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` as the baseline ranks them, and their ``norm(rows)``.
-
-    A finite, nonzero row whose computed norm is 0 or inf is replaced by
-    itself times 2**-e, e the ``np.frexp`` exponent of its largest |entry|,
-    which puts that entry in [0.5, 1) and the norm in [0.5, sqrt(dim)].
-    Scaling by a power of two is exact, save for entries 2**-1021 or more
-    below the largest, far below any rounding of the norm, so the row is
-    ranked as its direction is.  ``rows`` itself is returned when no row is
-    replaced; an all-zero or non-finite row is left to ``_check_norms``.
-    """
-    with np.errstate(over="ignore"):
-        norms = norm(rows)
-    index = np.flatnonzero((norms == 0.0) | (norms == np.inf))
-    index = index[rows[index].any(axis=1) & np.isfinite(rows[index]).all(axis=1)]
-    if len(index):
-        _, exponents = np.frexp(np.abs(rows[index]).max(axis=1, keepdims=True))
-        rows = rows.copy()
-        rows[index] = np.ldexp(rows[index], -exponents)
-        norms[index] = norm(rows[index])
-    return rows, norms
-
-
-def _check_norms(norms: np.ndarray) -> None:
-    """Refuse a zero norm, where cosine distance is undefined, and a
-    non-finite one, against which every similarity would read 0 or NaN."""
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate vector: zero norm, cosine distance undefined")
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("degenerate vector: non-finite norm, cosine distance undefined")
 
 
 def _farthest(sims: np.ndarray, top_k: int) -> np.ndarray:

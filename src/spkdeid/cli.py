@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .aan import (
     AanDims,
     TrainConfig,
@@ -239,11 +239,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     return cfg
-
-
-# the environment variables that set the BLAS and OpenMP thread counts
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _resources() -> dict:

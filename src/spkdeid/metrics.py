@@ -17,7 +17,8 @@ step below is an array operation:
            norm's ``v . v``, is one ``ddot`` call made by stacked
            ``np.matmul((n, 1, d), (n, d, 1))`` on rows gathered in blocks,
            the same kernel ``np.dot`` calls on two 1-d vectors, so a score
-           has the bits of the per-pair formula.
+           has the bits of the per-pair formula.  Its norms pass the guard
+           that the baseline's pool ranking uses too (``_rescale``).
   models   one ``mean(axis=1)`` per group of speakers with the same number
            of enrollment rows, bit-identical to each speaker's own
            ``mean(axis=0)``.
@@ -63,6 +64,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -242,7 +244,8 @@ def enroll_speaker_models(enroll_corpus: Corpus) -> dict[str, np.ndarray]:
         for first in range(0, len(group), step):
             part = group[first:first + step]
             rows = order[starts[part][:, None] + np.arange(count)]
-            means[part] = enroll_corpus.vectors[rows].mean(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # score_trials refuses it
+                means[part] = enroll_corpus.vectors[rows].mean(axis=1)
     names = enroll_corpus.names("speaker")
     by_first_row = np.argsort(order[starts]).tolist()
     return {names[speakers[order[starts[i]]]]: means[i] for i in by_first_row}
@@ -264,9 +267,48 @@ def _row_dots(a: np.ndarray, b: np.ndarray, a_rows: np.ndarray,
     return out
 
 
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    # sqrt(v . v) is what np.linalg.norm computes for a 1-d array
-    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
+# _rescale leaves a norm in [1 / _NORM_LIMIT, _NORM_LIMIT] alone: underflow in
+# its squares is negligible there, and a product of two such norms is in range
+_NORM_LIMIT = 2.0 ** 400
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's norm as ``np.linalg.norm`` computes a 1-d array's: the
+    square root of the row's product with itself."""
+    columns = rows[:, :, None]
+    return np.sqrt(columns.transpose(0, 2, 1) @ columns)[:, 0, 0]
+
+
+def _rescale(rows: np.ndarray, norm: Callable[[np.ndarray], np.ndarray] = _row_norms
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` as cosines are computed on them, and their ``norm(rows)``.
+
+    A finite, nonzero row whose norm is out of range (``_NORM_LIMIT``) is
+    replaced by itself times 2**-e, e the ``np.frexp`` exponent of its
+    largest |entry|, which puts the norm in [0.5, sqrt(dim)].  Scaling by a
+    power of two is exact, save for entries 2**-1021 or more below the
+    largest, far below any rounding of the norm, so its cosines are those of
+    its direction.  ``rows`` itself is returned when no row is replaced; an
+    all-zero or non-finite row is left to ``_check_norms``.
+    """
+    with np.errstate(over="ignore"):
+        norms = norm(rows)
+    index = np.flatnonzero((norms < 1 / _NORM_LIMIT) | (norms > _NORM_LIMIT))
+    index = index[rows[index].any(axis=1) & np.isfinite(rows[index]).all(axis=1)]
+    if len(index):
+        _, exponents = np.frexp(np.abs(rows[index]).max(axis=1, keepdims=True))
+        rows = rows.copy()
+        rows[index] = np.ldexp(rows[index], -exponents)
+        norms[index] = norm(rows[index])
+    return rows, norms
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    """Refuse a zero or non-finite norm, against which no cosine is defined."""
+    if np.any(norms == 0.0):
+        raise ValueError("degenerate vector: zero norm, cosine undefined")
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("degenerate vector: non-finite norm, cosine undefined")
 
 
 def _lookup(names: list[str], index: dict[str, int]) -> np.ndarray:
@@ -280,8 +322,10 @@ def score_trials(trials: TrialList, speaker_models: dict[str, np.ndarray],
 
     Each model and each trial vector is normed once and each trial takes
     one BLAS dot product, so each score has the bits of
-    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``.  A
-    zero-norm vector is an error only if a trial uses it.
+    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))``, on the
+    power-of-two rescaled copy of a vector whose norm is out of range
+    (``_rescale``).  A zero or non-finite norm, such as that of a mean that
+    overflowed, is an error only if a trial uses it.
     """
     model_rows = _lookup(trials.speaker_names,
                          {speaker: i for i, speaker in enumerate(speaker_models)})[trials.speakers]
@@ -297,12 +341,12 @@ def score_trials(trials: TrialList, speaker_models: dict[str, np.ndarray],
                          "not in trial corpus")
     models = np.stack(list(speaker_models.values())) if speaker_models \
         else np.empty((0, trial_corpus.dim))
-    trial_vectors = trial_corpus.vectors
-    model_norms = _norms(models)[model_rows]
-    vector_norms = _norms(trial_vectors)[vector_rows]
-    if (model_norms == 0.0).any() or (vector_norms == 0.0).any():
-        raise ValueError("degenerate vector: zero norm, cosine score undefined")
-    dots = _row_dots(models, trial_vectors, model_rows, vector_rows)
+    models, model_norms = _rescale(models)
+    vectors, vector_norms = _rescale(trial_corpus.vectors)
+    model_norms, vector_norms = model_norms[model_rows], vector_norms[vector_rows]
+    _check_norms(model_norms)
+    _check_norms(vector_norms)
+    dots = _row_dots(models, vectors, model_rows, vector_rows)
     return ScoredTrials(trials, dots / (model_norms * vector_norms))
 
 
@@ -420,6 +464,8 @@ def probe_attack(pairs: list[tuple[Corpus, Corpus]], attribute: str, seed: int,
     return accuracies
 
 
+# adam_step refuses a non-finite step, so warnings on the way there are noise
+@np.errstate(over="ignore", invalid="ignore")
 def _train_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, seed: int,
                  epochs: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch Adam training of a stack of linear softmax layers.

@@ -239,11 +239,6 @@ def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
     return -lam * np.asarray(upstream, dtype=np.float64)
 
 
-def _check_finite_grads(grads: np.ndarray) -> None:
-    if not np.all(np.isfinite(grads)):
-        raise DivergenceError("divergence detected: non-finite gradient")
-
-
 @dataclass
 class AdamState:
     """Step count, first and second moments, and two scratch arrays for the
@@ -288,11 +283,15 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     denominator scratch array is first written after the last read of
     ``grads`` (``step *= grads``), so it may be ``grads`` itself: then the
     update has the same bits, and ``grads`` is left holding the denominator.
+
+    A non-finite denominator, from a NaN or inf gradient or from a square
+    that overflowed (which would otherwise freeze its parameter), raises
+    ``DivergenceError`` with ``params`` untouched; the moments and the step
+    count are undefined after it.
     """
     if lr < 0 or not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0) or eps <= 0:
         raise ValueError(f"bad Adam hyperparameters lr={lr}, beta1={beta1}, "
                          f"beta2={beta2}, eps={eps}")
-    _check_finite_grads(grads)
     state.t += 1
     t = state.t
     m, v = state.m, state.v
@@ -307,6 +306,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     np.divide(v, 1.0 - beta2 ** t, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps
+    if not np.all(np.isfinite(denom)):
+        raise DivergenceError("divergence detected: a gradient or its square is not finite")
     np.divide(m, 1.0 - beta1 ** t, out=step)
     step *= lr
     step /= denom
@@ -314,11 +315,17 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
-    """Plain gradient-descent update, in place on ``params``."""
+    """Plain gradient-descent update, in place on ``params``.
+
+    The step ``lr * grads`` is written into ``grads``, which is overwritten,
+    and then subtracted, so the update allocates nothing.
+    """
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    _check_finite_grads(grads)
-    params -= lr * grads
+    if not np.all(np.isfinite(grads)):
+        raise DivergenceError("divergence detected: non-finite gradient")
+    grads *= lr
+    params -= grads
 
 
 def finite_difference_check(loss_and_grad: Callable[[], tuple[float, np.ndarray]],

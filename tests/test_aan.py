@@ -692,10 +692,12 @@ class TestTrain:
         for name, p in params.items():
             assert np.array_equal(p, expected_params[name]), name
 
-    def test_peak_memory_is_six_parameter_vectors(self):
-        # an 8000-speaker head makes each parameter-sized vector 2.1 MB, and a
-        # batch of 4 keeps the step's (batch, speakers) arrays under one
-        # validation block's logits
+    @staticmethod
+    def traced_peak(**config):
+        """The model and the traced peak of a 4-epoch ``train`` with an
+        8000-speaker head, which makes each parameter-sized vector 2.1 MB; a
+        batch of 4 keeps the step's (batch, speakers) arrays under one
+        validation block's logits."""
         dims = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=32,
                        n_genders=2, n_accents=3, n_speakers=8000)
         model = build_aan(dims, lam=1.0, seed=4)
@@ -713,17 +715,27 @@ class TestTrain:
         tracemalloc.start()
         try:
             _, history = train(model, train_c, valid_c,
-                               TrainConfig(epochs=4, batch_size=4, seed=4))
+                               TrainConfig(epochs=4, batch_size=4, seed=4, **config))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         recon = [h.valid.recon for h in history]
         assert any(later < min(recon[:i]) for i, later in enumerate(recon) if i), \
             "no best checkpoint after the first epoch"
+        return model, peak
+
+    def test_peak_memory_is_six_parameter_vectors(self):
+        model, peak = self.traced_peak()
         # six parameter-sized vectors: the model's own (built before tracing),
         # then the gradient, m, v, one Adam scratch array and the snapshot;
         # plus one validation block's logits with half a block of slack
         assert peak <= 5 * model.flat.nbytes + 8 * 1.5 * aan_module._BLOCK_ELEMENTS
+
+    def test_sgd_peak_memory_is_three_parameter_vectors(self):
+        model, peak = self.traced_peak(optimizer="sgd", lr=1e-3)
+        # the model's own, then the gradient, which also takes the step, and
+        # the snapshot; plus the same validation block and slack
+        assert peak <= 2 * model.flat.nbytes + 8 * 1.5 * aan_module._BLOCK_ELEMENTS
 
     def test_corpus_model_dim_mismatch(self):
         train_c, valid_c, _ = tiny_corpus()

@@ -168,14 +168,16 @@ class TestBaseline:
 
 
 def ranked_rows(rows):
-    """A copy of the rows as the baseline ranks them: a finite, nonzero row
-    whose norm is 0 or inf times 2**-e, e the frexp exponent of its largest
-    |entry|; every other row as it is."""
+    """A copy of the rows as the baseline ranks them and trials are scored:
+    a finite, nonzero row whose norm lies outside [2**-400, 2**400] times
+    2**-e, e the frexp exponent of its largest |entry|; every other row as
+    it is."""
     rows = np.array(rows, dtype=np.float64, ndmin=2)
     for row in rows:
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(row)
-        if norm in (0.0, np.inf) and np.any(row != 0.0) and np.all(np.isfinite(row)):
+        if not 2.0 ** -400 <= norm <= 2.0 ** 400 and np.any(row != 0.0) \
+                and np.all(np.isfinite(row)):
             row[...] = np.ldexp(row, -np.frexp(np.max(np.abs(row)))[1])
     return rows
 
@@ -411,9 +413,9 @@ class TestStackedKernels:
     @given(data=st.data())
     def test_certified_ranking_matches_reference(self, data):
         # near-tie pools, and rows scaled until norms or dot products overflow
-        # or underflow: the reference's bytes, a row whose norm is 0 or inf
-        # ranked as its scaled copy, or a refusal exactly where the reference
-        # has a non-finite norm or similarity
+        # or underflow: the reference's bytes, a row whose norm is out of
+        # range ranked as its scaled copy, or a refusal exactly where the
+        # reference has a non-finite norm or similarity
         r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 31)))
         dim = data.draw(st.sampled_from([1, 3, 8, 64]))
         n, rows = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30))

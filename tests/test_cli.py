@@ -3,6 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spkdeid import BLAS_THREAD_VARS
 from spkdeid.aan import load_model
 from spkdeid.anonymize import PseudoPool, baseline_anonymize
 from spkdeid.cli import RunConfig, main
@@ -274,6 +278,33 @@ class TestTrain:
         assert digest(out / "model.aan") == first
 
 
+@pytest.mark.skipif(os.cpu_count() == 1, reason="one core: BLAS runs one thread either way")
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a 1251-speaker head makes the training gemms large enough for OpenBLAS
+    # to thread them when nothing sets its thread count; the package sets it
+    # to 1 before numpy is imported
+    config = {"seed": 4242,
+              "corpus": {"n_speakers": 1251, "n_accents": 30, "utterances_per_speaker": 4},
+              "split": {"n_heldout_per_speaker": 1},
+              "train": {"epochs": 2}}
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    unset["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [unset.get("PYTHONPATH")] if p])
+    digests = []
+    for env in (unset, dict(unset, **{var: "1" for var in BLAS_THREAD_VARS})):
+        out = tmp_path / f"run{len(digests)}"
+        path = tmp_path / f"config{len(digests)}.json"
+        path.write_text(json.dumps(dict(config, out_dir=str(out))))
+        for command in ("gen-data", "train"):
+            done = subprocess.run([sys.executable, "-m", "spkdeid", command,
+                                   "--config", str(path)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        digests.append(digest(out / "model.aan"))
+    assert digests[0] == digests[1]
+
+
 class TestAnonymize:
     def test_identity_preserves_digest(self, tiny_run):
         config_path, out = tiny_run
@@ -395,6 +426,52 @@ class TestEvaluate:
         assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 0
         assert digest(out / "report.csv") == \
             "0825d4b4bd26cd022240d8c32fe332bb4aa1150421a5bf9f02fcc4b4515f6339"
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["overflow", "underflow"])
+    def test_out_of_range_trial_norm_keeps_the_report(self, tiny_run, scale):
+        # the squares of a trial utterance's scaled vector overflow or
+        # underflow, but its cosines are those of its direction
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 0
+        plain = read_report_csv(out / "report.csv")
+        corpus = read_corpus(out / "valid.csv")
+        vectors = corpus.matrix().copy()
+        vectors[0] *= scale
+        write_corpus(corpus.with_vectors(vectors), out / "valid.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 0
+        scaled = read_report_csv(out / "report.csv")
+        assert [(r.eer_pct, r.min_cllr, r.cllr) for r in scaled.rows] == \
+            [(r.eer_pct, r.min_cllr, r.cllr) for r in plain.rows]
+
+    @pytest.mark.parametrize("split, scale, message", [
+        ("test", None, "error: degenerate vector: non-finite norm"),
+        ("train", 1e160, "error: divergence detected"),
+    ], ids=["enrollment-mean-overflows", "probe-gradient-square-overflows"])
+    def test_overflow_is_one_error_line(self, tiny_run, capsys, split, scale, message):
+        # the first: every test.csv row of one speaker at the largest double,
+        # so that its enrollment mean overflows; the second: a train.csv row
+        # of 1e160 times a normal vector, whose probe gradients are finite but
+        # whose squares overflow Adam's second moment
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        corpus = read_corpus(out / f"{split}.csv")
+        vectors = corpus.matrix().copy()
+        if scale is None:
+            vectors[corpus.speakers == corpus.speakers[0]] = np.finfo(np.float64).max
+        else:
+            vectors[0] *= scale
+        write_corpus(corpus.with_vectors(vectors), out / f"{split}.csv")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not any((out / name).exists()
+                       for name in ("trials.csv", "report.csv", "manifest_evaluate.json"))
 
     def test_report_command_renders_table(self, tiny_run, capsys):
         config_path, out = tiny_run

@@ -44,6 +44,7 @@ from spkdeid.neural import (
     init_dense,
     softmax_cross_entropy,
 )
+from test_anonymize import ranked_rows
 
 rng = np.random.default_rng(314)
 
@@ -212,7 +213,9 @@ class TestPavFit:
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    """The cosine of two vectors, the oracle that ``score_trials`` matches."""
+    """The cosine of two vectors, the oracle that ``score_trials`` matches,
+    computed on the vectors as ``ranked_rows`` scales them."""
+    a, b = ranked_rows(a)[0], ranked_rows(b)[0]
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("degenerate vector: zero norm, cosine score undefined")
@@ -449,6 +452,63 @@ class TestScoreTrialsMatchesCosineLoop:
             score_trials(TrialList.from_rows([("s0", "u0", True, "f"),
                                               (speaker, utterance, False, "f")]),
                          models, corpus)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_power_of_two_scaling_keeps_every_score(self, data):
+        # entries are multiples of 2**-10 below 2**10 in magnitude, so for
+        # |k| <= 990 every scaled row, speaker mean and product stays normal
+        # or zero and 2**-k undoes the scaling exactly; from |k| of about 500
+        # on, the squared norms underflow or overflow
+        r = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+        dim = data.draw(st.integers(1, 8), label="dim")
+        n_speakers = data.draw(st.integers(2, 4), label="speakers")
+
+        def grid(rows):
+            values = r.integers(-2 ** 20, 2 ** 20, size=(rows, dim)) * 2.0 ** -10
+            values[np.abs(values).sum(axis=1) == 0, 0] = 1.0
+            return values
+
+        owners = r.permutation(np.repeat(np.arange(n_speakers),
+                                         r.integers(1, 4, size=n_speakers)))
+        enroll = [Embedding(f"e{i}", f"s{owner}", "f", "a00", v)
+                  for i, (owner, v) in enumerate(zip(owners.tolist(), grid(len(owners))))]
+        trial = [Embedding(f"u{i}", f"s{i % n_speakers}", "f", "a00", v)
+                 for i, v in enumerate(grid(data.draw(st.integers(1, 6), label="trials")))]
+        trials = TrialList.from_rows((f"s{m}", e.utterance_id, False, "f")
+                                     for m in range(n_speakers) for e in trial)
+        k = data.draw(st.one_of(st.integers(-990, 990),
+                                st.sampled_from([-600, -530, -512, -500, 512, 600])), label="k")
+        if data.draw(st.booleans(), label="scale a speaker"):
+            speaker = f"s{data.draw(st.integers(0, n_speakers - 1), label='speaker')}"
+            scaled = [dataclasses.replace(e, vector=np.ldexp(e.vector, k))
+                      if e.speaker_id == speaker else e for e in enroll]
+            scaled_trial = trial
+        else:
+            row = data.draw(st.integers(0, len(trial) - 1), label="row")
+            scaled, scaled_trial = enroll, list(trial)
+            scaled_trial[row] = dataclasses.replace(trial[row],
+                                                    vector=np.ldexp(trial[row].vector, k))
+        expected = score_trials(trials, enroll_speaker_models(make_corpus(enroll)),
+                                make_corpus(trial)).scores
+        got = score_trials(trials, enroll_speaker_models(make_corpus(scaled)),
+                           make_corpus(scaled_trial)).scores
+        assert same_bits(got, expected)
+
+    def test_overflowing_mean_refused_where_a_trial_uses_it(self):
+        # two finite rows whose sum, and so whose mean, overflows
+        big = np.full(3, np.finfo(np.float64).max)
+        enroll = make_corpus([Embedding("e0", "s0", "f", "a00", big),
+                              Embedding("e1", "s0", "f", "a00", big),
+                              Embedding("e2", "s1", "f", "a00", np.ones(3))])
+        corpus = make_corpus([Embedding("u0", "s1", "f", "a00", np.ones(3))])
+        models = enroll_speaker_models(enroll)
+        assert np.isinf(models["s0"]).all()
+        assert score_trials(TrialList.from_rows([("s1", "u0", True, "f")]), models,
+                            corpus).scores.tolist() == [cosine_score(np.ones(3), np.ones(3))]
+        with pytest.raises(ValueError, match="degenerate vector: non-finite norm"):
+            score_trials(TrialList.from_rows([("s1", "u0", True, "f"),
+                                              ("s0", "u0", False, "f")]), models, corpus)
 
     def test_missing_speaker_and_utterance_named(self):
         corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3))])

@@ -296,6 +296,15 @@ class TestAdam:
         with pytest.raises(DivergenceError, match="divergence detected"):
             adam_step(params, np.array([1.0, np.nan]), AdamState.for_params(params))
 
+    def test_overflowing_square_raises_with_params_untouched(self):
+        # g**2 overflows, so v would read inf and parameter 0 would freeze
+        params = np.array([0.5, -0.25])
+        state = AdamState.for_params(params)
+        with np.errstate(over="ignore"), \
+                pytest.raises(DivergenceError, match="divergence detected"):
+            adam_step(params, np.array([1e160, 1.0]), state)
+        assert params.tolist() == [0.5, -0.25]
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_flat_entry_matches_per_tensor_oracle(self, data):
@@ -342,6 +351,14 @@ class TestAdam:
         params = np.array([1.0, -1.0])
         sgd_step(params, np.array([0.5, 0.5]), lr=0.1)
         np.testing.assert_allclose(params, [0.95, -1.05], atol=1e-15)
+
+    def test_sgd_step_writes_its_step_into_grads(self):
+        r = np.random.default_rng(8)
+        params, grads = r.normal(size=50), r.normal(size=50)
+        expected_params, expected_step = params - 0.03 * grads, 0.03 * grads
+        sgd_step(params, grads, lr=0.03)
+        assert params.tobytes() == expected_params.tobytes()
+        assert grads.tobytes() == expected_step.tobytes()
 
 
 def per_tensor_adam(params, grads, state, lr, beta1, beta2, eps):
