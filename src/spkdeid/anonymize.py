@@ -20,10 +20,13 @@ It ranks each block of queries with one gemm, whose sums run in another
 order than a one-row product's, but the output depends only on the chosen
 index set: a row whose choice a rounding bound settles takes it from the
 gemm, and any other row is ranked again as a one-row call ranks it, with
-one ``ddot`` for its norm and one pool gemv.  The reconstruction's outputs
-are values, so it stays one gemv per row and layer, from numpy's C loop
-over stacked matmuls.  Either way every output row is independent of N
-and of its neighbours.
+one ``ddot`` for its norm and one pool gemv.  Beside the unit-norm pool and
+the output, a block holds the gemm buffer, which every block reuses, the
+partitioned copy of it until its k-th column is taken, and then one gather
+of the chosen pool rows.  The reconstruction's outputs are values, so it
+stays one gemv per row and layer, from numpy's C loop over stacked
+matmuls.  Either way every output row is independent of N and of its
+neighbours.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     when exactly ``top_k`` gemm values lie within twice the rounding bound
     of the k-th smallest, and is ranked again from the exact similarities
     otherwise, so every row's output is that of its one-row call.
+
+    The gemm writes into one (block, pool) buffer that every block reuses,
+    and only the k-th column of its partitioned copy is kept, so beside that
+    buffer a block holds the partitioned copy, then the gather of its chosen
+    pool rows, (block, top_k, dim), never both.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pool.dim:
@@ -114,11 +122,13 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
     np.divide(pool.rescaled.T, pool.norms, out=unit_pool)
     out = np.empty_like(x)
     block = max(1, _BLOCK_ELEMENTS // max(len(pool), top_k * pool.dim))
+    gemm = np.empty((min(block, len(x)), len(pool)))
     for start in range(0, len(x), block):
         queries, query_norms = _rescale(x[start:start + block])
         _check_norms(query_norms)
-        fast = queries @ unit_pool
-        kth = np.partition(fast, top_k - 1, axis=1)[:, top_k - 1, None]
+        fast = np.matmul(queries, unit_pool, out=gemm[:len(queries)])
+        # copy the k-th column so that the partitioned copy is freed here
+        kth = np.partition(fast, top_k - 1, axis=1)[:, top_k - 1, None].copy()
         window = np.flatnonzero(fast <= kth + slack * query_norms[:, None])
         rows = window // len(pool)
         certified = (np.bincount(rows, minlength=len(queries)) == top_k) & (pool.dim < 2 ** 26)

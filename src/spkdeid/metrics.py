@@ -69,7 +69,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import Corpus, csv_rows
-from .neural import AdamState, adam_step, init_dense
+from .neural import AdamState, DivergenceError, adam_step, init_dense
 
 LOG2 = np.log(2.0)
 POSTERIOR_CLIP = 1e-12
@@ -303,12 +303,13 @@ def _rescale(rows: np.ndarray, norm: Callable[[np.ndarray], np.ndarray] = _row_n
     return rows, norms
 
 
-def _check_norms(norms: np.ndarray) -> None:
-    """Refuse a zero or non-finite norm, against which no cosine is defined."""
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate vector: zero norm, cosine undefined")
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("degenerate vector: non-finite norm, cosine undefined")
+def _check_norms(norms: np.ndarray, name: Callable[[int], str] | None = None) -> None:
+    """Refuse a zero or non-finite norm, against which no cosine is defined;
+    ``name(i)``, if given, names the vector of ``norms[i]`` in the message."""
+    for problem, bad in (("zero", norms == 0.0), ("non-finite", ~np.isfinite(norms))):
+        if bad.any():
+            of = f" of {name(int(bad.argmax()))}" if name else ""
+            raise ValueError(f"degenerate vector: {problem} norm{of}, cosine undefined")
 
 
 def _lookup(names: list[str], index: dict[str, int]) -> np.ndarray:
@@ -344,8 +345,10 @@ def score_trials(trials: TrialList, speaker_models: dict[str, np.ndarray],
     models, model_norms = _rescale(models)
     vectors, vector_norms = _rescale(trial_corpus.vectors)
     model_norms, vector_norms = model_norms[model_rows], vector_norms[vector_rows]
-    _check_norms(model_norms)
-    _check_norms(vector_norms)
+    _check_norms(model_norms, lambda i: "the enrollment model of speaker "
+                 f"{trials.speaker_names[trials.speakers[i]]!r}")
+    _check_norms(vector_norms,
+                 lambda i: f"trial utterance {trials.utterance_ids[trials.rows[i]]!r}")
     dots = _row_dots(models, vectors, model_rows, vector_rows)
     return ScoredTrials(trials, dots / (model_norms * vector_norms))
 
@@ -432,7 +435,8 @@ def probe_attack(pairs: list[tuple[Corpus, Corpus]], attribute: str, seed: int,
     the same init drawn under seed, and is scored on its test corpus.  The
     train corpora must agree in row count, dim and class count, because
     the probes train as one stack.  Higher accuracy means more residual
-    attribute information in the embeddings.
+    attribute information in the embeddings.  A probe whose training
+    diverges raises ``DivergenceError`` naming the attribute.
     """
     if attribute not in PROBE_ATTRIBUTES:
         raise ValueError(f"attribute must be one of {PROBE_ATTRIBUTES}, got {attribute!r}")
@@ -454,7 +458,10 @@ def probe_attack(pairs: list[tuple[Corpus, Corpus]], attribute: str, seed: int,
     index = {"gender": 0, "accent": 1, "speaker": 2}[attribute]
     x = np.stack([train.matrix() for train, _ in pairs])
     labels = np.stack([train.label_indices()[index] for train, _ in pairs])
-    weights, bias = _train_probe(x, labels, n_classes, seed, epochs, lr)
+    try:
+        weights, bias = _train_probe(x, labels, n_classes, seed, epochs, lr)
+    except DivergenceError as exc:
+        raise DivergenceError(f"the {attribute} probe diverged: {exc}") from exc
     accuracies = []
     for w, b, (_, test_corpus) in zip(weights, bias, pairs):
         logits = test_corpus.matrix() @ w.T

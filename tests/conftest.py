@@ -7,6 +7,7 @@ deterministic function of them.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,17 @@ from spkdeid.dataset import AttributeStrength, CorpusSpec, generate_corpus, spli
 DESK_CORPUS_SEED = 7
 DESK_MODEL_SEED = 11
 DESK_TRAIN_SEED = 13
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def desk_spec(**overrides):

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import struct
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from spkdeid.dataset import (AttributeStrength, Corpus, CorpusSpec, generate_cor
                              make_corpus, split_corpus)
 from spkdeid.neural import (DenseLayer, DivergenceError, bind_gradients, mse_loss,
                             softmax_cross_entropy)
+from conftest import traced_peak
 from test_neural import per_tensor_adam
 
 TINY_DIMS = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
@@ -263,12 +263,7 @@ class TestEvaluateModel:
         rows = 600
         x = rng.normal(size=(rows, dims.input_dim))
         labels = [rng.integers(0, n, rows) for n in (2, 3, dims.n_speakers)]
-        tracemalloc.start()
-        try:
-            evaluate_model(model, x, *labels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: evaluate_model(model, x, *labels))
         assert peak <= 1.5 * rows * dims.n_speakers * 8
 
     @staticmethod
@@ -336,12 +331,7 @@ class TestEvaluateModel:
         rows = 6000
         x = rng.normal(size=(rows, dims.input_dim))
         labels = [rng.integers(0, n, rows) for n in (2, 3, dims.n_speakers)]
-        tracemalloc.start()
-        try:
-            evaluate_model(model, x, *labels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: evaluate_model(model, x, *labels))
         # about one block's logits, plus the per-row buffers: squared errors,
         # losses and hits
         assert peak <= 8 * (1.5 * aan_module._BLOCK_ELEMENTS + rows * (dims.input_dim + 8))
@@ -523,12 +513,7 @@ class TestCheckpoint:
     def test_load_peak_memory_is_about_the_parameters(self, tmp_path):
         path = tmp_path / "model.aan"
         save_model(build_aan(VOXCELEB_DIMS, 8.0, seed=0), path)
-        tracemalloc.start()
-        try:
-            model = load_model(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        model, peak = traced_peak(lambda: load_model(path))
         assert peak < 2.5 * model.flat.nbytes
         assert all(layer.weight_grad is None for layer in model.layers())
 
@@ -693,7 +678,7 @@ class TestTrain:
             assert np.array_equal(p, expected_params[name]), name
 
     @staticmethod
-    def traced_peak(**config):
+    def traced_train(**config):
         """The model and the traced peak of a 4-epoch ``train`` with an
         8000-speaker head, which makes each parameter-sized vector 2.1 MB; a
         batch of 4 keeps the step's (batch, speakers) arrays under one
@@ -712,27 +697,22 @@ class TestTrain:
                           rng.normal(size=(rows, dims.input_dim)), *vocabs, split_tag=tag)
 
         train_c, valid_c = corpus(32, "train"), corpus(32, "valid")
-        tracemalloc.start()
-        try:
-            _, history = train(model, train_c, valid_c,
-                               TrainConfig(epochs=4, batch_size=4, seed=4, **config))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (_, history), peak = traced_peak(lambda: train(
+            model, train_c, valid_c, TrainConfig(epochs=4, batch_size=4, seed=4, **config)))
         recon = [h.valid.recon for h in history]
         assert any(later < min(recon[:i]) for i, later in enumerate(recon) if i), \
             "no best checkpoint after the first epoch"
         return model, peak
 
     def test_peak_memory_is_six_parameter_vectors(self):
-        model, peak = self.traced_peak()
+        model, peak = self.traced_train()
         # six parameter-sized vectors: the model's own (built before tracing),
         # then the gradient, m, v, one Adam scratch array and the snapshot;
         # plus one validation block's logits with half a block of slack
         assert peak <= 5 * model.flat.nbytes + 8 * 1.5 * aan_module._BLOCK_ELEMENTS
 
     def test_sgd_peak_memory_is_three_parameter_vectors(self):
-        model, peak = self.traced_peak(optimizer="sgd", lr=1e-3)
+        model, peak = self.traced_train(optimizer="sgd", lr=1e-3)
         # the model's own, then the gradient, which also takes the step, and
         # the snapshot; plus the same validation block and slack
         assert peak <= 2 * model.flat.nbytes + 8 * 1.5 * aan_module._BLOCK_ELEMENTS

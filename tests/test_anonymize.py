@@ -18,6 +18,8 @@ from spkdeid.anonymize import (
 from spkdeid.dataset import Embedding, make_corpus
 from spkdeid.neural import dense_forward
 
+from conftest import traced_peak
+
 rng = np.random.default_rng(77)
 
 
@@ -165,6 +167,23 @@ class TestBaseline:
         np.testing.assert_allclose(
             farthest_mean(PseudoPool(permuted), x, top_k=3), expected,
             atol=1e-12)
+
+    @pytest.mark.parametrize("n, rows, blocks", [(400, 400, 2), (2502, 200, 4)],
+                             ids=["desk", "vox64-pool"])
+    def test_peak_memory_is_the_buffers_and_one_block(self, n, rows, blocks):
+        # beside the unit pool and the output: the reused gemm buffer, then a
+        # block's partitioned copy or its gather, never both and never
+        # alongside another block's
+        r = np.random.default_rng(9)
+        dim, top_k = 64, 10
+        pool = PseudoPool(r.normal(size=(n, dim)))
+        x = r.normal(size=(rows, dim))
+        block = _BLOCK_ELEMENTS // max(n, top_k * dim)
+        assert -(-rows // block) == blocks
+        gemm = 8 * block * n  # also the size of the partitioned copy
+        gather = 8 * block * (top_k + 1) * dim  # the gathered rows and their mean
+        _, peak = traced_peak(lambda: baseline_anonymize(pool, x, top_k))
+        assert peak <= 8 * (n + rows) * dim + gemm + max(gemm, gather) + gemm // 4
 
 
 def ranked_rows(rows):

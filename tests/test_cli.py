@@ -447,8 +447,9 @@ class TestEvaluate:
             [(r.eer_pct, r.min_cllr, r.cllr) for r in plain.rows]
 
     @pytest.mark.parametrize("split, scale, message", [
-        ("test", None, "error: degenerate vector: non-finite norm"),
-        ("train", 1e160, "error: divergence detected"),
+        ("test", None, "error: degenerate vector: non-finite norm of the enrollment model "
+                       "of speaker {speaker!r}, "),
+        ("train", 1e160, "error: the speaker probe diverged: divergence detected"),
     ], ids=["enrollment-mean-overflows", "probe-gradient-square-overflows"])
     def test_overflow_is_one_error_line(self, tiny_run, capsys, split, scale, message):
         # the first: every test.csv row of one speaker at the largest double,
@@ -469,7 +470,8 @@ class TestEvaluate:
             warnings.simplefilter("error")
             assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(message)
+        speaker = corpus.names("speaker")[corpus.speakers[0]]
+        assert len(err) == 1 and err[0].startswith(message.format(speaker=speaker))
         assert not any((out / name).exists()
                        for name in ("trials.csv", "report.csv", "manifest_evaluate.json"))
 

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,7 @@ from spkdeid.neural import (
     init_dense,
     softmax_cross_entropy,
 )
+from conftest import traced_peak
 from test_anonymize import ranked_rows
 
 rng = np.random.default_rng(314)
@@ -434,12 +434,7 @@ class TestScoreTrialsMatchesCosineLoop:
                            rows=r.integers(0, n_speakers, n_trials),
                            is_target=r.random(n_trials) < 0.1,
                            genders=np.zeros(n_trials, dtype=np.intp))
-        tracemalloc.start()
-        try:
-            scored = score_trials(trials, models, corpus)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        scored, peak = traced_peak(lambda: score_trials(trials, models, corpus))
         assert len(scored.scores) == n_trials
         assert peak < n_trials * dim * 8
 
@@ -506,9 +501,18 @@ class TestScoreTrialsMatchesCosineLoop:
         assert np.isinf(models["s0"]).all()
         assert score_trials(TrialList.from_rows([("s1", "u0", True, "f")]), models,
                             corpus).scores.tolist() == [cosine_score(np.ones(3), np.ones(3))]
-        with pytest.raises(ValueError, match="degenerate vector: non-finite norm"):
+        with pytest.raises(ValueError, match="degenerate vector: non-finite norm of the "
+                                             "enrollment model of speaker 's0'"):
             score_trials(TrialList.from_rows([("s1", "u0", True, "f"),
                                               ("s0", "u0", False, "f")]), models, corpus)
+
+    def test_zero_trial_vector_named(self):
+        corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3)),
+                              Embedding("u1", "s0", "f", "a00", np.zeros(3))])
+        with pytest.raises(ValueError, match="degenerate vector: zero norm of trial "
+                                             "utterance 'u1'"):
+            score_trials(TrialList.from_rows([("s0", "u0", True, "f"), ("s0", "u1", True, "f")]),
+                         {"s0": np.ones(3)}, corpus)
 
     def test_missing_speaker_and_utterance_named(self):
         corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3))])
