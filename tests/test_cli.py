@@ -728,6 +728,69 @@ def test_print_config_round_trips(tmp_path, capsys):
     assert config["train"]["lambda"] == 8.0
 
 
+def config_leaves(pairs, prefix=""):
+    """(dotted key, value) for every leaf of a config parsed with
+    ``object_pairs_hook=list``, in file order."""
+    for key, value in pairs:
+        if isinstance(value, list):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def documented_config():
+    """The leaves of the JSON block under README's "Config schema" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return list(config_leaves(json.loads(block, object_pairs_hook=list)))
+
+
+DOCUMENTED_CONFIG = documented_config()
+
+
+def printed_config(capsys, *args):
+    assert run_cli("print-config", *args) == 0
+    return list(config_leaves(json.loads(capsys.readouterr().out, object_pairs_hook=list)))
+
+
+def test_print_config_has_the_documented_keys_in_order(capsys):
+    # manifest bytes depend on this order
+    assert len(DOCUMENTED_CONFIG) == 28
+    assert printed_config(capsys) == DOCUMENTED_CONFIG
+
+
+@pytest.mark.parametrize("key, default", DOCUMENTED_CONFIG,
+                         ids=[key for key, _ in DOCUMENTED_CONFIG])
+def test_every_documented_key_is_typed_and_settable(tmp_path, capsys, key, default):
+    def config_file(value):
+        *sections, leaf = key.split(".")
+        config = {leaf: value}
+        for section in reversed(sections):
+            config = {section: config}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    path = config_file(1 if isinstance(default, str) else "x")
+    assert run_cli("print-config", "--config", path) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {key} ")
+
+    if isinstance(default, bool):
+        value = not default
+    elif isinstance(default, int):
+        value = default + 1
+    elif isinstance(default, float):
+        value = default / 2
+    else:
+        value = {"anonymize.method": "baseline_farthest",
+                 "train.optimizer": "sgd"}.get(key, default + "_x")
+    expected = [(k, value if k == key else v) for k, v in DOCUMENTED_CONFIG]
+    assert printed_config(capsys, "--config", config_file(value)) == expected
+
+
 @pytest.mark.parametrize("name, content, command", [
     ("report.csv", b"row,dataset,eer_pct,min_cllr,cllr,enroll,trial,gender,"
                    b"probe_speaker,probe_gender,probe_accent\n"
