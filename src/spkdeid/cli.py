@@ -1,34 +1,18 @@
 """Command-line pipeline: data generation, training, anonymization, and
 evaluation, with JSON configs, per-stage derived seeds, and run manifests.
 
-Config file schema (all keys optional, defaults shown by `spkdeid
-print-config`):
-
-    {
-      "seed": 20200807,
-      "out_dir": "runs/demo",
-      "dataset_tag": "synth",
-      "corpus": {"n_speakers": 40, "n_genders": 2, "n_accents": 4,
-                 "utterances_per_speaker": 30, "dim": 64,
-                 "attribute_strength": {"speaker": 0.6, "gender": 3.2,
-                                        "accent": 3.7},
-                 "noise_sigma": 0.3},
-      "split": {"n_heldout_per_speaker": 10},
-      "model": {"hidden": 128, "latent": 8, "branch_hidden": 64},
-      "train": {"lambda": 8.0, "epochs": 3000, "batch_size": 32, "lr": 0.005,
-                "beta1": 0.9, "beta2": 0.999, "eps": 1e-08,
-                "optimizer": "adam", "shuffle": true},
-      "anonymize": {"method": "aan1", "top_k": 10},
-      "trials": {"n_nontarget_per_target": 10}
-    }
-
-An unknown key, or a value of the wrong type (integers exclude booleans,
-floats must be finite), is an error naming the config file and the key.
-Flags override file values.  All randomness flows from the top-level seed
-through named per-stage seeds (sha256 of "<seed>:<stage>"), so stages are
-independently reproducible; each command writes a manifest_<command>.json
-recording its config snapshot and the sha256 of every input and output
-file.
+The config file is ``RunConfig``: its top-level keys are the seed, the
+output directory and the dataset tag, and each of its sections (corpus,
+split, model, train, anonymize, trials) is one dataclass, whose fields are
+the section's keys, so a field added to a section is a key.  Every key is
+optional; ``spkdeid print-config`` shows them all with their defaults.  An
+unknown key, or a value of the wrong type (integers exclude booleans,
+floats must be finite), is an error naming the config file and the key, as
+is a file that is not JSON.  Flags override file values.  All randomness
+flows from the top-level seed through named per-stage seeds (sha256 of
+"<seed>:<stage>"), so stages are independently reproducible; each command
+writes a manifest_<command>.json recording its config snapshot and the
+sha256 of every input and output file.
 """
 
 from __future__ import annotations
@@ -43,6 +27,7 @@ import os
 import resource
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -96,91 +81,91 @@ def sha256_file(path: str | Path) -> str:
 
 
 @dataclasses.dataclass
+class SplitConfig:
+    n_heldout_per_speaker: int = 10
+
+
+@dataclasses.dataclass
+class ModelConfig:
+    hidden: int = 128
+    latent: int = 8
+    branch_hidden: int = 64
+
+
+@dataclasses.dataclass
+class AnonymizeConfig:
+    method: str = "aan1"
+    top_k: int = 10
+
+
+@dataclasses.dataclass
+class TrialsConfig:
+    n_nontarget_per_target: int = 10
+
+
+@dataclasses.dataclass
 class RunConfig:
+    """The config file: each leaf field is a key, each dataclass field a
+    section, in field order (the order of print-config and of the manifests'
+    config snapshots).  ``lam`` is written ``lambda``; a section's ``seed``
+    comes from derive_seed, so the file cannot set it."""
+
     seed: int = 20200807
     out_dir: str = "runs/demo"
     dataset_tag: str = "synth"
     corpus: CorpusSpec = dataclasses.field(default_factory=CorpusSpec)
-    n_heldout_per_speaker: int = 10
-    model_hidden: int = 128
-    model_latent: int = 8
-    model_branch_hidden: int = 64
+    split: SplitConfig = dataclasses.field(default_factory=SplitConfig)
+    model: ModelConfig = dataclasses.field(default_factory=ModelConfig)
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
-    anonymize_method: str = "aan1"
-    anonymize_top_k: int = 10
-    n_nontarget_per_target: int = 10
+    anonymize: AnonymizeConfig = dataclasses.field(default_factory=AnonymizeConfig)
+    trials: TrialsConfig = dataclasses.field(default_factory=TrialsConfig)
 
     def to_dict(self) -> dict:
-        data: dict = {}
-        for key, (attr, _) in CONFIG_FIELDS.items():
-            *sections, leaf = key.split(".")
-            node = data
-            for section in sections:
-                node = node.setdefault(section, {})
-            node[leaf] = _get_path(self, attr)
-        return data
+        return _section_dict(self, "")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        cfg = cls()
-        for key, value in _config_items(data, ""):
-            if key in DERIVED_SEEDS:
-                raise ValueError(f"config key {key!r} is not settable: that seed is "
-                                 f"derived from the top-level seed")
-            if key not in CONFIG_FIELDS:
-                raise ValueError(f"unknown config key {key!r}")
-            attr, kind = CONFIG_FIELDS[key]
-            cfg = _replace_path(cfg, attr, _checked_value(key, value, kind))
-        return cfg
+        return _with_values(cls(), data, "")
 
 
-# Config file key -> (RunConfig attribute path, value type).  The order is
-# the order of print-config and of the manifests' config snapshots.
-CONFIG_FIELDS: dict[str, tuple[str, type]] = {
-    "seed": ("seed", int),
-    "out_dir": ("out_dir", str),
-    "dataset_tag": ("dataset_tag", str),
-    **{f"corpus.{name}": (f"corpus.{name}", int)
-       for name in ("n_speakers", "n_genders", "n_accents", "utterances_per_speaker",
-                    "dim")},
-    **{f"corpus.attribute_strength.{name}": (f"corpus.attribute_strength.{name}", float)
-       for name in ("speaker", "gender", "accent")},
-    "corpus.noise_sigma": ("corpus.noise_sigma", float),
-    "split.n_heldout_per_speaker": ("n_heldout_per_speaker", int),
-    "model.hidden": ("model_hidden", int),
-    "model.latent": ("model_latent", int),
-    "model.branch_hidden": ("model_branch_hidden", int),
-    "train.lambda": ("train.lam", float),
-    "train.epochs": ("train.epochs", int),
-    "train.batch_size": ("train.batch_size", int),
-    "train.lr": ("train.lr", float),
-    "train.beta1": ("train.beta1", float),
-    "train.beta2": ("train.beta2", float),
-    "train.eps": ("train.eps", float),
-    "train.optimizer": ("train.optimizer", str),
-    "train.shuffle": ("train.shuffle", bool),
-    "anonymize.method": ("anonymize_method", str),
-    "anonymize.top_k": ("anonymize_top_k", int),
-    "trials.n_nontarget_per_target": ("n_nontarget_per_target", int),
-}
-
-# Stage seeds come from derive_seed, so the config cannot set them.
-DERIVED_SEEDS = ("corpus.seed", "train.seed")
-
-_SECTIONS = {key.rsplit(".", 1)[0] for key in CONFIG_FIELDS if "." in key}
+def _config_keys(section, prefix: str) -> dict[str, str]:
+    """Config key -> field name of the config section ``section``, whose
+    keys start with ``prefix``."""
+    return {("lambda" if f.name == "lam" else f.name): f.name
+            for f in dataclasses.fields(section) if not (prefix and f.name == "seed")}
 
 
-def _config_items(data, prefix: str):
-    """(dotted key, value) for every leaf of a config object."""
+def _section_dict(section, prefix: str) -> dict:
+    data = {}
+    for key, attr in _config_keys(section, prefix).items():
+        value = getattr(section, attr)
+        data[key] = (_section_dict(value, f"{prefix}{key}.")
+                     if dataclasses.is_dataclass(value) else value)
+    return data
+
+
+def _with_values(section, data, prefix: str):
+    """Copy of the config section ``section`` with the values of the config
+    object ``data`` set, each checked against its field's type."""
     if not isinstance(data, dict):
         raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object, "
                          f"got {data!r}")
+    attrs = _config_keys(section, prefix)
+    kinds = typing.get_type_hints(type(section))
+    changes = {}
     for key, value in data.items():
         name = prefix + key
-        if name in _SECTIONS:
-            yield from _config_items(value, name + ".")
-        else:
-            yield name, value
+        if key not in attrs:
+            if key == "seed" and hasattr(section, "seed"):
+                raise ValueError(f"config key {name!r} is not settable: that seed is "
+                                 f"derived from the top-level seed")
+            raise ValueError(f"unknown config key {name!r}")
+        attr = attrs[key]
+        current = getattr(section, attr)
+        changes[attr] = (_with_values(current, value, name + ".")
+                         if dataclasses.is_dataclass(current)
+                         else _checked_value(name, value, kinds[attr]))
+    return dataclasses.replace(section, **changes)
 
 
 def _checked_value(key: str, value, kind: type):
@@ -206,20 +191,6 @@ def _checked_value(key: str, value, kind: type):
     return value
 
 
-def _get_path(obj, path: str):
-    for attr in path.split("."):
-        obj = getattr(obj, attr)
-    return obj
-
-
-def _replace_path(obj, path: str, value):
-    """Copy of the dataclass ``obj`` with the dotted attribute ``path`` set."""
-    head, _, rest = path.partition(".")
-    if rest:
-        value = _replace_path(getattr(obj, head), rest, value)
-    return dataclasses.replace(obj, **{head: value})
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
@@ -230,6 +201,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise decode_error(args.config, exc) from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: line {exc.lineno}: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+            raise ValueError(f"{args.config}: {exc}") from None
         try:
             cfg = RunConfig.from_dict(data)
         except ValueError as exc:
@@ -283,13 +256,13 @@ def _out_dir(cfg: RunConfig) -> Path:
 def cmd_gen_data(cfg: RunConfig) -> int:
     started = time.time()
     # checked before anything is written: 0 would leave valid and test empty
-    if cfg.n_heldout_per_speaker < 1:
-        raise ValueError("split.n_heldout_per_speaker must be >= 1, got "
-                         f"{cfg.n_heldout_per_speaker}: the valid and test splits hold that "
-                         "many utterances per speaker")
+    n_heldout = cfg.split.n_heldout_per_speaker
+    if n_heldout < 1:
+        raise ValueError(f"split.n_heldout_per_speaker must be >= 1, got {n_heldout}: the "
+                         "valid and test splits hold that many utterances per speaker")
     out = _out_dir(cfg)
     spec = dataclasses.replace(cfg.corpus, seed=derive_seed(cfg.seed, "gen-data"))
-    train_c, valid_c, test_c = split_corpus(generate_corpus(spec), cfg.n_heldout_per_speaker)
+    train_c, valid_c, test_c = split_corpus(generate_corpus(spec), n_heldout)
     outputs = []
     for name, split in (("train", train_c), ("valid", valid_c), ("test", test_c)):
         path = out / f"{name}.csv"
@@ -342,8 +315,7 @@ EXPLODED_RATIO = 1e2
 
 def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: Corpus,
                 checkpoint: Path, history_path: Path):
-    dims = desk_dims(train_corpus, hidden=cfg.model_hidden, latent=cfg.model_latent,
-                     branch_hidden=cfg.model_branch_hidden)
+    dims = desk_dims(train_corpus, **dataclasses.asdict(cfg.model))
     model = build_aan(dims, lam, seed=derive_seed(cfg.seed, "build"))
     config = dataclasses.replace(cfg.train, lam=lam,
                                  seed=derive_seed(cfg.seed, "train"))
@@ -417,14 +389,14 @@ def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
                              f"{corpus.dim}-dim corpus {corpus_path}")
         read.append(Path(pool_path))
     method = AnonymizationMethod(kind=kind, model=model, pool=pool,
-                                 top_k=cfg.anonymize_top_k if top_k is None else top_k)
+                                 top_k=cfg.anonymize.top_k if top_k is None else top_k)
     return method, read
 
 
 def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     _out_dir(cfg)
-    kind = args.method or cfg.anonymize_method
+    kind = args.method or cfg.anonymize.method
     corpus = read_corpus(args.in_path)
     method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
                                            True, corpus, Path(args.in_path))
@@ -446,7 +418,7 @@ def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, splits: list[Cor
     original = (train_c, test_c, valid_c)
     anonymized = tuple(anonymize_corpus(corpus, method) for corpus in original)
     seed = derive_seed(cfg.seed, "evaluate")
-    trials = make_trials(test_c, valid_c, cfg.n_nontarget_per_target, seed)
+    trials = make_trials(test_c, valid_c, cfg.trials.n_nontarget_per_target, seed)
     report = evaluate_conditions(original, anonymized, trials, seed, cfg.dataset_tag)
     trials_path = out / f"trials{suffix}.csv"
     report_csv = out / f"report{suffix}.csv"
@@ -459,7 +431,7 @@ def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, splits: list[Cor
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
-    kind = args.method or cfg.anonymize_method
+    kind = args.method or cfg.anonymize.method
     inputs, splits = _read_splits(Path(cfg.out_dir))
     method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
                                            False, splits[0], inputs[0])
@@ -488,8 +460,8 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
         checkpoint = out / f"model_lambda{tag}.aan"
         history_path = out / f"history_lambda{tag}.csv"
         history = _train_once(cfg, lam, *splits[:2], checkpoint, history_path)
-        method, _ = _resolve_method(cfg, cfg.anonymize_method, str(checkpoint),
-                                    str(out / "train.csv"), cfg.anonymize_top_k,
+        method, _ = _resolve_method(cfg, cfg.anonymize.method, str(checkpoint),
+                                    str(out / "train.csv"), cfg.anonymize.top_k,
                                     False, splits[0], inputs[0])
         report, report_files = _evaluate_once(cfg, method, splits, suffix=f"_lambda{tag}")
         last = history[-1]

@@ -814,7 +814,12 @@ def test_unreadable_file_is_one_error_line_naming_it(tmp_path, capsys, name, con
     ("[1]", "config file must be a JSON object, got [1]"),
     ('{"train": {"lr": "x"}}', "train.lr must be a finite number, got 'x'"),
     ('{"train": {"seed": 5}}', "config key 'train.seed' is not settable"),
-], ids=["unknown-key", "not-an-object", "mistyped-value", "derived-seed"])
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+    pytest.param('{"seed": 1' + "0" * 4999 + "}", "Exceeds the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="integers of any length convert")),
+], ids=["unknown-key", "not-an-object", "mistyped-value", "derived-seed", "nested-too-deep",
+        "too-many-digits"])
 def test_config_key_and_type_errors_name_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "c.json"
     path.write_text(content)
