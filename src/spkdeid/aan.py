@@ -411,7 +411,7 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     # every step's backward pass rewrites all of grads, so Adam's denominator
     # and SGD's step can overwrite it
     if config.optimizer == "adam":
-        adam_state = AdamState.for_params(model.flat, grads)
+        adam_state = AdamState.for_params(model.flat)
     rng = np.random.default_rng(config.seed)
     n = x_train.shape[0]
 

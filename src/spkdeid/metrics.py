@@ -509,7 +509,7 @@ def _train_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, seed: int,
     by_class, exp_z = scratch.reshape(s, k, n), scratch.reshape(s, n, k)
     # each epoch's matmul and sum rewrite all of grads, so Adam's denominator
     # can overwrite it
-    state = AdamState.for_params(params, grads)
+    state = AdamState.for_params(params)
     for _ in range(epochs):
         np.matmul(x, weights.transpose(0, 2, 1), out=z)
         z += bias[:, None, :]

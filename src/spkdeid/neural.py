@@ -7,21 +7,20 @@ convention.  Every backward pass is an exact analytic derivative of its
 forward map; the test suite cross-checks them against central finite
 differences.
 
-Gradients exist only where a backward pass runs: ``dense_backward`` writes
-them into the layer's ``weight_grad`` and ``bias_grad``, allocating those
-on a bare layer's first call, and skips the input gradient when nothing
-reads it.  ``bind_gradients`` rebinds the gradient arrays of a layer list
-as views of one flat vector, laid out as a model whose layers are views of
-one flat parameter vector (``aan.AanModel.flat``) lays out its parameters,
-so the model is trained by one ``adam_step`` on two flat arrays and checked
-by ``finite_difference_check`` on slices of the same two.
+Gradients exist only where a backward pass runs: ``dense_backward``
+writes them into the layer's ``weight_grad`` and ``bias_grad`` where
+``bind_gradients`` has bound those, returns fresh arrays for a bare layer,
+and skips the input gradient when nothing reads it.  ``bind_gradients``
+binds the gradient arrays of a layer list as views of one flat vector, laid
+out as a model whose layers are views of one flat parameter vector
+(``aan.AanModel.flat``) lays out its parameters, so the model is trained by
+one ``adam_step`` on two flat arrays and checked by
+``finite_difference_check`` on slices of the same two.
 ``adam_step`` updates the parameters and moments in place through ufunc
-``out=`` calls on two scratch arrays held by its ``AdamState``, so the update
-allocates nothing.  The second scratch array, the denominator, is written
-only after the step's last read of the gradient, so a caller whose backward
-pass rewrites the whole gradient vector before every step passes that vector
-as the denominator (``AdamState.for_params(params, grads)``) and trains with
-one parameter-sized array fewer; the step then overwrites the gradient.
+``out=`` calls on its ``AdamState``'s step array and on the spent gradient,
+which it overwrites with the denominator, so the update allocates nothing;
+as ``sgd_step`` does, it leaves a gradient that the next backward pass
+rewrites.
 For a pass without gradients, ``cross_entropy_and_accuracy`` gives each
 row's loss and top-1 hit, working on the logits in place, so it holds
 nothing of their size beyond the logits themselves; a caller that takes the
@@ -47,8 +46,8 @@ class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray     # (out,)
     activation: str = "linear"
-    # what the last dense_backward call wrote, shaped like weights and bias;
-    # None until a backward pass runs or bind_gradients binds them
+    # where dense_backward writes, shaped like weights and bias; None until
+    # bind_gradients binds them
     weight_grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     bias_grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -113,9 +112,10 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
     """Returns (input_grad, weight_grad, bias_grad) for the layer map.
 
     The weight and bias gradients are written into the layer's
-    ``weight_grad`` and ``bias_grad`` (allocated here if the layer has
-    none), which are returned.  With ``input_grad=False`` the input
-    gradient is not computed and None takes its place.
+    ``weight_grad`` and ``bias_grad`` and returned; a layer without them
+    gets fresh arrays, which are not stored on it.  With
+    ``input_grad=False`` the input gradient is not computed and None takes
+    its place.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.pre.shape:
@@ -130,17 +130,13 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
         dpre = upstream * (cache.pre > 0.0)
     else:
         dpre = upstream
-    if layer.weight_grad is None:
-        layer.weight_grad = np.empty(layer.weights.shape)
-        layer.bias_grad = np.empty(layer.bias.shape)
-    np.matmul(dpre.T, cache.x, out=layer.weight_grad)
-    dpre.sum(axis=0, out=layer.bias_grad)
-    return ((dpre @ layer.weights if input_grad else None),
-            layer.weight_grad, layer.bias_grad)
+    weight_grad = np.matmul(dpre.T, cache.x, out=layer.weight_grad)
+    bias_grad = dpre.sum(axis=0, out=layer.bias_grad)
+    return (dpre @ layer.weights if input_grad else None), weight_grad, bias_grad
 
 
 def _rebind(layers: list[DenseLayer], flat: np.ndarray, attrs: tuple[str, str]) -> None:
-    """Rebind each layer's weight-shaped and bias-shaped ``attrs`` to views of
+    """Bind each layer's weight-shaped and bias-shaped ``attrs`` to views of
     ``flat``, in layer order, per layer the weight part (C order) first."""
     offset = 0
     for layer in layers:
@@ -151,7 +147,7 @@ def _rebind(layers: list[DenseLayer], flat: np.ndarray, attrs: tuple[str, str]) 
 
 def bind_gradients(layers: list[DenseLayer]) -> np.ndarray:
     """One float64 gradient vector laid out like the layers' parameters, with
-    each layer's ``weight_grad`` and ``bias_grad`` rebound to views of it."""
+    each layer's ``weight_grad`` and ``bias_grad`` bound to views of it."""
     grads = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
     _rebind(layers, grads, ("weight_grad", "bias_grad"))
     return grads
@@ -241,30 +237,18 @@ def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Step count, first and second moments, and two scratch arrays for the
-    in-place update, the step and the denominator, each shaped like the
-    parameters.
-
-    ``for_params(params)`` allocates both scratch arrays.
-    ``for_params(params, grads)`` makes the gradient vector ``grads`` the
-    denominator, so the state holds one parameter-sized array fewer; every
-    ``adam_step`` on this state then overwrites ``grads`` (see there), which
-    suits a caller that rewrites every gradient entry before each step.
-    """
+    """Step count, first and second moments, and a scratch array for the
+    in-place update's step, each shaped like the parameters."""
 
     t: int
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray]
+    step: np.ndarray
 
     @classmethod
-    def for_params(cls, params: np.ndarray, grads: np.ndarray | None = None
-                   ) -> "AdamState":
-        if grads is not None and grads.shape != params.shape:
-            raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+    def for_params(cls, params: np.ndarray) -> "AdamState":
         return cls(t=0, m=np.zeros_like(params), v=np.zeros_like(params),
-                   scratch=(np.empty_like(params),
-                            np.empty_like(params) if grads is None else grads))
+                   step=np.empty_like(params))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -279,10 +263,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
         p = p - (lr (m / (1 - beta1^t))) / (sqrt(v / (1 - beta2^t)) + eps)
 
     evaluated in exactly that operation order, through in-place ufunc calls
-    on the state's scratch arrays, so the update allocates no arrays.  The
-    denominator scratch array is first written after the last read of
-    ``grads`` (``step *= grads``), so it may be ``grads`` itself: then the
-    update has the same bits, and ``grads`` is left holding the denominator.
+    on the state's step array and on ``grads``, so the update allocates no
+    arrays.  The denominator is written into ``grads`` after its last read
+    (``step *= grads``), so ``grads`` is left holding the denominator.
 
     A non-finite denominator, from a NaN or inf gradient or from a square
     that overflowed (which would otherwise freeze its parameter), raises
@@ -294,14 +277,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
                          f"beta2={beta2}, eps={eps}")
     state.t += 1
     t = state.t
-    m, v = state.m, state.v
-    step, denom = state.scratch
+    m, v, step, denom = state.m, state.v, state.step, grads
     m *= beta1
     np.multiply(grads, 1.0 - beta1, out=step)
     m += step
     v *= beta2
     np.multiply(grads, 1.0 - beta2, out=step)
-    step *= grads  # the last read of grads, which denom may overwrite from here
+    step *= grads  # the last read of grads, which denom overwrites from here
     v += step
     np.divide(v, 1.0 - beta2 ** t, out=denom)
     np.sqrt(denom, out=denom)

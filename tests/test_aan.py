@@ -50,7 +50,7 @@ def tiny_batch(model, seed=0, batch=4):
 
 def gradients(model):
     """Name -> each layer's gradient array, named like ``parameters()``;
-    None for a layer that no backward pass has reached."""
+    None for a layer whose gradient arrays are not bound."""
     return {f"{prefix}{i}.{kind}": grad for attr, prefix in GROUPS
             for i, layer in enumerate(getattr(model, attr))
             for kind, grad in (("w", layer.weight_grad), ("b", layer.bias_grad))}
@@ -119,6 +119,7 @@ class TestLossAndGrads:
         # oracle: hand-rolled autoencoder-only backprop with the same shapes
         model = tiny_model(lam=0.0)
         x, g, a, s = tiny_batch(model)
+        bind_gradients(model.layers())
         aan_loss_and_grads(model, x, g, a, s)
         grads = gradients(model)
 
@@ -164,7 +165,7 @@ class TestLossAndGrads:
         x, g, a, s = tiny_batch(model, seed=seed)
         before = model.flat.copy()
         results = aan_gradient_check(model, x, g, a, s)
-        expected = oracle_gradient_check(tiny_model(seed=seed), x, g, a, s)
+        expected = oracle_gradient_check(LayerListModel(tiny_model(seed=seed)), x, g, a, s)
         assert list(results) == list(expected) == [attr for attr, _ in GROUPS]
         assert [float(v).hex() for v in results.values()] == \
             [float(v).hex() for v in expected.values()]
@@ -745,16 +746,20 @@ class TestTrain:
 
 
 class LayerListModel:
-    """The AAN with separate arrays per layer and no flat vector."""
+    """The AAN with separate arrays per layer, its gradients' too, and no
+    flat vector."""
 
     parameters = AanModel.parameters
     gradients = gradients
 
     def __init__(self, model: AanModel):
         for attr, _ in GROUPS:
-            setattr(self, attr, [DenseLayer(layer.weights.copy(), layer.bias.copy(),
-                                            layer.activation)
-                                 for layer in getattr(model, attr)])
+            layers = [DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
+                      for layer in getattr(model, attr)]
+            for layer in layers:
+                layer.weight_grad = np.empty_like(layer.weights)
+                layer.bias_grad = np.empty_like(layer.bias)
+            setattr(self, attr, layers)
         self.lam = model.lam
         self.dims = model.dims
 
