@@ -136,7 +136,7 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
 
 
 def _rebind(layers: list[DenseLayer], flat: np.ndarray, attrs: tuple[str, str]) -> None:
-    """Bind each layer's weight-shaped and bias-shaped ``attrs`` to views of
+    """Rebind each layer's weight-shaped and bias-shaped ``attrs`` to views of
     ``flat``, in layer order, per layer the weight part (C order) first."""
     offset = 0
     for layer in layers:
@@ -147,7 +147,7 @@ def _rebind(layers: list[DenseLayer], flat: np.ndarray, attrs: tuple[str, str]) 
 
 def bind_gradients(layers: list[DenseLayer]) -> np.ndarray:
     """One float64 gradient vector laid out like the layers' parameters, with
-    each layer's ``weight_grad`` and ``bias_grad`` bound to views of it."""
+    each layer's ``weight_grad`` and ``bias_grad`` rebound to views of it."""
     grads = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
     _rebind(layers, grads, ("weight_grad", "bias_grad"))
     return grads
