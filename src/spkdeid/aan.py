@@ -22,10 +22,10 @@ dims, ``lam`` and one float64 vector, ``AanModel.flat``, holding per layer
 the weights (C order) then the bias; the layers are views into it, filled
 by ``build_aan`` from the RNG or by ``load_model`` from the file.  Training
 updates, snapshots, restores and checkpoints it with one vector operation
-each.  Gradient storage exists only where a backward pass runs: ``train``
-and ``aan_gradient_check`` bind one flat gradient vector to the layers
-(``neural.bind_gradients``), so a model built or loaded to anonymize or
-evaluate holds none.  Each layer list is one contiguous slice of ``flat``,
+each.  No model holds gradients: ``aan_loss_and_grads`` writes them into a
+target that the caller passes in, an ``AanModel`` built on a gradient vector
+and so laid out like ``flat``, which ``train`` and ``aan_gradient_check``
+build once per call.  Each layer list is one contiguous slice of ``flat``,
 and the gradient check perturbs that slice and reads the same slice of the
 gradient vector.  Parameter names ("enc0.w", ...) exist only in
 ``parameters()``.
@@ -59,7 +59,6 @@ from .neural import (
     DivergenceError,
     adam_step,
     as_batch,
-    bind_gradients,
     check_labels,
     check_lam,
     cross_entropy_and_accuracy,
@@ -215,14 +214,15 @@ def _chain(layers: list[DenseLayer], x: np.ndarray, caches: list | None = None
     return x
 
 
-def _chain_backward(layers: list[DenseLayer], caches: list, upstream: np.ndarray,
-                    input_grad: bool = True) -> np.ndarray | None:
-    """Backward through a layer chain; each layer's gradients land in its
-    ``weight_grad`` and ``bias_grad``.  Returns the chain's input gradient,
-    or None when ``input_grad`` is false."""
+def _chain_backward(model: AanModel, grad: AanModel, caches: dict, attr: str,
+                    upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    """Backward through the layer list ``attr`` of ``model``; each layer's
+    gradients land in the same layer of ``grad``.  Returns the chain's input
+    gradient, or None when ``input_grad`` is false."""
+    layers, grads, chain_caches = getattr(model, attr), getattr(grad, attr), caches[attr]
     for i in range(len(layers) - 1, -1, -1):
-        upstream, _, _ = dense_backward(layers[i], caches[i], upstream,
-                                        input_grad=input_grad or i > 0)
+        upstream = dense_backward(layers[i], chain_caches[i], upstream, grads[i].weights,
+                                  grads[i].bias, input_grad=input_grad or i > 0)
     return upstream
 
 
@@ -244,11 +244,12 @@ class LossBreakdown:
     speaker: float
 
 
-def aan_loss_and_grads(model: AanModel, x: np.ndarray,
+def aan_loss_and_grads(model: AanModel, grad: AanModel, x: np.ndarray,
                        gender_labels: np.ndarray, accent_labels: np.ndarray,
                        speaker_labels: np.ndarray) -> LossBreakdown:
     """Losses, with the gradients realizing the adversarial min-max split
-    written into the layers' gradient arrays.
+    written into ``grad``, an ``AanModel`` with the model's dims whose
+    ``flat`` is the gradient vector, laid out like ``model.flat``.
 
     Heads get the gradient of their own cross-entropy; the decoder gets the
     reconstruction gradient; the encoder gets the reconstruction gradient
@@ -272,12 +273,12 @@ def aan_loss_and_grads(model: AanModel, x: np.ndarray,
     if not np.isfinite([recon_loss, gender_loss, accent_loss, speaker_loss]).all():
         raise DivergenceError(f"divergence detected: non-finite loss {breakdown}")
 
-    d_latent = _chain_backward(model.decoder, caches["decoder"], d_recon)
+    d_latent = _chain_backward(model, grad, caches, "decoder", d_recon)
     for attr, upstream in (("gender_head", d_gender), ("accent_head", d_accent),
                            ("speaker_head", d_speaker)):
-        d_branch_latent = _chain_backward(getattr(model, attr), caches[attr], upstream)
+        d_branch_latent = _chain_backward(model, grad, caches, attr, upstream)
         d_latent += grl_backward(d_branch_latent, model.lam)
-    _chain_backward(model.encoder, caches["encoder"], d_latent, input_grad=False)
+    _chain_backward(model, grad, caches, "encoder", d_latent, input_grad=False)
     return breakdown
 
 
@@ -407,9 +408,9 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     x_train, g_train, a_train, s_train = _corpus_tensors(train_corpus, model.dims)
     x_valid, g_valid, a_valid, s_valid = _corpus_tensors(valid_corpus, model.dims)
 
-    grads = bind_gradients(model.layers())
-    # every step's backward pass rewrites all of grads, so Adam's denominator
-    # and SGD's step can overwrite it
+    grad = AanModel(model.dims, model.lam, np.empty_like(model.flat))
+    # every step's backward pass rewrites all of grad.flat, so Adam's
+    # denominator and SGD's step can overwrite it
     if config.optimizer == "adam":
         adam_state = AdamState.for_params(model.flat)
     rng = np.random.default_rng(config.seed)
@@ -427,12 +428,12 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
                 breakdown = aan_loss_and_grads(
-                    model, x_train[idx], g_train[idx], a_train[idx], s_train[idx])
+                    model, grad, x_train[idx], g_train[idx], a_train[idx], s_train[idx])
                 if config.optimizer == "adam":
-                    adam_step(model.flat, grads, adam_state, lr=config.lr,
+                    adam_step(model.flat, grad.flat, adam_state, lr=config.lr,
                               beta1=config.beta1, beta2=config.beta2, eps=config.eps)
                 else:
-                    sgd_step(model.flat, grads, config.lr)
+                    sgd_step(model.flat, grad.flat, config.lr)
                 sums += len(idx) * np.array([breakdown.recon, breakdown.gender,
                                              breakdown.accent, breakdown.speaker])
                 seen += len(idx)
@@ -542,13 +543,13 @@ def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray
     branch losses), the decoder against recon_loss, each head against its
     own cross-entropy.  A group is one contiguous slice of ``flat``
     (``layer_table`` order); the analytic side is the same slice of the
-    gradient vector that ``aan_loss_and_grads`` writes through the layers.
+    gradient vector that ``aan_loss_and_grads`` writes.
     Returns the max relative error per group, in ``GROUPS`` order.
     """
     objectives = {"encoder": lambda b: b.recon - model.lam * (b.gender + b.accent + b.speaker),
                   "decoder": lambda b: b.recon, "gender_head": lambda b: b.gender,
                   "accent_head": lambda b: b.accent, "speaker_head": lambda b: b.speaker}
-    grads = bind_gradients(model.layers())
+    grad = AanModel(model.dims, model.lam, np.empty_like(model.flat))
     results = {}
     stop = 0
     for attr, _ in GROUPS:
@@ -557,8 +558,9 @@ def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray
                     if group == attr)
 
         def loss_and_grad(objective=objectives[attr], group=slice(start, stop)):
-            losses = aan_loss_and_grads(model, x, gender_labels, accent_labels, speaker_labels)
-            return objective(losses), grads[group]
+            losses = aan_loss_and_grads(model, grad, x, gender_labels, accent_labels,
+                                        speaker_labels)
+            return objective(losses), grad.flat[group]
 
         results[attr] = finite_difference_check(
             loss_and_grad, model.flat[start:stop], GRADCHECK_EPS)

@@ -67,7 +67,7 @@ from .metrics import (
     write_report_csv,
     write_trials,
 )
-from .neural import DivergenceError
+from .neural import DivergenceError, check_lam
 
 
 def derive_seed(master_seed: int, stage: str) -> int:
@@ -149,7 +149,7 @@ def _with_values(section, data, prefix: str):
     object ``data`` set, each checked against its field's type."""
     if not isinstance(data, dict):
         raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object, "
-                         f"got {data!r}")
+                         f"got {_shown(data)}")
     attrs = _config_keys(section, prefix)
     kinds = typing.get_type_hints(type(section))
     changes = {}
@@ -159,7 +159,7 @@ def _with_values(section, data, prefix: str):
             if key == "seed" and hasattr(section, "seed"):
                 raise ValueError(f"config key {name!r} is not settable: that seed is "
                                  f"derived from the top-level seed")
-            raise ValueError(f"unknown config key {name!r}")
+            raise ValueError(f"unknown config key {_shown(name)}")
         attr = attrs[key]
         current = getattr(section, attr)
         changes[attr] = (_with_values(current, value, name + ".")
@@ -187,8 +187,14 @@ def _checked_value(key: str, value, kind: type):
         ok = isinstance(value, str)
         what = "a string"
     if not ok:
-        raise ValueError(f"{key} must be {what}, got {value!r}")
+        raise ValueError(f"{key} must be {what}, got {_shown(value)}")
     return value
+
+
+def _shown(value) -> str:
+    """``repr(value)``; past 40 characters, its first 40 and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -448,7 +454,12 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.lambdas.split(",") if v.strip() != ""]
     if not values:
         raise ValueError("--lambdas must list at least one value")
-    lambdas = [float(v) for v in values]
+    try:
+        lambdas = [float(v) for v in values]
+        for lam in lambdas:
+            check_lam(lam)
+    except ValueError as exc:
+        raise ValueError(f"--lambdas: {exc}") from None
     tags = [f"{lam:g}" for lam in lambdas]
     clashing = [f"{v} (lambda{tag})" for v, tag in zip(values, tags) if tags.count(tag) > 1]
     if clashing:

@@ -7,14 +7,12 @@ convention.  Every backward pass is an exact analytic derivative of its
 forward map; the test suite cross-checks them against central finite
 differences.
 
-Gradients exist only where a backward pass runs: ``dense_backward``
-writes them into the layer's ``weight_grad`` and ``bias_grad`` where
-``bind_gradients`` has bound those, returns fresh arrays for a bare layer,
-and skips the input gradient when nothing reads it.  ``bind_gradients``
-binds the gradient arrays of a layer list as views of one flat vector, laid
-out as a model whose layers are views of one flat parameter vector
-(``aan.AanModel.flat``) lays out its parameters, so the model is trained by
-one ``adam_step`` on two flat arrays and checked by
+Gradients exist only where a backward pass runs, and no layer holds them:
+``dense_backward`` writes a layer's weight and bias gradients into two
+arrays that the caller passes in, and skips the input gradient when
+nothing reads it.  The AAN passes views of one flat gradient vector, laid
+out as its flat parameter vector (``aan.AanModel.flat``), so it is trained
+by one ``adam_step`` on two flat arrays and checked by
 ``finite_difference_check`` on slices of the same two.
 ``adam_step`` updates the parameters and moments in place through ufunc
 ``out=`` calls on its ``AdamState``'s step array and on the spent gradient,
@@ -29,7 +27,7 @@ means over a whole split can run the split in blocks of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,10 +44,6 @@ class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray     # (out,)
     activation: str = "linear"
-    # where dense_backward writes, shaped like weights and bias; None until
-    # bind_gradients binds them
-    weight_grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    bias_grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_in(self) -> int:
@@ -107,16 +101,12 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, DenseCa
 
 
 def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
-                   input_grad: bool = True
-                   ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Returns (input_grad, weight_grad, bias_grad) for the layer map.
-
-    The weight and bias gradients are written into the layer's
-    ``weight_grad`` and ``bias_grad`` and returned; a layer without them
-    gets fresh arrays, which are not stored on it.  With
-    ``input_grad=False`` the input gradient is not computed and None takes
-    its place.
-    """
+                   weight_grad: np.ndarray, bias_grad: np.ndarray,
+                   input_grad: bool = True) -> np.ndarray | None:
+    """Backward pass of the layer map: writes the weight and bias gradients
+    into ``weight_grad`` and ``bias_grad``, shaped like the layer's weights
+    and bias, and returns the input gradient, or None without computing it
+    when ``input_grad`` is false."""
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.pre.shape:
         raise ValueError(
@@ -130,27 +120,9 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream: np.ndarray,
         dpre = upstream * (cache.pre > 0.0)
     else:
         dpre = upstream
-    weight_grad = np.matmul(dpre.T, cache.x, out=layer.weight_grad)
-    bias_grad = dpre.sum(axis=0, out=layer.bias_grad)
-    return (dpre @ layer.weights if input_grad else None), weight_grad, bias_grad
-
-
-def _rebind(layers: list[DenseLayer], flat: np.ndarray, attrs: tuple[str, str]) -> None:
-    """Rebind each layer's weight-shaped and bias-shaped ``attrs`` to views of
-    ``flat``, in layer order, per layer the weight part (C order) first."""
-    offset = 0
-    for layer in layers:
-        for attr, like in zip(attrs, (layer.weights, layer.bias)):
-            setattr(layer, attr, flat[offset:offset + like.size].reshape(like.shape))
-            offset += like.size
-
-
-def bind_gradients(layers: list[DenseLayer]) -> np.ndarray:
-    """One float64 gradient vector laid out like the layers' parameters, with
-    each layer's ``weight_grad`` and ``bias_grad`` rebound to views of it."""
-    grads = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
-    _rebind(layers, grads, ("weight_grad", "bias_grad"))
-    return grads
+    np.matmul(dpre.T, cache.x, out=weight_grad)
+    dpre.sum(axis=0, out=bias_grad)
+    return dpre @ layer.weights if input_grad else None
 
 
 def check_labels(labels: np.ndarray, batch: int, k: int) -> np.ndarray:

@@ -31,8 +31,7 @@ from spkdeid.aan import (
 )
 from spkdeid.dataset import (AttributeStrength, Corpus, CorpusSpec, generate_corpus,
                              make_corpus, split_corpus)
-from spkdeid.neural import (DenseLayer, DivergenceError, bind_gradients, mse_loss,
-                            softmax_cross_entropy)
+from spkdeid.neural import DenseLayer, DivergenceError, mse_loss, softmax_cross_entropy
 from conftest import traced_peak
 from test_neural import per_tensor_adam
 
@@ -48,12 +47,15 @@ def tiny_batch(model, seed=0, batch=4):
     return sample_gradcheck_batch(model, batch_size=batch, seed=seed)
 
 
-def gradients(model):
-    """Name -> each layer's gradient array, named like ``parameters()``;
-    None for a layer whose gradient arrays are not bound."""
-    return {f"{prefix}{i}.{kind}": grad for attr, prefix in GROUPS
-            for i, layer in enumerate(getattr(model, attr))
-            for kind, grad in (("w", layer.weight_grad), ("b", layer.bias_grad))}
+def gradient_target(model):
+    """A gradient target for ``model``, as ``train`` builds it: an
+    ``AanModel`` on a new vector, here filled with NaN."""
+    return AanModel(model.dims, model.lam, np.full_like(model.flat, np.nan))
+
+
+# what a layer and a model hold: no gradient state
+LAYER_FIELDS = {"weights", "bias", "activation"}
+MODEL_FIELDS = {"dims", "lam", "flat"} | {attr for attr, _ in GROUPS}
 
 
 def zero_out(model):
@@ -119,9 +121,9 @@ class TestLossAndGrads:
         # oracle: hand-rolled autoencoder-only backprop with the same shapes
         model = tiny_model(lam=0.0)
         x, g, a, s = tiny_batch(model)
-        bind_gradients(model.layers())
-        aan_loss_and_grads(model, x, g, a, s)
-        grads = gradients(model)
+        grad = gradient_target(model)
+        aan_loss_and_grads(model, grad, x, g, a, s)
+        grads = grad.parameters()
 
         h1 = np.tanh(x @ model.encoder[0].weights.T + model.encoder[0].bias)
         latent = np.tanh(h1 @ model.encoder[1].weights.T + model.encoder[1].bias)
@@ -138,8 +140,9 @@ class TestLossAndGrads:
     def test_duplicated_batch_keeps_losses(self):
         model = tiny_model()
         x, g, a, s = tiny_batch(model)
-        once = aan_loss_and_grads(model, x, g, a, s)
-        twice = aan_loss_and_grads(model, np.vstack([x, x]),
+        grad = gradient_target(model)
+        once = aan_loss_and_grads(model, grad, x, g, a, s)
+        twice = aan_loss_and_grads(model, grad, np.vstack([x, x]),
                                    np.concatenate([g, g]),
                                    np.concatenate([a, a]),
                                    np.concatenate([s, s]))
@@ -175,25 +178,77 @@ class TestLossAndGrads:
         model = tiny_model()
         x, g, a, s = tiny_batch(model)
         with pytest.raises(ValueError, match="labels"):
-            aan_loss_and_grads(model, x, g, a, np.full_like(s, 99))
+            aan_loss_and_grads(model, gradient_target(model), x, g, a, np.full_like(s, 99))
 
 
 class TestGradientBuffer:
     def test_flat_grad_gets_the_bits_of_per_layer_arrays(self):
         model = tiny_model()
         x, g, a, s = tiny_batch(model, batch=5)
-        ref = LayerListModel(model)
-        expected = aan_loss_and_grads(ref, x, g, a, s)
-        flat_grad = bind_gradients(model.layers())
-        flat_grad[...] = np.nan
-        assert aan_loss_and_grads(model, x, g, a, s) == expected
-        assert flat_grad.tobytes() == np.concatenate(
-            [grad.ravel() for grad in gradients(ref).values()]).tobytes()
-        grads = gradients(model)
+        ref, ref_grad = LayerListModel(model), LayerListModel(model)
+        expected = aan_loss_and_grads(ref, ref_grad, x, g, a, s)
+        grad = gradient_target(model)
+        assert aan_loss_and_grads(model, grad, x, g, a, s) == expected
+        assert grad.flat.tobytes() == np.concatenate(
+            [array.ravel() for array in ref_grad.parameters().values()]).tobytes()
+        grads = grad.parameters()
         assert list(grads) == list(model.parameters())
-        for name, grad in grads.items():
-            assert np.shares_memory(grad, flat_grad)
-            assert not np.shares_memory(gradients(ref)[name], flat_grad)
+        for name, array in grads.items():
+            assert np.shares_memory(array, grad.flat)
+            assert not np.shares_memory(ref_grad.parameters()[name], grad.flat)
+
+    def test_gradient_views_never_alias_flat(self, monkeypatch):
+        # train and the gradient check each build one target per call, whose
+        # views lie in a vector of their own at the offsets of the model's
+        # parameters in flat
+        targets = []
+
+        def recording(model, grad, *batch):
+            targets.append(grad)
+            return loss_and_grads(model, grad, *batch)
+
+        loss_and_grads = aan_module.aan_loss_and_grads
+        monkeypatch.setattr(aan_module, "aan_loss_and_grads", recording)
+        train_c, valid_c, _ = tiny_corpus()
+        trained = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4), 1.0, 0)
+        checked = tiny_model()
+        runs = ((trained, lambda: train(trained, train_c, valid_c, TrainConfig(epochs=2, seed=0))),
+                (checked, lambda: aan_gradient_check(checked, *tiny_batch(checked))))
+        for model, run in runs:
+            targets.clear()
+            run()
+            assert len(targets) > 1 and all(grad is targets[0] for grad in targets)
+            grad = targets[0]
+            assert grad.flat.shape == model.flat.shape and grad.flat.dtype == np.float64
+            assert not np.shares_memory(grad.flat, model.flat)
+            offset = 0
+            for param, array in zip(model.parameters().values(),
+                                    grad.parameters().values()):
+                stop = offset + param.size
+                assert np.shares_memory(param, model.flat[offset:stop])
+                assert array.shape == param.shape
+                assert np.shares_memory(array, grad.flat[offset:stop])
+                assert not np.shares_memory(array, model.flat)
+                offset = stop
+            assert offset == model.flat.size
+
+    def test_backward_leaves_flat_unchanged(self):
+        model = tiny_model()
+        x, g, a, s = tiny_batch(model, batch=5)
+        before = model.flat.copy()
+        aan_loss_and_grads(model, gradient_target(model), x, g, a, s)
+        assert model.flat.tobytes() == before.tobytes()
+        assert all(set(vars(layer)) == LAYER_FIELDS for layer in model.layers())
+
+    def test_two_gradient_vectors_get_equal_bits(self):
+        model = tiny_model()
+        x, g, a, s = tiny_batch(model, batch=5)
+        first, second = gradient_target(model), gradient_target(model)
+        losses = aan_loss_and_grads(model, first, x, g, a, s)
+        kept = first.flat.copy()
+        assert aan_loss_and_grads(model, second, x, g, a, s) == losses
+        assert second.flat.tobytes() == kept.tobytes() == first.flat.tobytes()
+        assert not np.isnan(kept).any()
 
     def test_forward_only_models_hold_no_gradients(self, tmp_path):
         model = tiny_model()
@@ -203,8 +258,8 @@ class TestGradientBuffer:
         x, g, a, s = tiny_batch(loaded)
         evaluate_model(loaded, x, g, a, s)
         for m in (model, loaded):
-            assert not hasattr(m, "grad")
-            assert all(grad is None for grad in gradients(m).values())
+            assert set(vars(m)) == MODEL_FIELDS
+            assert all(set(vars(layer)) == LAYER_FIELDS for layer in m.layers())
 
 
 def reference_evaluate(model, x, g, a, s):
@@ -364,9 +419,9 @@ class TestGrlEquivalence:
             reference = two_role_sgd_update(model, x, (g, a, s), lam=8.0, lr=lr)
 
             from spkdeid.neural import sgd_step
-            grads = bind_gradients(model.layers())
-            aan_loss_and_grads(model, x, g, a, s)
-            sgd_step(model.flat, grads, lr)
+            grad = gradient_target(model)
+            aan_loss_and_grads(model, grad, x, g, a, s)
+            sgd_step(model.flat, grad.flat, lr)
             for name, p in model.parameters().items():
                 np.testing.assert_allclose(p, reference[name], rtol=0, atol=1e-10)
 
@@ -516,7 +571,7 @@ class TestCheckpoint:
         save_model(build_aan(VOXCELEB_DIMS, 8.0, seed=0), path)
         model, peak = traced_peak(lambda: load_model(path))
         assert peak < 2.5 * model.flat.nbytes
-        assert all(layer.weight_grad is None for layer in model.layers())
+        assert all(set(vars(layer)) == LAYER_FIELDS for layer in model.layers())
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -746,30 +801,27 @@ class TestTrain:
 
 
 class LayerListModel:
-    """The AAN with separate arrays per layer, its gradients' too, and no
-    flat vector."""
+    """The AAN with separate arrays per layer and no flat vector; a second
+    one, copied from the same model, takes the first one's gradients."""
 
     parameters = AanModel.parameters
-    gradients = gradients
 
     def __init__(self, model: AanModel):
         for attr, _ in GROUPS:
-            layers = [DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
-                      for layer in getattr(model, attr)]
-            for layer in layers:
-                layer.weight_grad = np.empty_like(layer.weights)
-                layer.bias_grad = np.empty_like(layer.bias)
-            setattr(self, attr, layers)
+            setattr(self, attr, [DenseLayer(layer.weights.copy(), layer.bias.copy(),
+                                            layer.activation)
+                                 for layer in getattr(model, attr)])
         self.lam = model.lam
         self.dims = model.dims
 
 
 def oracle_gradient_check(model, x, g, a, s, eps=1e-5):
     """The gradient check over name-keyed arrays: per group, per array, per
-    element, with the analytic side read from each layer's own arrays."""
+    element, with the analytic side read from a second ``LayerListModel``."""
     objectives = {"encoder": lambda b: b.recon - model.lam * (b.gender + b.accent + b.speaker),
                   "decoder": lambda b: b.recon, "gender_head": lambda b: b.gender,
                   "accent_head": lambda b: b.accent, "speaker_head": lambda b: b.speaker}
+    grad = LayerListModel(model)
     results = {}
     for attr, prefix in GROUPS:
         params = {f"{prefix}{i}.{kind}": array
@@ -777,8 +829,8 @@ def oracle_gradient_check(model, x, g, a, s, eps=1e-5):
                   for kind, array in (("w", layer.weights), ("b", layer.bias))}
 
         def loss_and_grads():
-            losses = aan_loss_and_grads(model, x, g, a, s)
-            return objectives[attr](losses), gradients(model)
+            losses = aan_loss_and_grads(model, grad, x, g, a, s)
+            return objectives[attr](losses), grad.parameters()
 
         _, grads = loss_and_grads()
         analytic = {name: grads[name].copy() for name in params}
@@ -802,7 +854,7 @@ def oracle_gradient_check(model, x, g, a, s, eps=1e-5):
 
 def reference_train(model, train_c, valid_c, config):
     """Per-layer, per-tensor-Adam training; returns (best parameters, history)."""
-    ref = LayerListModel(model)
+    ref, ref_grad = LayerListModel(model), LayerListModel(model)
     ref.lam = config.lam
     x = train_c.matrix()
     labels = train_c.label_indices()
@@ -820,8 +872,8 @@ def reference_train(model, train_c, valid_c, config):
         sums = np.zeros(4)
         for start in range(0, len(x), config.batch_size):
             idx = order[start:start + config.batch_size]
-            losses = aan_loss_and_grads(ref, x[idx], *(y[idx] for y in labels))
-            per_tensor_adam(params, ref.gradients(), state, config.lr, config.beta1,
+            losses = aan_loss_and_grads(ref, ref_grad, x[idx], *(y[idx] for y in labels))
+            per_tensor_adam(params, ref_grad.parameters(), state, config.lr, config.beta1,
                             config.beta2, config.eps)
             sums += len(idx) * np.array([losses.recon, losses.gender, losses.accent,
                                          losses.speaker])

@@ -15,6 +15,7 @@ import pytest
 
 from spkdeid.aan import (
     AanDims,
+    AanModel,
     TrainConfig,
     aan_gradient_check,
     aan_loss_and_grads,
@@ -43,7 +44,7 @@ from spkdeid.metrics import (
     probe_attack,
     score_trials,
 )
-from spkdeid.neural import bind_gradients, sgd_step
+from spkdeid.neural import sgd_step
 
 from conftest import DESK_MODEL_SEED, DESK_TRAIN_SEED
 from test_aan import two_role_sgd_update
@@ -88,9 +89,9 @@ def test_criterion_2_grl_minmax_equivalence():
         model = build_aan(dims, lam=8.0, seed=seed, init_scale=0.1)
         x, g, a, s = sample_gradcheck_batch(model, batch_size=4, seed=seed + 1000)
         expected = two_role_sgd_update(model, x, (g, a, s), lam=8.0, lr=lr)
-        grads = bind_gradients(model.layers())
-        aan_loss_and_grads(model, x, g, a, s)
-        sgd_step(model.flat, grads, lr)
+        grad = AanModel(dims, model.lam, np.empty_like(model.flat))
+        aan_loss_and_grads(model, grad, x, g, a, s)
+        sgd_step(model.flat, grad.flat, lr)
         for name, p in model.parameters().items():
             worst = max(worst, float(np.max(np.abs(p - expected[name]))))
     elapsed = time.monotonic() - started

@@ -534,6 +534,20 @@ class TestSweep:
         assert all(f"{v} (lambda1)" in err[0] for v in clashing) and "3" not in err[0]
         assert list(out.glob("*lambda*")) == [] and not (out / "sweep_summary.csv").exists()
 
+    @pytest.mark.parametrize("lambdas, message", [
+        ("1,-1", "lam must be finite and >= 0, got -1.0"),
+        ("1,nan", "lam must be finite and >= 0, got nan"),
+        ("1,abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_lambda_trains_nothing(self, tiny_run, capsys, lambdas, message):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        capsys.readouterr()
+        assert run_cli("sweep-lambda", "--config", config_path, "--lambdas", lambdas) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --lambdas: {message}"]
+        assert list(out.glob("*lambda*")) == [] and not (out / "sweep_summary.csv").exists()
+
 
 @pytest.mark.parametrize("command, extra", [
     ("evaluate", ["--method", "aan2"]),
@@ -849,3 +863,18 @@ def test_config_single_byte_mutation_exits_0_or_one_error_line(data):
         assert code == 2 and out.getvalue() == ""
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"seed": "%s"}' % ("x" * 100_000), "seed must be an integer, got 'xxx"),
+    ('{"seed": %s}' % ("[" * 900 + "]" * 900), "seed must be an integer, got [[["),
+    ('{"%s": 1}' % ("x" * 100_000), "unknown config key 'xxx"),
+    ('{"train": "%s"}' % ("x" * 100_000), "config train must be a JSON object, got 'xxx"),
+], ids=["long-string", "deep-list", "long-key", "long-section"])
+def test_config_error_lines_quote_a_bounded_value(tmp_path, capsys, content, message):
+    path = tmp_path / "c.json"
+    path.write_text(content)
+    assert run_cli("print-config", "--config", path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
+    assert len(err[0].encode()) < 200 and "characters)" in err[0]

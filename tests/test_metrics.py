@@ -536,7 +536,8 @@ def reference_probe(train_c, test_c, attribute, seed, epochs, lr):
     for _ in range(epochs):
         logits, cache = dense_forward(layer, x_train)
         _, d_logits = softmax_cross_entropy(logits, y_train)
-        _, dw, db = dense_backward(layer, cache, d_logits)
+        dw, db = np.empty_like(layer.weights), np.empty_like(layer.bias)
+        dense_backward(layer, cache, d_logits, dw, db)
         adam_step(layer.weights, dw, w_state, lr=lr)
         adam_step(layer.bias, db, b_state, lr=lr)
     test_logits, _ = dense_forward(layer, test_c.matrix())

@@ -10,7 +10,6 @@ from spkdeid.neural import (
     DenseLayer,
     DivergenceError,
     adam_step,
-    bind_gradients,
     cross_entropy_and_accuracy,
     dense_backward,
     dense_forward,
@@ -26,16 +25,27 @@ rng = np.random.default_rng(20240214)
 
 
 def flatten(layers):
-    """Move the layers' parameters into one vector laid out as
-    ``bind_gradients`` lays out gradients, rebinding ``weights`` and ``bias``
-    as its views; returns it with a gradient vector that ``bind_gradients``
-    binds."""
-    params = bind_gradients(layers)
+    """Move the layers' parameters into one vector, per layer the weights (C
+    order) then the bias, rebinding ``weights`` and ``bias`` as its views;
+    returns it with a gradient vector laid out the same way and, per layer,
+    the (weight, bias) gradient views of it that ``dense_backward`` takes."""
+    params = np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
+    grads = np.empty_like(params)
+    views, offset = [], 0
     for layer in layers:
-        layer.weight_grad[...] = layer.weights
-        layer.bias_grad[...] = layer.bias
-        layer.weights, layer.bias = layer.weight_grad, layer.bias_grad
-    return params, bind_gradients(layers)
+        pair = []
+        for attr in ("weights", "bias"):
+            shape, stop = getattr(layer, attr).shape, offset + getattr(layer, attr).size
+            setattr(layer, attr, params[offset:stop].reshape(shape))
+            pair.append(grads[offset:stop].reshape(shape))
+            offset = stop
+        views.append(tuple(pair))
+    return params, grads, views
+
+
+def fresh_grads(layer):
+    """New (weight, bias) gradient arrays for ``layer``, filled with NaN."""
+    return np.full_like(layer.weights, np.nan), np.full_like(layer.bias, np.nan)
 
 
 class TestDenseForward:
@@ -65,13 +75,14 @@ class TestDenseBackward:
         layer = DenseLayer(np.eye(2), np.zeros(2), "linear")
         g = np.array([[0.5, -1.5]])
         _, cache = dense_forward(layer, np.array([[1.0, 2.0]]))
-        dx, _, _ = dense_backward(layer, cache, g)
+        dx = dense_backward(layer, cache, g, *fresh_grads(layer))
         assert np.array_equal(dx, g)
 
     def test_dead_relu_blocks_gradient(self):
         layer = DenseLayer(-np.eye(2), np.zeros(2), "relu")
         _, cache = dense_forward(layer, np.array([[1.0, 2.0]]))  # pre < 0
-        dx, dw, db = dense_backward(layer, cache, np.ones((1, 2)))
+        dw, db = fresh_grads(layer)
+        dx = dense_backward(layer, cache, np.ones((1, 2)), dw, db)
         assert np.array_equal(dx, np.zeros((1, 2)))
         assert np.array_equal(dw, np.zeros((2, 2)))
         assert np.array_equal(db, np.zeros(2))
@@ -87,17 +98,19 @@ class TestDenseBackward:
         dpre = {"tanh": (1.0 - out ** 2) * upstream,
                 "relu": upstream * (cache.pre > 0.0),
                 "linear": upstream}[activation]
-        bind_gradients([layer])
-        dx, dw, db = dense_backward(layer, cache, upstream)
-        assert dw is layer.weight_grad and db is layer.bias_grad
-        assert dx.tobytes() == (dpre @ layer.weights).tobytes()
+        dw, db = fresh_grads(layer)
         for input_grad in (True, False):
-            layer.weight_grad[...] = np.nan
-            layer.bias_grad[...] = np.nan
-            dx, _, _ = dense_backward(layer, cache, upstream, input_grad=input_grad)
-            assert (dx is None) == (not input_grad)
-            assert layer.weight_grad.tobytes() == (dpre.T @ x).tobytes()
-            assert layer.bias_grad.tobytes() == dpre.sum(axis=0).tobytes()
+            dw[...] = np.nan
+            db[...] = np.nan
+            dx = dense_backward(layer, cache, upstream, dw, db, input_grad=input_grad)
+            if input_grad:
+                assert dx.tobytes() == (dpre @ layer.weights).tobytes()
+            else:
+                assert dx is None
+            assert dw.tobytes() == (dpre.T @ x).tobytes()
+            assert db.tobytes() == dpre.sum(axis=0).tobytes()
+        # the layer holds no gradient state
+        assert set(vars(layer)) == {"weights", "bias", "activation"}
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
     def test_matches_finite_differences(self, activation):
@@ -113,7 +126,8 @@ class TestDenseBackward:
             return float((r * out).sum())
 
         out, cache = dense_forward(layer, x)
-        dx, dw, db = dense_backward(layer, cache, r)
+        dw, db = fresh_grads(layer)
+        dx = dense_backward(layer, cache, r, dw, db)
         eps = 1e-5
         worst = 0.0
         for array, grad, kind in ((layer.weights, dw, "w"), (layer.bias, db, "b"),
@@ -381,12 +395,12 @@ class TestFiniteDifferenceCheck:
         x = np.random.default_rng(1).normal(size=(4, 3))
         target = np.random.default_rng(2).normal(size=(4, 2))
 
-        params, grads = flatten([layer])
+        params, grads, views = flatten([layer])
 
         def loss_and_grad():
             out, cache = dense_forward(layer, x)
             loss, d_out = mse_loss(out, target)
-            dense_backward(layer, cache, d_out)
+            dense_backward(layer, cache, d_out, *views[0])
             return loss, grads
 
         before = params.copy()
@@ -397,12 +411,12 @@ class TestFiniteDifferenceCheck:
         # the bias slice of one layer, as the AAN checks each layer group
         layer = init_dense(3, 2, "tanh", np.random.default_rng(3), scale=0.5)
         x = np.random.default_rng(4).normal(size=(5, 3))
-        params, grads = flatten([layer])
+        params, grads, views = flatten([layer])
 
         def loss_and_grad():
             out, cache = dense_forward(layer, x)
             loss, d_out = mse_loss(out, np.zeros_like(out))
-            dense_backward(layer, cache, d_out)
+            dense_backward(layer, cache, d_out, *views[0])
             return loss, grads[6:]
 
         assert finite_difference_check(loss_and_grad, params[6:]) < 1e-8
@@ -431,34 +445,6 @@ class TestFiniteDifferenceCheck:
 
 
 class TestFlatten:
-    def test_bare_layers_hold_no_gradients(self):
-        layer = init_dense(3, 2, "tanh", np.random.default_rng(7))
-        assert layer.weight_grad is None and layer.bias_grad is None
-        x = np.random.default_rng(8).normal(size=(4, 3))
-        _, cache = dense_forward(layer, x)
-        assert layer.weight_grad is None and layer.bias_grad is None
-        _, dw, db = dense_backward(layer, cache, np.ones((4, 2)))
-        assert dw.shape == (2, 3) and db.shape == (2,)
-        assert layer.weight_grad is None and layer.bias_grad is None
-        _, dw_again, db_again = dense_backward(layer, cache, np.ones((4, 2)))
-        assert dw_again is not dw and db_again is not db
-        assert dw_again.tobytes() == dw.tobytes() and db_again.tobytes() == db.tobytes()
-
-    def test_bind_gradients_leaves_the_parameters_alone(self):
-        gen = np.random.default_rng(10)
-        layers = [init_dense(3, 4, "tanh", gen), init_dense(4, 2, "relu", gen)]
-        weights = [layer.weights for layer in layers]
-        grads = bind_gradients(layers)
-        assert grads.shape == (3 * 4 + 4 + 4 * 2 + 2,) and grads.dtype == np.float64
-        offset = 0
-        for layer, w in zip(layers, weights):
-            assert layer.weights is w
-            for array, grad in ((layer.weights, layer.weight_grad),
-                                (layer.bias, layer.bias_grad)):
-                assert grad.shape == array.shape and grad.base is grads
-                assert np.shares_memory(grad, grads[offset:offset + array.size])
-                offset += array.size
-
     def test_layer_order_and_views(self):
         gen = np.random.default_rng(6)
         layers = [init_dense(3, 4, "tanh", gen), init_dense(4, 2, "relu", gen),
@@ -467,14 +453,13 @@ class TestFlatten:
             layer.bias[:] = gen.normal(size=layer.bias.shape)
         expected = np.concatenate([a.ravel() for layer in layers
                                    for a in (layer.weights, layer.bias)])
-        params, grads = flatten(layers)
+        params, grads, views = flatten(layers)
         assert params.dtype == grads.dtype == np.float64
         assert params.tobytes() == expected.tobytes()
         assert grads.shape == params.shape and not np.shares_memory(grads, params)
         offset = 0
-        for layer in layers:
-            for array, grad in ((layer.weights, layer.weight_grad),
-                                (layer.bias, layer.bias_grad)):
+        for layer, (weight_grad, bias_grad) in zip(layers, views):
+            for array, grad in ((layer.weights, weight_grad), (layer.bias, bias_grad)):
                 assert array.shape == grad.shape
                 assert array.base is params and grad.base is grads
                 stop = offset + array.size
@@ -488,9 +473,10 @@ class TestFlatten:
         x = np.random.default_rng(8).normal(size=(4, 3))
         upstream = np.random.default_rng(9).normal(size=(4, 2))
         _, cache = dense_forward(layer, x)
-        _, dw, db = dense_backward(layer, cache, upstream)
+        dw, db = fresh_grads(layer)
+        dense_backward(layer, cache, upstream, dw, db)
         expected = np.concatenate([dw.ravel(), db])
-        _, grads = flatten([layer])
+        _, grads, views = flatten([layer])
         _, cache = dense_forward(layer, x)
-        dense_backward(layer, cache, upstream)
+        dense_backward(layer, cache, upstream, *views[0])
         assert grads.tobytes() == expected.tobytes()
