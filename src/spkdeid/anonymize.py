@@ -20,13 +20,13 @@ It ranks each block of queries with one gemm, whose sums run in another
 order than a one-row product's, but the output depends only on the chosen
 index set: a row whose choice a rounding bound settles takes it from the
 gemm, and any other row is ranked again as a one-row call ranks it, with
-one ``ddot`` for its norm and one pool gemv.  Beside the unit-norm pool and
-the output, a block holds the gemm buffer, which every block reuses, the
-partitioned copy of it until its k-th column is taken, and then one gather
-of the chosen pool rows.  The reconstruction's outputs are values, so it
-stays one gemv per row and layer, from numpy's C loop over stacked
-matmuls.  Either way every output row is independent of N and of its
-neighbours.
+one ``ddot`` for its norm, one pool gemv, and a stable argsort of its
+exact similarities.  Beside the unit-norm pool and the output, a block
+holds the gemm buffer, which every block reuses, the partitioned copy of
+it until its k-th column is taken, and then one gather of the chosen pool
+rows.  The reconstruction's outputs are values, so it stays one gemv per
+row and layer, from numpy's C loop over stacked matmuls.  Either way every
+output row is independent of N and of its neighbours.
 """
 
 from __future__ import annotations
@@ -146,21 +146,9 @@ def baseline_anonymize(pool: PseudoPool, x: np.ndarray, top_k: int) -> np.ndarra
 
 
 def _farthest(sims: np.ndarray, top_k: int) -> np.ndarray:
-    """Per row of ``sims``, the indices of its ``top_k`` smallest entries, ascending.
-
-    Exact and equal to ``np.sort(np.argsort(row, kind="stable")[:top_k])``:
-    every entry below the k-th smallest value, then the lowest-index entries
-    equal to it.  Only rows with more than top_k entries at or below that
-    value pay for the tie-break.
-    """
-    kth = np.partition(sims, top_k - 1, axis=1)[:, top_k - 1, None]
-    chosen = sims <= kth
-    tied = np.flatnonzero(chosen.sum(axis=1) > top_k)
-    below = sims[tied] < kth[tied]
-    ties = sims[tied] == kth[tied]
-    room = top_k - below.sum(axis=1, keepdims=True)
-    chosen[tied] = below | (ties & (np.cumsum(ties, axis=1) <= room))
-    return np.flatnonzero(chosen).reshape(len(sims), top_k) % sims.shape[1]
+    """Per row of ``sims``, the indices of its ``top_k`` smallest entries,
+    ascending, lowest index first among equal values: a stable argsort's."""
+    return np.sort(np.argsort(sims, axis=1, kind="stable")[:, :top_k], axis=1)
 
 
 def _reconstruct(model: AanModel, x: np.ndarray) -> np.ndarray:

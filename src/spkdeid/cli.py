@@ -1,6 +1,15 @@
 """Command-line pipeline: data generation, training, anonymization, and
 evaluation, with JSON configs, per-stage derived seeds, and run manifests.
 
+``build_parser`` is the command table.  Each subcommand sets its handler,
+which takes the config and the flags, as ``args.run``; the run flags and
+the method flags are each declared once, as argparse parents.  The five
+pipeline commands return the files they read and wrote, and ``main``, the
+one manifest writer, times each and writes manifest_<command>.json: its
+config snapshot and the sha256 of every input and output file.  The tools
+(gradcheck, print-config, report) return their exit code.  An ``--out``
+that is one of the command's inputs is refused before anything is read.
+
 The config file is ``RunConfig``: its top-level keys are the seed, the
 output directory and the dataset tag, and each of its sections (corpus,
 split, model, train, anonymize, trials) is one dataclass, whose fields are
@@ -10,9 +19,7 @@ unknown key, or a value of the wrong type (integers exclude booleans,
 floats must be finite), is an error naming the config file and the key, as
 is a file that is not JSON.  Flags override file values.  All randomness
 flows from the top-level seed through named per-stage seeds (sha256 of
-"<seed>:<stage>"), so stages are independently reproducible; each command
-writes a manifest_<command>.json recording its config snapshot and the
-sha256 of every input and output file.
+"<seed>:<stage>"), so stages are independently reproducible.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ import numpy as np
 from . import BLAS_THREAD_VARS, __version__
 from .aan import (
     AanDims,
+    EpochStats,
+    LossBreakdown,
     TrainConfig,
     aan_gradient_check,
     build_aan,
@@ -259,8 +268,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_gen_data(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     # checked before anything is written: 0 would leave valid and test empty
     n_heldout = cfg.split.n_heldout_per_speaker
     if n_heldout < 1:
@@ -268,34 +276,26 @@ def cmd_gen_data(cfg: RunConfig) -> int:
                          "valid and test splits hold that many utterances per speaker")
     out = _out_dir(cfg)
     spec = dataclasses.replace(cfg.corpus, seed=derive_seed(cfg.seed, "gen-data"))
-    train_c, valid_c, test_c = split_corpus(generate_corpus(spec), n_heldout)
-    outputs = []
-    for name, split in (("train", train_c), ("valid", valid_c), ("test", test_c)):
-        path = out / f"{name}.csv"
+    outputs = [out / f"{name}.csv" for name in ("train", "valid", "test")]
+    for path, split in zip(outputs, split_corpus(generate_corpus(spec), n_heldout)):
         write_corpus(split, path)
-        outputs.append(path)
         print(f"wrote {path} ({len(split)} utterances)")
-    write_manifest(cfg, "gen-data", [], outputs, time.time() - started)
-    return 0
+    return [], outputs
 
 
-def _history_csv(history, path: Path) -> None:
+def _history_csv(history: list[EpochStats], path: Path) -> None:
+    """One row per epoch: the fields of ``EpochStats`` in order, each
+    ``LossBreakdown`` spread into one ``<field>_<term>_loss`` column per term."""
+    terms = [f.name for f in dataclasses.fields(LossBreakdown)]
+    header = []
+    for name, kind in typing.get_type_hints(EpochStats).items():
+        header += [f"{name}_{term}_loss" for term in terms] if kind is LossBreakdown else [name]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch",
-                         "train_recon_loss", "train_gender_loss",
-                         "train_accent_loss", "train_speaker_loss",
-                         "valid_recon_loss", "valid_gender_loss",
-                         "valid_accent_loss", "valid_speaker_loss",
-                         "valid_gender_acc", "valid_accent_acc", "valid_speaker_acc"])
+        writer.writerow(header)
         for row in history:
-            writer.writerow([row.epoch]
-                            + [f"{v:.17g}" for v in
-                               (row.train.recon, row.train.gender, row.train.accent,
-                                row.train.speaker, row.valid.recon, row.valid.gender,
-                                row.valid.accent, row.valid.speaker,
-                                row.valid_gender_acc, row.valid_accent_acc,
-                                row.valid_speaker_acc)])
+            epoch, *values = dataclasses.astuple(row)  # a LossBreakdown becomes a tuple
+            writer.writerow([epoch] + [f"{v:.17g}" for v in np.hstack(values)])
 
 
 def _read_splits(out: Path, names=("train", "valid", "test")
@@ -344,10 +344,9 @@ def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: 
     return history
 
 
-def cmd_train(cfg: RunConfig, lam_override: float | None) -> int:
-    started = time.time()
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     out = _out_dir(cfg)
-    lam = cfg.train.lam if lam_override is None else lam_override
+    lam = cfg.train.lam if args.lam is None else args.lam
     checkpoint, history_path = out / "model.aan", out / "history.csv"
     inputs, corpora = _read_splits(out, ("train", "valid"))
     history = _train_once(cfg, lam, *corpora, checkpoint, history_path)
@@ -355,29 +354,26 @@ def cmd_train(cfg: RunConfig, lam_override: float | None) -> int:
     print(f"trained {len(history)} epochs (lambda={lam:g}): "
           f"valid recon loss {last.valid.recon:.5f}, "
           f"valid speaker acc {last.valid_speaker_acc:.3f}")
-    write_manifest(cfg, "train", inputs, [checkpoint, history_path],
-                   time.time() - started)
-    return 0
+    return inputs, [checkpoint, history_path]
 
 
-def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
-                    pool_path: str | None, top_k: int | None, require_flags: bool,
+def _resolve_method(cfg: RunConfig, kind: str | None, model_path: str | None,
+                    pool_path: str | None, top_k: int | None,
                     corpus: Corpus, corpus_path: Path
                     ) -> tuple[AnonymizationMethod, list[Path]]:
-    """The method, and the checkpoint and pool files it was built from,
-    checked against the dim of ``corpus``; that corpus, read from
-    ``corpus_path``, is the pool when that file is the pool path."""
+    """The method (the config's kind and top_k where None), and the checkpoint
+    and pool files it was built from, checked against the dim of ``corpus``;
+    that corpus, read from ``corpus_path``, is the pool when that file is the
+    pool path."""
+    kind = kind or cfg.anonymize.method
     if kind not in METHOD_KINDS:
         raise ValueError(f"method must be one of {METHOD_KINDS}, got {kind!r}")
-    out = Path(cfg.out_dir)
     model = None
     pool = None
     read = []
     if kind in ("aan1", "aan2"):
         if model_path is None:
-            if require_flags:
-                raise ValueError(f"method {kind!r} requires --model")
-            model_path = str(out / "model.aan")
+            raise ValueError(f"method {kind!r} requires --model")
         model = load_model(model_path)
         if model.dims.input_dim != corpus.dim:
             raise ValueError(f"{model_path}: model input_dim {model.dims.input_dim} does not "
@@ -385,9 +381,7 @@ def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
         read.append(Path(model_path))
     if kind in ("baseline_farthest", "aan2"):
         if pool_path is None:
-            if require_flags:
-                raise ValueError(f"method {kind!r} requires --pool")
-            pool_path = str(out / "train.csv")
+            raise ValueError(f"method {kind!r} requires --pool")
         reuse = Path(pool_path) == corpus_path
         pool = PseudoPool((corpus if reuse else read_corpus(pool_path)).matrix())
         if pool.dim != corpus.dim:
@@ -399,20 +393,27 @@ def _resolve_method(cfg: RunConfig, kind: str, model_path: str | None,
     return method, read
 
 
-def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    started = time.time()
+def _refuse_overwrite(out_path: str, inputs: dict[str, str | None]) -> None:
+    """Refuse an output that is one of the inputs (flag -> path or None) by
+    file identity, so that a relative path or a symlink to one counts too."""
+    for flag, path in inputs.items():
+        if path is not None and os.path.exists(out_path) and os.path.exists(path) and (
+                os.path.samefile(out_path, path)):
+            raise ValueError(f"--out {out_path} is the {flag} input; refusing to overwrite it")
+
+
+def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
+    _refuse_overwrite(args.out_path, {"--in": args.in_path, "--model": args.model,
+                                      "--pool": args.pool})
     _out_dir(cfg)
-    kind = args.method or cfg.anonymize.method
     corpus = read_corpus(args.in_path)
-    method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
-                                           True, corpus, Path(args.in_path))
+    method, method_files = _resolve_method(cfg, args.method, args.model, args.pool,
+                                           args.top_k, corpus, Path(args.in_path))
     anonymized = anonymize_corpus(corpus, method)
     out_path = Path(args.out_path)
     write_corpus(anonymized, out_path)
-    print(f"wrote {out_path} ({len(anonymized)} utterances, method={kind})")
-    write_manifest(cfg, "anonymize", [Path(args.in_path)] + method_files, [out_path],
-                   time.time() - started)
-    return 0
+    print(f"wrote {out_path} ({len(anonymized)} utterances, method={method.kind})")
+    return [Path(args.in_path)] + method_files, [out_path]
 
 
 def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, splits: list[Corpus],
@@ -435,21 +436,19 @@ def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, splits: list[Cor
     return report, [trials_path, report_csv, report_txt]
 
 
-def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    started = time.time()
-    kind = args.method or cfg.anonymize.method
-    inputs, splits = _read_splits(Path(cfg.out_dir))
-    method, method_files = _resolve_method(cfg, kind, args.model, args.pool, args.top_k,
-                                           False, splits[0], inputs[0])
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
+    out = Path(cfg.out_dir)
+    model = str(out / "model.aan") if args.model is None else args.model
+    pool = str(out / "train.csv") if args.pool is None else args.pool
+    inputs, splits = _read_splits(out)
+    method, method_files = _resolve_method(cfg, args.method, model, pool, args.top_k,
+                                           splits[0], inputs[0])
     report, outputs = _evaluate_once(cfg, method, splits)
     print(format_report_table(report), end="")
-    write_manifest(cfg, "evaluate", list(dict.fromkeys(inputs + method_files)), outputs,
-                   time.time() - started)
-    return 0
+    return list(dict.fromkeys(inputs + method_files)), outputs
 
 
-def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     out = _out_dir(cfg)
     values = [v.strip() for v in args.lambdas.split(",") if v.strip() != ""]
     if not values:
@@ -473,7 +472,7 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
         history = _train_once(cfg, lam, *splits[:2], checkpoint, history_path)
         method, _ = _resolve_method(cfg, cfg.anonymize.method, str(checkpoint),
                                     str(out / "train.csv"), cfg.anonymize.top_k,
-                                    False, splits[0], inputs[0])
+                                    splits[0], inputs[0])
         report, report_files = _evaluate_once(cfg, method, splits, suffix=f"_lambda{tag}")
         last = history[-1]
         summary_rows.append([tag, f"{last.valid.recon:.17g}",
@@ -490,8 +489,7 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> int:
                          "final_valid_accent_acc", "final_valid_speaker_acc"])
         writer.writerows(summary_rows)
     outputs.append(summary_path)
-    write_manifest(cfg, "sweep-lambda", inputs, outputs, time.time() - started)
-    return 0
+    return inputs, outputs
 
 
 def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -511,7 +509,9 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if worst < args.threshold else 1
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(cfg: None, args: argparse.Namespace) -> int:
+    if args.out:
+        _refuse_overwrite(args.out, {"report_csv": args.report_csv})
     report = read_report_csv(args.report_csv)
     text = format_report_table(report)
     print(text, end="")
@@ -520,7 +520,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_print_config(cfg: RunConfig) -> int:
+def cmd_print_config(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(json.dumps(cfg.to_dict(), indent=2))
     return 0
 
@@ -530,74 +530,56 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spkdeid", description="speaker de-identification pipeline")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--config", help="JSON config file")
+    run_flags.add_argument("--seed", type=int, help="override the top-level seed")
+    run_flags.add_argument("--out-dir", help="override the output directory")
+    method_flags = argparse.ArgumentParser(add_help=False)
+    method_flags.add_argument("--method", choices=METHOD_KINDS, default=None)
+    method_flags.add_argument("--model", help="model checkpoint (aan1/aan2; evaluate "
+                                              "defaults to <out-dir>/model.aan)")
+    method_flags.add_argument("--pool", help="pool corpus CSV (baseline_farthest/aan2; "
+                                             "evaluate defaults to <out-dir>/train.csv)")
+    method_flags.add_argument("--top-k", type=int, default=None)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the top-level seed")
-        p.add_argument("--out-dir", help="override the output directory")
+    def command(name, run, summary, parents=(run_flags,)):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(run=run)
+        return p
 
-    add_common(sub.add_parser("gen-data", help="generate and split a synthetic corpus"))
-
-    p_train = sub.add_parser("train", help="train the anonymization model")
-    add_common(p_train)
+    command("gen-data", cmd_gen_data, "generate and split a synthetic corpus")
+    p_train = command("train", cmd_train, "train the anonymization model")
     p_train.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="adversarial trade-off weight (overrides config)")
-
-    p_anon = sub.add_parser("anonymize", help="anonymize a corpus CSV")
-    add_common(p_anon)
-    p_anon.add_argument("--method", choices=METHOD_KINDS, default=None)
+    p_anon = command("anonymize", cmd_anonymize, "anonymize a corpus CSV",
+                     (run_flags, method_flags))
     p_anon.add_argument("--in", dest="in_path", required=True, help="input corpus CSV")
     p_anon.add_argument("--out", dest="out_path", required=True, help="output corpus CSV")
-    p_anon.add_argument("--model", help="model checkpoint (aan1/aan2)")
-    p_anon.add_argument("--pool", help="pool corpus CSV (baseline_farthest/aan2)")
-    p_anon.add_argument("--top-k", type=int, default=None)
-
-    p_eval = sub.add_parser("evaluate", help="score o/a enroll-trial conditions")
-    add_common(p_eval)
-    p_eval.add_argument("--method", choices=METHOD_KINDS, default=None)
-    p_eval.add_argument("--model", help="model checkpoint (default <out-dir>/model.aan)")
-    p_eval.add_argument("--pool", help="pool corpus CSV (default <out-dir>/train.csv)")
-    p_eval.add_argument("--top-k", type=int, default=None)
-
-    p_sweep = sub.add_parser("sweep-lambda", help="train and evaluate over several lambdas")
-    add_common(p_sweep)
-    p_sweep.add_argument("--lambdas", default="0,1,8",
-                         help="comma-separated lambda values")
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    add_common(p_grad)
+    command("evaluate", cmd_evaluate, "score o/a enroll-trial conditions",
+            (run_flags, method_flags))
+    p_sweep = command("sweep-lambda", cmd_sweep_lambda, "train and evaluate over several lambdas")
+    p_sweep.add_argument("--lambdas", default="0,1,8", help="comma-separated lambda values")
+    p_grad = command("gradcheck", cmd_gradcheck, "finite-difference gradient check")
     p_grad.add_argument("--threshold", type=float, default=1e-4,
                         help="exit nonzero if the max relative error is not below this")
-
-    p_report = sub.add_parser("report", help="render a report CSV as an aligned table")
+    p_report = command("report", cmd_report, "render a report CSV as an aligned table", ())
     p_report.add_argument("report_csv")
     p_report.add_argument("--out", help="also write the table to this file")
-
-    add_common(sub.add_parser("print-config", help="print the effective config as JSON"))
+    command("print-config", cmd_print_config, "print the effective config as JSON")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report(args)
-        cfg = load_config(args)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, args.lam)
-        if args.command == "anonymize":
-            return cmd_anonymize(cfg, args)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args)
-        if args.command == "sweep-lambda":
-            return cmd_sweep_lambda(cfg, args)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args)
-        if args.command == "print-config":
-            return cmd_print_config(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        cfg = load_config(args) if "config" in args else None  # report takes no run flags
+        started = time.time()
+        result = args.run(cfg, args)
+        if isinstance(result, int):  # a tool's exit code
+            return result
+        inputs, outputs = result
+        write_manifest(cfg, args.command, inputs, outputs, time.time() - started)
+        return 0
     except (ValueError, OSError, DivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

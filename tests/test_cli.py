@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from spkdeid import BLAS_THREAD_VARS
 from spkdeid.aan import load_model
 from spkdeid.anonymize import PseudoPool, baseline_anonymize
-from spkdeid.cli import RunConfig, main
+from spkdeid.cli import RunConfig, build_parser, main
 from spkdeid.dataset import read_corpus, write_corpus
 from spkdeid.metrics import read_report_csv
 
@@ -393,6 +393,47 @@ class TestAnonymize:
         assert code == 2
         assert "--pool" in capsys.readouterr().err
 
+    def test_aan1_requires_model_flag(self, tiny_run, capsys):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        capsys.readouterr()
+        assert run_cli("anonymize", "--config", config_path,
+                       "--in", out / "test.csv", "--out", out / "anon.csv") == 2
+        assert capsys.readouterr().err == "error: method 'aan1' requires --model\n"
+        assert not (out / "anon.csv").exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    @pytest.mark.parametrize("flag, name", [("--in", "test.csv"), ("--pool", "train.csv"),
+                                            ("--model", "model.aan")])
+    def test_output_that_is_an_input_is_refused(self, tiny_run, tmp_path, monkeypatch, capsys,
+                                                flag, name, spelling):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        run_cli("train", "--config", config_path)
+        monkeypatch.chdir(tmp_path)
+        inputs = {"--in": "run/test.csv", "--pool": "run/train.csv", "--model": "run/model.aan"}
+        target = {"same": f"run/{name}", "dotted": str(out / "." / name),
+                  "symlink": "link"}[spelling]
+        if spelling == "symlink":
+            os.symlink(out / name, "link")
+        before = {path: digest(Path(path)) for path in inputs.values()}
+        capsys.readouterr()
+        assert run_cli("anonymize", "--config", config_path, "--method", "aan2",
+                       *[arg for pair in inputs.items() for arg in pair], "--out", target) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert flag in err[0] and target in err[0]
+        assert {path: digest(Path(path)) for path in inputs.values()} == before
+        assert not (out / "manifest_anonymize.json").exists()
+
+    def test_new_output_beside_the_inputs_is_written(self, tiny_run):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        assert run_cli("anonymize", "--config", config_path, "--method", "baseline_farthest",
+                       "--pool", out / "train.csv", "--in", out / "test.csv",
+                       "--out", out / "." / "anon.csv") == 0
+        assert (out / "anon.csv").exists() and (out / "manifest_anonymize.json").exists()
+
 
 class TestEvaluate:
     def test_report_structure(self, tiny_run):
@@ -491,6 +532,21 @@ class TestEvaluate:
             run_cli("report", "--seed", "1", tmp_path / "r.csv")
         assert info.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_report_refuses_to_overwrite_its_csv(self, tiny_run, capsys):
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        run_cli("train", "--config", config_path)
+        run_cli("evaluate", "--config", config_path)
+        before = digest(out / "report.csv")
+        capsys.readouterr()
+        assert run_cli("report", out / "report.csv", "--out", out / "report.csv") == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: --out")
+        assert str(out / "report.csv") in err[0]
+        assert digest(out / "report.csv") == before
 
     @pytest.mark.parametrize("cell", ["abc", "nan"])
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, cell):
@@ -652,6 +708,69 @@ class TestGradcheck:
         first = capsys.readouterr().out
         run_cli("gradcheck", "--seed", "5", "--out-dir", tmp_path)
         assert capsys.readouterr().out == first
+
+
+COMMANDS = ["gen-data", "train", "anonymize", "evaluate", "sweep-lambda", "gradcheck",
+            "report", "print-config"]
+# each command's required arguments, so that a parse can reach the flags under test
+REQUIRED = {"anonymize": ["--in", "i.csv", "--out", "o.csv"], "report": ["r.csv"]}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, "--help")
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: spkdeid {command} ")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_run_flags_on_every_command_but_report(self, command, capsys):
+        for flag, value, attr, parsed in (("--config", "c.json", "config", "c.json"),
+                                          ("--seed", "3", "seed", 3),
+                                          ("--out-dir", "d", "out_dir", "d")):
+            argv = [command, *REQUIRED.get(command, []), flag, value]
+            if command == "report":
+                with pytest.raises(SystemExit) as info:
+                    build_parser().parse_args(argv)
+                assert info.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            else:
+                assert getattr(build_parser().parse_args(argv), attr) == parsed
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_method_flags_on_anonymize_and_evaluate(self, command, capsys):
+        argv = [command, *REQUIRED.get(command, []), "--method", "aan2", "--model", "m.aan",
+                "--pool", "p.csv", "--top-k", "4"]
+        if command in ("anonymize", "evaluate"):
+            args = build_parser().parse_args(argv)
+            assert (args.method, args.model, args.pool, args.top_k) == ("aan2", "m.aan",
+                                                                       "p.csv", 4)
+        else:
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(argv)
+            assert info.value.code == 2
+            assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pipeline_commands_write_one_manifest_and_tools_none(self, tiny_run, command):
+        config_path, out = tiny_run
+        for setup in ("gen-data", "train", "evaluate"):
+            assert run_cli(setup, "--config", config_path) == 0
+        for manifest in out.glob("manifest_*"):
+            manifest.unlink()
+        argv = {"anonymize": ["--model", out / "model.aan", "--in", out / "test.csv",
+                              "--out", out / "anon.csv"],
+                "sweep-lambda": ["--lambdas", "0"], "gradcheck": ["--seed", "8"],
+                "report": [out / "report.csv"]}.get(command, [])
+        if command != "report":
+            argv = argv + ["--config", config_path]
+        assert run_cli(command, *argv) == 0
+        written = sorted(path.name for path in out.glob("manifest_*"))
+        tools = ("gradcheck", "report", "print-config")
+        assert written == ([] if command in tools else [f"manifest_{command}.json"])
+        if written:
+            assert json.loads((out / written[0]).read_text())["command"] == command
 
 
 class TestManifest:
