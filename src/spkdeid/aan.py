@@ -59,14 +59,15 @@ from .neural import (
     DivergenceError,
     adam_step,
     as_batch,
+    central_differences,
     check_labels,
     check_lam,
     cross_entropy_and_accuracy,
     dense_backward,
     dense_forward,
-    finite_difference_check,
     grl_backward,
     init_dense,
+    max_relative_error,
     mse_loss,
     sgd_step,
     softmax_cross_entropy,
@@ -534,17 +535,17 @@ def sample_gradcheck_batch(model: AanModel, batch_size: int, seed: int):
                      f"in {GRADCHECK_MAX_TRIES} tries")
 
 
-def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray,
-                       accent_labels: np.ndarray, speaker_labels: np.ndarray
-                       ) -> dict[str, float]:
-    """Central-difference check of each parameter group's own objective.
+def aan_gradient_differences(model: AanModel, x: np.ndarray, gender_labels: np.ndarray,
+                             accent_labels: np.ndarray, speaker_labels: np.ndarray
+                             ) -> dict[str, tuple[float, np.ndarray, np.ndarray]]:
+    """Central differences of each parameter group's own objective.
 
     Encoder parameters are checked against recon_loss - lam * (sum of
     branch losses), the decoder against recon_loss, each head against its
     own cross-entropy.  A group is one contiguous slice of ``flat``
     (``layer_table`` order); the analytic side is the same slice of the
     gradient vector that ``aan_loss_and_grads`` writes.
-    Returns the max relative error per group, in ``GROUPS`` order.
+    Returns (objective, analytic, numeric) per group, in ``GROUPS`` order.
     """
     objectives = {"encoder": lambda b: b.recon - model.lam * (b.gender + b.accent + b.speaker),
                   "decoder": lambda b: b.recon, "gender_head": lambda b: b.gender,
@@ -562,6 +563,15 @@ def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray
                                         speaker_labels)
             return objective(losses), grad.flat[group]
 
-        results[attr] = finite_difference_check(
-            loss_and_grad, model.flat[start:stop], GRADCHECK_EPS)
+        results[attr] = central_differences(loss_and_grad, model.flat[start:stop],
+                                            GRADCHECK_EPS)
     return results
+
+
+def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray,
+                       accent_labels: np.ndarray, speaker_labels: np.ndarray
+                       ) -> dict[str, float]:
+    """The max relative error per group of ``aan_gradient_differences``."""
+    return {group: max_relative_error(analytic, numeric) for group, (_, analytic, numeric)
+            in aan_gradient_differences(model, x, gender_labels, accent_labels,
+                                        speaker_labels).items()}

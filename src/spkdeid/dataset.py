@@ -25,6 +25,13 @@ match the CSV beside it, without parsing the text.  Otherwise it parses the
 file row by row with a ``csv.reader`` and Python ``float``.  Both give the
 same result and the same errors, and neither holds more than a row of text
 or a fixed-size buffer at a time.
+
+The sha256 of a CSV's bytes that the writer takes while writing it, and the
+one the sidecar check takes while reading it (also when the sidecar then
+proves stale), are recorded with the file's device, inode, size and mtime
+from the descriptor used.  ``sha256_file`` returns a recorded digest while
+the file keeps that identity, and reads and hashes any other file;
+``forget_file_digests`` empties the record.
 """
 
 from __future__ import annotations
@@ -338,6 +345,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     prefixes = map("{},{},{},{},".format, *columns)
     step = max(1, _BLOCK_VALUES // corpus.dim)
     digest = hashlib.sha256()
+    size = 0
     with path.open("w", newline="") as fh:
         encoding = fh.encoding
         header = ",".join(FIXED_COLUMNS + [f"v{i}" for i in range(corpus.dim)]) + "\n"
@@ -346,7 +354,11 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
                   for i in range(0, len(corpus), step))
         for block in chain([header], blocks):
             fh.write(block)
-            digest.update(block.encode(encoding))
+            data = block.encode(encoding)
+            digest.update(data)
+            size += len(data)
+        fh.flush()
+        _remember_digest(os.fstat(fh.fileno()), size, digest.hexdigest())
     text = "\n".join(chain(*fields))
     # a parse of the CSV gives the sidecar's labels: no label is quoted,
     # holds a NUL or is longer than the field limit a parse enforces
@@ -564,10 +576,9 @@ def _read_sidecar(path: Path):
             vectors = np.empty((n, dim), dtype="<f8")
             side.readinto(vectors)
             stored = side.read(_DIGEST_BYTES)
+            stat = os.fstat(fh.fileno())
             digest = hashlib.sha256()
-            chunk = bytearray(1 << 18)
-            while size := fh.buffer.readinto(chunk):
-                digest.update(memoryview(chunk)[:size])
+            _remember_digest(stat, _hash_into(digest, fh.buffer), digest.hexdigest())
             for part in (header, text, vectors):
                 digest.update(part)
             if digest.digest() != stored:
@@ -610,3 +621,54 @@ def _read_rows(path: Path, reader):
         raise ValueError(f"{path}: empty corpus")
     ids, *labels = map(list, zip(*fixed))
     return ids, labels, np.frombuffer(values, dtype=np.float64).reshape(-1, dim), lines
+
+
+# The sha256 of each CSV that ``write_corpus`` wrote or ``_read_sidecar``
+# hashed, by the file's (device, inode) -> (size, mtime_ns, hex digest) as
+# the descriptor it used showed them.  ``forget_file_digests`` empties it.
+_DIGESTS: dict[tuple[int, int], tuple[int, int, str]] = {}
+
+
+def _remember_digest(stat: os.stat_result, size: int, digest: str) -> None:
+    """Record ``digest`` of the ``size`` bytes just hashed from the file
+    that ``stat`` describes, unless that file holds another number of bytes
+    (a device, a pipe, or a text encoding that writes a byte-order mark)."""
+    if stat.st_size == size:
+        _DIGESTS[stat.st_dev, stat.st_ino] = (size, stat.st_mtime_ns, digest)
+
+
+def _hash_into(digest, raw) -> int:
+    """Feed the rest of the binary stream ``raw`` to ``digest``; the number
+    of bytes it read."""
+    chunk = bytearray(1 << 18)
+    total = 0
+    while size := raw.readinto(chunk):
+        digest.update(memoryview(chunk)[:size])
+        total += size
+    return total
+
+
+def _hash_file(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        _hash_into(digest, fh)
+    return digest.hexdigest()
+
+
+def sha256_file(path: str | Path) -> str:
+    """The sha256 hex digest of the file ``path``.
+
+    It is the digest that ``write_corpus`` or ``read_corpus`` took of the
+    file's bytes while the file keeps the device, inode, size and mtime it
+    had then; any other file, or one changed since, is read and hashed.
+    """
+    stat = os.stat(path)
+    recorded = _DIGESTS.get((stat.st_dev, stat.st_ino))
+    if recorded is not None and recorded[:2] == (stat.st_size, stat.st_mtime_ns):
+        return recorded[2]
+    return _hash_file(path)
+
+
+def forget_file_digests() -> None:
+    """Empty the record of digests that ``sha256_file`` reuses."""
+    _DIGESTS.clear()

@@ -282,22 +282,23 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
     params -= grads
 
 
-def finite_difference_check(loss_and_grad: Callable[[], tuple[float, np.ndarray]],
-                            params: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def central_differences(loss_and_grad: Callable[[], tuple[float, np.ndarray]],
+                        params: np.ndarray, eps: float = 1e-5
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, analytic gradient, central-difference gradient) at ``params``.
 
     ``params`` is a 1-d writable view of the parameters, perturbed in place
     one element at a time and restored.  ``loss_and_grad`` evaluates the
     scalar objective at the current parameter values and returns (loss,
     analytic gradient shaped like ``params``); the gradient is copied before
     any perturbed evaluation, which only uses the loss, so it may be a view
-    of a buffer that the next call overwrites.  Relative error uses
-    max(|analytic|, |numeric|, 1e-8) as the denominator.
+    of a buffer that the next call overwrites.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    analytic = np.array(loss_and_grad()[1], dtype=np.float64)
-    worst = 0.0
+    loss, grad = loss_and_grad()
+    analytic = np.array(grad, dtype=np.float64)
+    numeric = np.empty_like(analytic)
     for i in range(params.size):
         orig = params[i]
         params[i] = orig + eps
@@ -305,7 +306,40 @@ def finite_difference_check(loss_and_grad: Callable[[], tuple[float, np.ndarray]
         params[i] = orig - eps
         loss_minus, _ = loss_and_grad()
         params[i] = orig
-        numeric = (loss_plus - loss_minus) / (2.0 * eps)
-        rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst = max(worst, rel)
-    return worst
+        numeric[i] = (loss_plus - loss_minus) / (2.0 * eps)
+    return float(loss), analytic, numeric
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max over entries of |a - n| / max(|a|, |n|, 1e-8); 0 for no entries."""
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / scale).max(initial=0.0))
+
+
+# The roundoff term of a central difference's error model: each loss
+# evaluation is off by about c * u * |L| (u the unit roundoff), so the
+# difference quotient is off by about c * u * |L| / eps.  Over gradcheck
+# seeds 0-199, correct AAN gradients needed c <= 2.3 with no relative
+# tolerance and c <= 0.93 with gradcheck's default one.
+ROUNDOFF_FACTOR = 16.0
+
+
+def tolerance_ratio(loss: float, analytic: np.ndarray, numeric: np.ndarray,
+                    eps: float, rtol: float) -> float:
+    """Max over entries of |a - n| / (rtol * max(|a|, |n|) + atol), with
+    atol = ROUNDOFF_FACTOR * u * |loss| / eps: above 1 where some entry is
+    off by more than the relative tolerance plus the difference's roundoff.
+    An exact entry reads 0, any other entry with a zero tolerance inf."""
+    atol = ROUNDOFF_FACTOR * np.finfo(np.float64).eps / 2 * abs(loss) / eps
+    error = np.abs(analytic - numeric)
+    tolerance = rtol * np.maximum(np.abs(analytic), np.abs(numeric)) + atol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(error == 0.0, 0.0, error / tolerance)
+    return float(ratio.max(initial=0.0))
+
+
+def finite_difference_check(loss_and_grad: Callable[[], tuple[float, np.ndarray]],
+                            params: np.ndarray, eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients
+    (see ``central_differences`` and ``max_relative_error``)."""
+    return max_relative_error(*central_differences(loss_and_grad, params, eps)[1:])

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spkdeid import BLAS_THREAD_VARS
-from spkdeid.aan import load_model
-from spkdeid.anonymize import PseudoPool, baseline_anonymize
+from spkdeid import aan as aan_module
+from spkdeid import dataset as dataset_module
+from spkdeid.aan import GROUPS, AanModel, layer_table, load_model
+from spkdeid.anonymize import PseudoPool, anonymize_corpus, baseline_anonymize
 from spkdeid.cli import RunConfig, build_parser, main
 from spkdeid.dataset import read_corpus, write_corpus
 from spkdeid.metrics import read_report_csv
@@ -694,14 +696,95 @@ def test_dim_mismatch_names_the_files(tiny_run, tmp_path, capsys, command, metho
     assert not (out / "anon.csv").exists() and not (out / "report.csv").exists()
 
 
+def group_slices(dims):
+    """The slice of ``flat`` that each parameter group of ``GROUPS`` holds."""
+    slices, stop = {}, 0
+    for attr, _ in GROUPS:
+        start = stop
+        stop += sum((n_in + 1) * n_out for group, n_in, n_out, _ in layer_table(dims)
+                    if group == attr)
+        slices[attr] = slice(start, stop)
+    return slices
+
+
+def plant_gradient_error(monkeypatch, group, factor):
+    """Scale the largest-magnitude analytic gradient entry of ``group`` by
+    ``factor`` in every gradient that ``aan_loss_and_grads`` writes."""
+    original = aan_module.aan_loss_and_grads
+
+    def planted(model, grad, *batch):
+        losses = original(model, grad, *batch)
+        entries = grad.flat[group_slices(model.dims)[group]]
+        entries[np.abs(entries).argmax()] *= factor
+        return losses
+
+    monkeypatch.setattr(aan_module, "aan_loss_and_grads", planted)
+
+
 class TestGradcheck:
     def test_passes_default_threshold(self, tmp_path, capsys):
         assert run_cli("gradcheck", "--seed", "8", "--out-dir", tmp_path) == 0
         assert "max relative error" in capsys.readouterr().out
 
-    def test_zero_threshold_fails(self, tmp_path):
+    def test_zero_threshold_fails(self, tmp_path, monkeypatch):
+        # a relative error of 1e-5 in one entry passes the default relative
+        # tolerance of 1e-4, and fails a zero one, which leaves only roundoff
+        plant_gradient_error(monkeypatch, "encoder", 1 + 1e-5)
+        assert run_cli("gradcheck", "--seed", "8", "--out-dir", tmp_path) == 0
         assert run_cli("gradcheck", "--seed", "8", "--out-dir", tmp_path,
                        "--threshold", "0") == 1
+
+    def test_zero_threshold_passes_correct_gradients(self, tmp_path):
+        assert run_cli("gradcheck", "--seed", "8", "--out-dir", tmp_path,
+                       "--threshold", "0") == 0
+
+    @pytest.mark.parametrize("seed", [3, 6, 7])
+    def test_roundoff_on_a_tiny_entry_passes(self, tmp_path, capsys, seed):
+        # these seeds' max relative errors (up to 4.8e-4) exceed the default
+        # threshold, on entries whose error is central-difference roundoff
+        assert run_cli("gradcheck", "--seed", seed, "--out-dir", tmp_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and lines[5].startswith("max relative error ")
+        assert float(lines[5].split()[3]) > 1e-4
+        assert lines[6].startswith("worst error/tolerance ")
+        assert float(lines[6].split()[2]) <= 1
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+    def test_threshold_outside_range_is_one_error_line(self, tmp_path, capsys, threshold):
+        assert run_cli("gradcheck", "--seed", "8", "--out-dir", tmp_path,
+                       "--threshold", threshold) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --threshold must be a finite number >= 0, "
+                                f"got {threshold}\n")
+
+    @pytest.mark.slow
+    def test_correct_gradients_pass_over_seeds(self, tmp_path):
+        failed = [seed for seed in range(40)
+                  if run_cli("gradcheck", "--seed", seed, "--out-dir", tmp_path) != 0]
+        assert failed == []
+
+    @pytest.mark.parametrize("group", [attr for attr, _ in GROUPS])
+    def test_planted_error_fails(self, tmp_path, monkeypatch, capsys, group):
+        plant_gradient_error(monkeypatch, group, 1 + 1e-3)
+        assert run_cli("gradcheck", "--seed", "3", "--out-dir", tmp_path) == 1
+        assert float(capsys.readouterr().out.splitlines()[-1].split()[2]) > 1
+
+    def test_flipped_reversal_sign_fails(self, tmp_path, monkeypatch):
+        # the encoder gets recon + lam * branches instead of recon - lam * branches
+        original = aan_module.aan_loss_and_grads
+
+        def flipped(model, grad, *batch):
+            losses = original(model, grad, *batch)
+            reversed_ = grad.flat.copy()
+            original(AanModel(model.dims, 0.0, model.flat), grad, *batch)
+            encoder = group_slices(model.dims)["encoder"]
+            reversed_[encoder] = 2 * grad.flat[encoder] - reversed_[encoder]
+            grad.flat[:] = reversed_
+            return losses
+
+        monkeypatch.setattr(aan_module, "aan_loss_and_grads", flipped)
+        assert run_cli("gradcheck", "--seed", "3", "--out-dir", tmp_path) == 1
 
     def test_deterministic_output(self, tmp_path, capsys):
         run_cli("gradcheck", "--seed", "5", "--out-dir", tmp_path)
@@ -832,6 +915,121 @@ class TestManifest:
         run_cli("gen-data", "--config", replay_config)
         for name in ("train.csv", "valid.csv", "test.csv"):
             assert digest(tmp_path / "replay" / name) == digest(out / name)
+
+
+# the tiny pipeline, one command after another, each reading what the ones
+# before it wrote; "OUT" stands for the run's output directory
+PIPELINE = [
+    ("gen-data", []),
+    ("train", []),
+    ("anonymize", ["--method", "aan2", "--model", "OUT/model.aan", "--pool", "OUT/train.csv",
+                   "--in", "OUT/test.csv", "--out", "OUT/anon.csv"]),
+    ("evaluate", ["--method", "aan2"]),
+    ("sweep-lambda", ["--lambdas", "0,1"]),
+]
+
+
+def pipeline_argv(command, extra, config_path, out):
+    return [command, "--config", config_path,
+            *(arg.replace("OUT", str(out)) for arg in extra)]
+
+
+class TestProvenance:
+    """Each manifest digest is of the bytes its command read or wrote, and a
+    corpus CSV that the command wrote or read through a sidecar is not read
+    again to hash it."""
+
+    def test_digests_are_the_files_sha256_and_each_file_is_listed_once(self, tiny_run):
+        config_path, out = tiny_run
+        for command, extra in PIPELINE:
+            assert run_cli(*pipeline_argv(command, extra, config_path, out)) == 0
+            manifest = json.loads((out / f"manifest_{command}.json").read_text())
+            listed = {**manifest["inputs"], **manifest["outputs"]}
+            assert len(listed) == len(manifest["inputs"]) + len(manifest["outputs"])
+            for path, recorded in listed.items():
+                assert recorded == digest(Path(path)), (command, path)
+            files = {(os.stat(path).st_dev, os.stat(path).st_ino) for path in listed}
+            assert len(files) == len(listed), command
+
+    def test_no_corpus_csv_is_hashed_again(self, tiny_run, monkeypatch):
+        config_path, out = tiny_run
+        hashed = []
+        original = dataset_module._hash_file
+
+        def recording(path):
+            hashed.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(dataset_module, "_hash_file", recording)
+        by_command = {}
+        for command, extra in PIPELINE:
+            hashed.clear()
+            assert run_cli(*pipeline_argv(command, extra, config_path, out)) == 0
+            by_command[command] = sorted(hashed)
+        assert by_command == {
+            "gen-data": [],
+            "train": ["history.csv", "model.aan"],
+            "anonymize": ["model.aan"],
+            "evaluate": ["model.aan", "report.csv", "report.txt", "trials.csv"],
+            "sweep-lambda": sorted([f"{name}_lambda{lam}.{ext}" for lam in (0, 1)
+                                    for name, ext in (("history", "csv"), ("model", "aan"),
+                                                      ("report", "csv"), ("report", "txt"),
+                                                      ("trials", "csv"))]
+                                   + ["sweep_summary.csv"]),
+        }
+
+    @pytest.mark.parametrize("change", ["longer", "same-size"])
+    def test_csv_rewritten_after_it_was_read_gets_its_new_digest(self, tiny_run, monkeypatch,
+                                                                 change):
+        config_path, out = tiny_run
+        for command, extra in PIPELINE[:2]:
+            assert run_cli(*pipeline_argv(command, extra, config_path, out)) == 0
+        source = out / "test.csv"
+        raw = source.read_bytes()
+        edited = raw + b"\n" if change == "longer" else raw[:-2] + bytes([raw[-2] ^ 1]) + b"\n"
+        anonymize = anonymize_corpus
+
+        def rewriting(corpus, method):
+            # test.csv was read through its sidecar; it changes before the manifest
+            stat = os.stat(source)
+            source.write_bytes(edited)
+            os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
+            return anonymize(corpus, method)
+
+        monkeypatch.setattr("spkdeid.cli.anonymize_corpus", rewriting)
+        command, extra = PIPELINE[2]
+        assert run_cli(*pipeline_argv(command, extra, config_path, out)) == 0
+        manifest = json.loads((out / "manifest_anonymize.json").read_text())
+        assert manifest["inputs"][str(source)] == hashlib.sha256(edited).hexdigest()
+        assert hashlib.sha256(edited).digest() != hashlib.sha256(raw).digest()
+
+
+@pytest.mark.parametrize("spelling", ["absolute", "dotted", "symlink"])
+def test_pool_that_is_the_train_split_is_read_once_and_listed_once(
+        tiny_run, tmp_path, monkeypatch, spelling):
+    # evaluate reads train.csv as a split; a --pool naming the same file by
+    # another path reuses that corpus
+    config_path, out = tiny_run
+    run_cli("gen-data", "--config", config_path)
+    monkeypatch.chdir(tmp_path)
+    out_dir, pool = {"absolute": ("run", out / "train.csv"),
+                     "dotted": (out, "./run/train.csv"),
+                     "symlink": (out, tmp_path / "pool.csv")}[spelling]
+    if spelling == "symlink":
+        pool.symlink_to(out / "train.csv")
+    read = []
+
+    def counting_read(path, *args):
+        read.append(Path(path).name)
+        return read_corpus(path, *args)
+
+    monkeypatch.setattr("spkdeid.cli.read_corpus", counting_read)
+    assert run_cli("evaluate", "--config", config_path, "--out-dir", out_dir,
+                   "--method", "baseline_farthest", "--pool", pool) == 0
+    assert sorted(read) == ["test.csv", "train.csv", "valid.csv"]
+    manifest = json.loads((out / "manifest_evaluate.json").read_text())
+    assert list(manifest["inputs"]) == [str(Path(out_dir) / f"{name}.csv")
+                                        for name in ("train", "valid", "test")]
 
 
 def test_manifest_replay_keeps_adam_hyperparameters(tmp_path):

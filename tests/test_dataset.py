@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import os
 import struct
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spkdeid import dataset as dataset_module
 from spkdeid.dataset import (
     LABELS,
     AttributeStrength,
@@ -18,9 +20,11 @@ from spkdeid.dataset import (
     Embedding,
     _decimal,
     _format_rows,
+    forget_file_digests,
     generate_corpus,
     make_corpus,
     read_corpus,
+    sha256_file,
     split_corpus,
     write_corpus,
 )
@@ -609,6 +613,78 @@ class TestSidecar:
     def test_no_sidecar_for_a_device(self):
         write_corpus(generate_corpus(small_spec()), os.devnull)
         assert not os.path.exists(os.devnull + ".parsed")
+
+
+class TestFileDigests:
+    @pytest.fixture()
+    def fallback(self, monkeypatch):
+        """The paths that ``sha256_file`` reads and hashes itself."""
+        hashed = []
+        original = dataset_module._hash_file
+
+        def recording(path):
+            hashed.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(dataset_module, "_hash_file", recording)
+        forget_file_digests()
+        yield hashed
+        forget_file_digests()
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        write_corpus(generate_corpus(small_spec()), path)
+        return path
+
+    def test_written_file_is_not_hashed_again(self, path, fallback):
+        write_corpus(generate_corpus(small_spec()), path)
+        assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert fallback == []
+
+    @pytest.mark.parametrize("sidecar_state", ["matching", "stale"])
+    def test_file_read_through_a_sidecar_is_not_hashed_again(self, path, fallback,
+                                                             sidecar_state):
+        # a stale sidecar is checked against a hash of the CSV's own bytes,
+        # which stays the CSV's digest while the CSV is parsed
+        if sidecar_state == "stale":
+            raw = bytearray(sidecar(path).read_bytes())
+            raw[-1] ^= 1
+            sidecar(path).write_bytes(bytes(raw))
+        read_corpus(path)
+        assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert fallback == []
+
+    def test_file_read_without_a_sidecar_or_forgotten_is_hashed(self, path, fallback):
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        sidecar(path).unlink()
+        read_corpus(path)
+        assert sha256_file(path) == expected and fallback == ["corpus.csv"]
+        write_corpus(read_corpus(path), path)
+        forget_file_digests()
+        assert sha256_file(path) == expected and fallback == ["corpus.csv"] * 2
+
+    @pytest.mark.parametrize("change", ["size", "mtime", "inode"])
+    def test_file_changed_since_is_hashed_again(self, path, fallback, change):
+        # each part of the file's identity alone tells a rewritten file from
+        # the one hashed; the other parts are kept as they were
+        read_corpus(path)
+        before = os.stat(path)
+        raw = path.read_bytes()
+        edited = raw + b"\n" if change == "size" else raw[:-2] + bytes([raw[-2] ^ 1]) + b"\n"
+        if change == "inode":
+            path.with_suffix(".new").write_bytes(edited)
+            os.replace(path.with_suffix(".new"), path)
+        else:
+            path.write_bytes(edited)
+        mtime = before.st_mtime_ns + (10 ** 9 if change == "mtime" else 0)
+        os.utime(path, ns=(before.st_atime_ns, mtime))
+        after = os.stat(path)
+        assert ((after.st_size != before.st_size, after.st_mtime_ns != before.st_mtime_ns,
+                 after.st_ino != before.st_ino)
+                == tuple(change == part for part in ("size", "mtime", "inode")))
+        assert sha256_file(path) == hashlib.sha256(edited).hexdigest()
+        assert fallback == ["corpus.csv"]
 
 
 def test_csv_round_trip_memory_is_about_the_result():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spkdeid.neural import (
+    ROUNDOFF_FACTOR,
     AdamState,
     DenseLayer,
     DivergenceError,
@@ -19,6 +20,7 @@ from spkdeid.neural import (
     mse_loss,
     sgd_step,
     softmax_cross_entropy,
+    tolerance_ratio,
 )
 
 rng = np.random.default_rng(20240214)
@@ -442,6 +444,17 @@ class TestFiniteDifferenceCheck:
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError, match="eps must be positive"):
             finite_difference_check(lambda: (0.0, np.empty(0)), np.empty(0), eps=0.0)
+
+    def test_tolerance_ratio_has_a_relative_and_a_roundoff_part(self):
+        one, eps = np.array([1.0]), 1e-5
+        # the relative part: an error of 2e-4 against 1e-4 times max(|a|, |n|)
+        assert tolerance_ratio(0.0, one, one + 2e-4, eps, 1e-4) == pytest.approx(2 / 1.0002)
+        # the roundoff part: ROUNDOFF_FACTOR * u * |L| / eps, from the loss magnitude
+        atol = ROUNDOFF_FACTOR * np.finfo(np.float64).eps / 2 * 3.0 / eps
+        assert tolerance_ratio(-3.0, 0 * one, 0 * one + atol / 2, eps, 0.0) == pytest.approx(0.5)
+        # an exact entry reads 0, and an inexact one inf, with a zero tolerance
+        assert tolerance_ratio(0.0, one, one.copy(), eps, 0.0) == 0.0
+        assert tolerance_ratio(0.0, one, one + 1e-16 * 2, eps, 0.0) == math.inf
 
 
 class TestFlatten:
