@@ -6,10 +6,11 @@ which takes the config and the flags, as ``args.run``; the run flags and
 the method flags are each declared once, as argparse parents.  The five
 pipeline commands return the files they read and wrote, and ``main``, the
 one manifest writer, times each and writes manifest_<command>.json: its
-config snapshot and the sha256 of every input and output file, each listed
-once.  The digests come from ``dataset.sha256_file``, so a corpus CSV that
-the command wrote, or read through its sidecar, is not read again to hash
-it; ``main`` empties that record of digests before each command.  The tools
+config snapshot and the sha256 of every input and output file, each file
+listed once, under the first path that named it.  The digests come from
+``dataset.sha256_file``, so a corpus CSV that the command wrote, or read
+through its sidecar, is not read again to hash it; ``main`` empties that
+record of digests before each command.  The tools
 (gradcheck, print-config, report) return their exit code; gradcheck exits
 1 when a gradient entry is off by more than its relative tolerance plus
 the central difference's roundoff.  Paths are compared by file identity:
@@ -410,6 +411,15 @@ def _same_file(a: str | Path, b: str | Path) -> bool:
     return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
 
 
+def _unique_files(paths: list[Path]) -> list[Path]:
+    """The paths without those that name a file listed before them."""
+    unique: list[Path] = []
+    for path in paths:
+        if not any(_same_file(path, kept) for kept in unique):
+            unique.append(path)
+    return unique
+
+
 def _refuse_overwrite(out_path: str, inputs: dict[str, str | None]) -> None:
     """Refuse an output that is one of the inputs (flag -> path or None) by
     file identity."""
@@ -461,8 +471,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], 
                                            splits[0], inputs[0])
     report, outputs = _evaluate_once(cfg, method, splits)
     print(format_report_table(report), end="")
-    return inputs + [path for path in method_files
-                     if not any(_same_file(path, split) for split in inputs)], outputs
+    return inputs + method_files, outputs
 
 
 def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
@@ -604,7 +613,8 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(result, int):  # a tool's exit code
             return result
         inputs, outputs = result
-        write_manifest(cfg, args.command, inputs, outputs, time.time() - started)
+        write_manifest(cfg, args.command, _unique_files(inputs), _unique_files(outputs),
+                       time.time() - started)
         return 0
     except (ValueError, OSError, DivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

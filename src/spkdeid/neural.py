@@ -13,7 +13,7 @@ arrays that the caller passes in, and skips the input gradient when
 nothing reads it.  The AAN passes views of one flat gradient vector, laid
 out as its flat parameter vector (``aan.AanModel.flat``), so it is trained
 by one ``adam_step`` on two flat arrays and checked by
-``finite_difference_check`` on slices of the same two.
+``central_differences`` on slices of the same two.
 ``adam_step`` updates the parameters and moments in place through ufunc
 ``out=`` calls on its ``AdamState``'s step array and on the spent gradient,
 which it overwrites with the denominator, so the update allocates nothing;
@@ -336,10 +336,3 @@ def tolerance_ratio(loss: float, analytic: np.ndarray, numeric: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(error == 0.0, 0.0, error / tolerance)
     return float(ratio.max(initial=0.0))
-
-
-def finite_difference_check(loss_and_grad: Callable[[], tuple[float, np.ndarray]],
-                            params: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients
-    (see ``central_differences`` and ``max_relative_error``)."""
-    return max_relative_error(*central_differences(loss_and_grad, params, eps)[1:])

@@ -1005,18 +1005,22 @@ class TestProvenance:
 
 
 @pytest.mark.parametrize("spelling", ["absolute", "dotted", "symlink"])
-def test_pool_that_is_the_train_split_is_read_once_and_listed_once(
-        tiny_run, tmp_path, monkeypatch, spelling):
-    # evaluate reads train.csv as a split; a --pool naming the same file by
-    # another path reuses that corpus
+@pytest.mark.parametrize("command", ["evaluate", "anonymize"])
+def test_pool_that_names_a_corpus_already_read_is_read_once_and_listed_once(
+        tiny_run, tmp_path, monkeypatch, command, spelling):
+    # evaluate reads train.csv as a split and anonymize reads its --in; a
+    # --pool naming the same file by another path reuses that corpus
     config_path, out = tiny_run
     run_cli("gen-data", "--config", config_path)
     monkeypatch.chdir(tmp_path)
-    out_dir, pool = {"absolute": ("run", out / "train.csv"),
-                     "dotted": (out, "./run/train.csv"),
+    names, extra = {"evaluate": (["train", "valid", "test"], []),
+                    "anonymize": (["test"], ["--in", "OUT/test.csv", "--out", "OUT/anon.csv"])
+                    }[command]
+    out_dir, pool = {"absolute": ("run", out / f"{names[0]}.csv"),
+                     "dotted": (out, f"./run/{names[0]}.csv"),
                      "symlink": (out, tmp_path / "pool.csv")}[spelling]
     if spelling == "symlink":
-        pool.symlink_to(out / "train.csv")
+        pool.symlink_to(out / f"{names[0]}.csv")
     read = []
 
     def counting_read(path, *args):
@@ -1024,12 +1028,12 @@ def test_pool_that_is_the_train_split_is_read_once_and_listed_once(
         return read_corpus(path, *args)
 
     monkeypatch.setattr("spkdeid.cli.read_corpus", counting_read)
-    assert run_cli("evaluate", "--config", config_path, "--out-dir", out_dir,
-                   "--method", "baseline_farthest", "--pool", pool) == 0
-    assert sorted(read) == ["test.csv", "train.csv", "valid.csv"]
-    manifest = json.loads((out / "manifest_evaluate.json").read_text())
-    assert list(manifest["inputs"]) == [str(Path(out_dir) / f"{name}.csv")
-                                        for name in ("train", "valid", "test")]
+    assert run_cli(command, "--config", config_path, "--out-dir", out_dir,
+                   "--method", "baseline_farthest", "--pool", pool,
+                   *(arg.replace("OUT", str(out_dir)) for arg in extra)) == 0
+    assert sorted(read) == sorted(f"{name}.csv" for name in names)
+    manifest = json.loads((out / f"manifest_{command}.json").read_text())
+    assert list(manifest["inputs"]) == [str(Path(out_dir) / f"{name}.csv") for name in names]
 
 
 def test_manifest_replay_keeps_adam_hyperparameters(tmp_path):
