@@ -38,9 +38,9 @@ one best-checkpoint buffer, copied into at each new best epoch.  SGD builds
 no Adam state and writes its step into the spent gradient, so it holds
 three.  The per-epoch validation pass (``evaluate_model``) keeps no backward
 caches, runs the split in blocks of rows (``_BLOCK_ELEMENTS``) and computes
-each head's per-row losses and hits in place on a block's logits.
-Its peak is about one block's outputs plus one (rows, input_dim) buffer of
-squared errors: with 1251 speakers it no longer grows as rows x speakers.
+each head's per-row losses and hits in place on a block's logits.  Its peak
+is about one block's outputs plus the (rows, input_dim) squared errors.
+``train`` alone judges a run: it returns a complete, finite history or raises.
 """
 
 from __future__ import annotations
@@ -82,6 +82,13 @@ CHECKPOINT_HEADER_SIZE = _HEADER.size
 # run in blocks of rows sized so that a block's largest temporary holds
 # about this many float64 values (1 MB), whatever the number of rows.
 _BLOCK_ELEMENTS = 1 << 17
+
+# A run whose best valid reconstruction loss exceeds this many times the
+# loss of predicting the train mean for every valid row has exploded.  The
+# desk, bench, demo and sweep runs end at 0.01 to 0.96 times that loss, a
+# 60-epoch desk run at lr 300 at 729 times, and 20-epoch desk runs at lr 10,
+# 1e3 and 1e150 at 1.2, 9e3 and 9e297 times, still finite.
+EXPLODED_RATIO = 1e2
 
 
 @dataclass(frozen=True)
@@ -391,8 +398,10 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     """Minibatch adversarial training, deterministic under config.seed.
 
     Returns the model restored to its best-validation-reconstruction
-    checkpoint plus the per-epoch history.  A non-finite loss aborts the
-    run and returns the last good checkpoint with the history so far.
+    checkpoint plus every epoch's history, all finite.  A non-finite train or
+    valid loss or step, or an exploded run (``EXPLODED_RATIO``), raises
+    ``DivergenceError`` and leaves the model at the failing step's parameters;
+    a valid split with no spread around the train mean raises ``ValueError``.
 
     Its working set is six parameter-sized vectors: the parameters, the
     gradient, Adam's m and v, one Adam scratch array (the denominator is
@@ -408,6 +417,11 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
     model.lam = float(config.lam)
     x_train, g_train, a_train, s_train = _corpus_tensors(train_corpus, model.dims)
     x_valid, g_valid, a_valid, s_valid = _corpus_tensors(valid_corpus, model.dims)
+    mean_loss = float(((x_valid - x_train.mean(axis=0)) ** 2).mean())
+    if mean_loss == 0.0:
+        raise ValueError("the valid split has no spread around the train mean, so a run's "
+                         "reconstruction loss cannot be judged; no checkpoint written")
+    run = f"lambda={config.lam:g}, lr={config.lr:g}"
 
     grad = AanModel(model.dims, model.lam, np.empty_like(model.flat))
     # every step's backward pass rewrites all of grad.flat, so Adam's
@@ -438,16 +452,22 @@ def train(model: AanModel, train_corpus: Corpus, valid_corpus: Corpus,
                 sums += len(idx) * np.array([breakdown.recon, breakdown.gender,
                                              breakdown.accent, breakdown.speaker])
                 seen += len(idx)
-        except DivergenceError:
-            model.restore(best_snapshot)
-            return model, history
-        train_mean = LossBreakdown(*(float(v) for v in sums / seen))
-        valid_mean, accs = evaluate_model(model, x_valid, g_valid, a_valid, s_valid)
+            train_mean = LossBreakdown(*(float(v) for v in sums / seen))
+            valid_mean, accs = evaluate_model(model, x_valid, g_valid, a_valid, s_valid)
+            if not np.isfinite([*vars(train_mean).values(), *vars(valid_mean).values()]).all():
+                raise DivergenceError("divergence detected: non-finite epoch loss")
+        except DivergenceError as exc:
+            raise DivergenceError(f"training diverged in epoch {epoch} ({run}); "
+                                  f"no checkpoint written") from exc
         history.append(EpochStats(epoch, train_mean, valid_mean, *accs))
         if valid_mean.recon < best_recon:
             best_recon = valid_mean.recon
             np.copyto(best_snapshot, model.flat)
 
+    if best_recon > EXPLODED_RATIO * mean_loss:
+        raise DivergenceError(f"training exploded ({run}): best valid recon loss {best_recon:.4g} "
+                              f"is {best_recon / mean_loss:.3g} times the {mean_loss:.4g} of "
+                              f"predicting the train mean; no checkpoint written")
     model.restore(best_snapshot)
     return model, history
 

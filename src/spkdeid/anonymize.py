@@ -40,7 +40,10 @@ from .dataset import Corpus
 from .metrics import _check_norms, _rescale
 from .neural import DivergenceError
 
-METHOD_KINDS = ("identity", "baseline_farthest", "aan1", "aan2")
+# What each method kind needs: a pool, a model or both, in the order it applies them.
+METHOD_NEEDS = {"identity": (), "baseline_farthest": ("pool",), "aan1": ("model",),
+                "aan2": ("pool", "model")}
+METHOD_KINDS = tuple(METHOD_NEEDS)
 
 
 @dataclass
@@ -183,10 +186,9 @@ class AnonymizationMethod:
     def validate(self) -> None:
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"kind must be one of {METHOD_KINDS}, got {self.kind!r}")
-        if self.kind in ("aan1", "aan2") and self.model is None:
-            raise ValueError(f"method {self.kind!r} requires a model")
-        if self.kind in ("baseline_farthest", "aan2") and self.pool is None:
-            raise ValueError(f"method {self.kind!r} requires a pool")
+        for need in METHOD_NEEDS[self.kind]:
+            if getattr(self, need) is None:
+                raise ValueError(f"method {self.kind!r} requires a {need}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Map an (N, dim) matrix of embeddings to its (N, dim) anonymization."""
@@ -194,10 +196,9 @@ class AnonymizationMethod:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected an (N, dim) matrix, got shape {x.shape}")
-        if self.kind in ("baseline_farthest", "aan2"):
-            x = baseline_anonymize(self.pool, x, self.top_k)
-        if self.kind in ("aan1", "aan2"):
-            x = _reconstruct(self.model, x)
+        for need in METHOD_NEEDS[self.kind]:
+            x = (baseline_anonymize(self.pool, x, self.top_k) if need == "pool"
+                 else _reconstruct(self.model, x))
         return x
 
 

@@ -10,12 +10,12 @@ config snapshot and the sha256 of every input and output file, each file
 listed once, under the first path that named it.  The digests come from
 ``dataset.sha256_file``, so a corpus CSV that the command wrote, or read
 through its sidecar, is not read again to hash it; ``main`` empties that
-record of digests before each command.  The tools
-(gradcheck, print-config, report) return their exit code; gradcheck exits
-1 when a gradient entry is off by more than its relative tolerance plus
-the central difference's roundoff.  Paths are compared by file identity:
-an ``--out`` that is one of the command's inputs is refused before
-anything is read, and a pool that is a split already read is reused.
+record of digests before each command.  ``aan.train`` raises on a failed
+run, so train and sweep-lambda save only runs that it returns.  The tools
+(gradcheck, print-config, report) return their exit code; gradcheck's is 1
+when its worst error/tolerance ratio is above 1.  Paths are compared by
+file identity: an ``--out`` that is one of the command's inputs is refused
+before anything is read, and a pool that is a split already read is reused.
 
 The config file is ``RunConfig``: its top-level keys are the seed, the
 output directory and the dataset tag, and each of its sections (corpus,
@@ -63,6 +63,7 @@ from .aan import (
 )
 from .anonymize import (
     METHOD_KINDS,
+    METHOD_NEEDS,
     AnonymizationMethod,
     PseudoPool,
     anonymize_corpus,
@@ -323,34 +324,12 @@ def _read_splits(out: Path, names=("train", "valid", "test")
     return paths, corpora
 
 
-# A run whose best valid reconstruction loss exceeds this many times the
-# loss of predicting the train mean for every valid row has exploded.  The
-# desk, bench, demo and sweep runs end at 0.01 to 0.96 times that loss, a
-# 60-epoch desk run at lr 300 at 729 times, and 20-epoch desk runs at lr 10,
-# 1e3 and 1e150 at 1.2, 9e3 and 9e297 times, still finite.
-EXPLODED_RATIO = 1e2
-
-
 def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: Corpus,
                 checkpoint: Path, history_path: Path):
     dims = desk_dims(train_corpus, **dataclasses.asdict(cfg.model))
     model = build_aan(dims, lam, seed=derive_seed(cfg.seed, "build"))
-    config = dataclasses.replace(cfg.train, lam=lam,
-                                 seed=derive_seed(cfg.seed, "train"))
-    mean_loss = float(((valid_corpus.vectors - train_corpus.vectors.mean(axis=0)) ** 2).mean())
-    if mean_loss == 0.0:
-        raise ValueError("the valid split has no spread around the train mean, so a run's "
-                         "reconstruction loss cannot be judged; no checkpoint written")
+    config = dataclasses.replace(cfg.train, lam=lam, seed=derive_seed(cfg.seed, "train"))
     model, history = train(model, train_corpus, valid_corpus, config)
-    if len(history) < config.epochs:  # train stops at a non-finite loss
-        raise DivergenceError(f"training diverged in epoch {len(history) + 1} (lambda={lam:g}, "
-                              f"lr={config.lr:g}); no checkpoint written")
-    best = min(row.valid.recon for row in history)
-    if best > EXPLODED_RATIO * mean_loss:
-        raise DivergenceError(
-            f"training exploded (lambda={lam:g}, lr={config.lr:g}): best valid recon loss "
-            f"{best:.4g} is {best / mean_loss:.3g} times the {mean_loss:.4g} of predicting "
-            f"the train mean; no checkpoint written")
     save_model(model, checkpoint)
     _history_csv(history, history_path)
     return history
@@ -380,10 +359,9 @@ def _resolve_method(cfg: RunConfig, kind: str | None, model_path: str | None,
     kind = kind or cfg.anonymize.method
     if kind not in METHOD_KINDS:
         raise ValueError(f"method must be one of {METHOD_KINDS}, got {kind!r}")
-    model = None
-    pool = None
+    model = pool = None
     read = []
-    if kind in ("aan1", "aan2"):
+    if "model" in METHOD_NEEDS[kind]:
         if model_path is None:
             raise ValueError(f"method {kind!r} requires --model")
         model = load_model(model_path)
@@ -391,7 +369,7 @@ def _resolve_method(cfg: RunConfig, kind: str | None, model_path: str | None,
             raise ValueError(f"{model_path}: model input_dim {model.dims.input_dim} does not "
                              f"match the {corpus.dim}-dim corpus {corpus_path}")
         read.append(Path(model_path))
-    if kind in ("baseline_farthest", "aan2"):
+    if "pool" in METHOD_NEEDS[kind]:
         if pool_path is None:
             raise ValueError(f"method {kind!r} requires --pool")
         reuse = _same_file(pool_path, corpus_path)
@@ -534,7 +512,7 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
               for group, (_, analytic, numeric) in differences.items()}
     for group, err in errors.items():
         print(f"{group}: max relative error {err:.3e}")
-    print(f"max relative error {max(errors.values()):.3e} (threshold {args.threshold:g})")
+    print(f"max relative error {max(errors.values()):.3e}")
     ratio = max(tolerance_ratio(*entries, GRADCHECK_EPS, args.threshold)
                 for entries in differences.values())
     print(f"worst error/tolerance {ratio:.3g} (rtol {args.threshold:g}, atol "

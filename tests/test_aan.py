@@ -691,17 +691,35 @@ class TestTrain:
         for name, p in model_a.parameters().items():
             assert np.array_equal(p, model_b.parameters()[name])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_divergence_returns_last_good_checkpoint(self):
+    def test_divergence_raises_naming_the_epoch(self):
+        # 28 finite epochs, then a non-finite epoch loss: no partial history
         train_c, valid_c, _ = tiny_corpus()
         model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
                           8.0, seed=0)
-        model_out, history = train(model, train_c, valid_c,
-                                   TrainConfig(epochs=50, lr=1e5, optimizer="sgd",
-                                               seed=0))
-        assert len(history) < 50
-        for p in model_out.parameters().values():
-            assert np.all(np.isfinite(p))
+        with pytest.raises(DivergenceError, match=r"^training diverged in epoch 29 "
+                           r"\(lambda=8, lr=100000\); no checkpoint written$"):
+            train(model, train_c, valid_c,
+                  TrainConfig(epochs=50, lr=1e5, optimizer="sgd", seed=0))
+
+    def test_exploded_run_raises(self):
+        # every epoch is finite, but the best valid recon loss is about 4e5
+        # times that of predicting the train mean
+        train_c, valid_c, _ = tiny_corpus()
+        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+                          8.0, seed=0)
+        with pytest.raises(DivergenceError, match=r"^training exploded \(lambda=8, lr=1000\)"):
+            train(model, train_c, valid_c, TrainConfig(epochs=20, lr=1e3, seed=0))
+
+    def test_valid_split_without_spread_raises_before_training(self):
+        train_c, valid_c, _ = tiny_corpus()
+        at_mean = valid_c.with_vectors(np.broadcast_to(train_c.matrix().mean(axis=0),
+                                                       valid_c.matrix().shape))
+        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+                          8.0, seed=0)
+        before = model.snapshot()
+        with pytest.raises(ValueError, match="no spread around the train mean"):
+            train(model, train_c, at_mean, TrainConfig(epochs=1, seed=0))
+        assert np.array_equal(model.flat, before)
 
     def test_history_shape(self):
         train_c, valid_c, _ = tiny_corpus()

@@ -256,6 +256,34 @@ class TestTrain:
         assert not any((out / name).exists()
                        for name in ("model.aan", "history.csv", "manifest_train.json"))
 
+    @pytest.mark.parametrize("command, extra, written", [
+        ("train", [], ["model.aan", "history.csv", "manifest_train.json"]),
+        ("sweep-lambda", ["--lambdas", "8"],
+         ["model_lambda8.aan", "history_lambda8.csv", "manifest_sweep-lambda.json"]),
+    ])
+    def test_non_finite_valid_loss_is_one_error_line(self, tmp_path, capsys, command, extra,
+                                                     written):
+        # the one batch has finite losses, but its step leaves parameters
+        # whose valid loss is nan; the best checkpoint is then still the
+        # untrained init, which must not be saved
+        out = tmp_path / "run"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "out_dir": str(out),
+            "corpus": {"n_speakers": 10, "utterances_per_speaker": 9, "dim": 16},
+            "split": {"n_heldout_per_speaker": 2},
+            "model": {"hidden": 32, "latent": 4, "branch_hidden": 16},
+            "train": {"epochs": 1, "batch_size": 1000, "lr": 1e308}}))
+        assert run_cli("gen-data", "--config", path) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--config", path, *extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "diverged in epoch 1" in err[0]
+        assert not any((out / name).exists() for name in written)
+
     def test_valid_split_missing_a_speaker_is_one_error_line(self, tiny_run, capsys):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
@@ -748,6 +776,15 @@ class TestGradcheck:
         assert float(lines[5].split()[3]) > 1e-4
         assert lines[6].startswith("worst error/tolerance ")
         assert float(lines[6].split()[2]) <= 1
+
+    def test_only_the_deciding_line_names_the_threshold(self, tmp_path, capsys):
+        # seed 3's max relative error is above the default rtol and passes:
+        # the summary line must not read as a failure against it
+        assert run_cli("gradcheck", "--seed", 3, "--out-dir", tmp_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5].split()[:3] == ["max", "relative", "error"]
+        assert len(lines[5].split()) == 4
+        assert [line for line in lines if "0.0001" in line] == [lines[6]]
 
     @pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
     def test_threshold_outside_range_is_one_error_line(self, tmp_path, capsys, threshold):
