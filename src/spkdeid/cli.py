@@ -11,10 +11,12 @@ listed once, under the first path that named it.  The digests come from
 ``dataset.sha256_file``, so a corpus CSV that the command wrote, or read
 through its sidecar, is not read again to hash it; ``main`` empties that
 record of digests before each command.  ``aan.train`` raises on a failed
-run, so train and sweep-lambda save only runs that it returns.  The tools
-(gradcheck, print-config, report) return their exit code; gradcheck's is 1
-when its worst error/tolerance ratio is above 1.  Paths are compared by
-file identity: an ``--out`` that is one of the command's inputs is refused
+run, so train and sweep-lambda save only runs that it returns; a sweep
+draws its trials and resolves its method before its first lambda trains.
+Tables are written by ``dataset.write_rows``.  The tools (gradcheck,
+print-config, report) return their exit code; gradcheck's is 1 when its
+worst error/tolerance ratio is above 1.  Paths are compared by file
+identity: an ``--out`` that is one of the command's inputs is refused
 before anything is read, and a pool that is a split already read is reused.
 
 The config file is ``RunConfig``: its top-level keys are the seed, the
@@ -32,7 +34,6 @@ flows from the top-level seed through named per-stage seeds (sha256 of
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -78,8 +79,10 @@ from .dataset import (
     sha256_file,
     split_corpus,
     write_corpus,
+    write_rows,
 )
 from .metrics import (
+    TrialList,
     evaluate_conditions,
     format_report_table,
     make_trials,
@@ -303,12 +306,8 @@ def _history_csv(history: list[EpochStats], path: Path) -> None:
     header = []
     for name, kind in typing.get_type_hints(EpochStats).items():
         header += [f"{name}_{term}_loss" for term in terms] if kind is LossBreakdown else [name]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in history:
-            epoch, *values = dataclasses.astuple(row)  # a LossBreakdown becomes a tuple
-            writer.writerow([epoch] + [f"{v:.17g}" for v in np.hstack(values)])
+    write_rows(path, header, ([epoch] + [f"{v:.17g}" for v in np.hstack(values)]
+                              for epoch, *values in map(dataclasses.astuple, history)))
 
 
 def _read_splits(out: Path, names=("train", "valid", "test")
@@ -332,7 +331,7 @@ def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: 
     model, history = train(model, train_corpus, valid_corpus, config)
     save_model(model, checkpoint)
     _history_csv(history, history_path)
-    return history
+    return model, history
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
@@ -340,7 +339,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], lis
     lam = cfg.train.lam if args.lam is None else args.lam
     checkpoint, history_path = out / "model.aan", out / "history.csv"
     inputs, corpora = _read_splits(out, ("train", "valid"))
-    history = _train_once(cfg, lam, *corpora, checkpoint, history_path)
+    _, history = _train_once(cfg, lam, *corpora, checkpoint, history_path)
     last = history[-1]
     print(f"trained {len(history)} epochs (lambda={lam:g}): "
           f"valid recon loss {last.valid.recon:.5f}, "
@@ -352,18 +351,17 @@ def _resolve_method(cfg: RunConfig, kind: str | None, model_path: str | None,
                     pool_path: str | None, top_k: int | None,
                     corpus: Corpus, corpus_path: Path
                     ) -> tuple[AnonymizationMethod, list[Path]]:
-    """The method (the config's kind and top_k where None), and the checkpoint
-    and pool files it was built from, checked against the dim of ``corpus``;
-    that corpus, read from ``corpus_path``, is the pool when that file is the
-    pool path."""
+    """The method (the config's kind and top_k where None; no model where
+    ``model_path`` is None), and the checkpoint and pool files it was built
+    from, checked against the dim of ``corpus`` and top_k against the pool;
+    that corpus, read from ``corpus_path``, is the pool when that file is."""
     kind = kind or cfg.anonymize.method
     if kind not in METHOD_KINDS:
         raise ValueError(f"method must be one of {METHOD_KINDS}, got {kind!r}")
     model = pool = None
     read = []
-    if "model" in METHOD_NEEDS[kind]:
-        if model_path is None:
-            raise ValueError(f"method {kind!r} requires --model")
+    top_k = cfg.anonymize.top_k if top_k is None else top_k
+    if "model" in METHOD_NEEDS[kind] and model_path is not None:
         model = load_model(model_path)
         if model.dims.input_dim != corpus.dim:
             raise ValueError(f"{model_path}: model input_dim {model.dims.input_dim} does not "
@@ -377,10 +375,10 @@ def _resolve_method(cfg: RunConfig, kind: str | None, model_path: str | None,
         if pool.dim != corpus.dim:
             raise ValueError(f"{pool_path}: pool dim {pool.dim} does not match the "
                              f"{corpus.dim}-dim corpus {corpus_path}")
+        if not 1 <= top_k <= len(pool):
+            raise ValueError(f"top_k must be in [1, {len(pool)}], got {top_k}")
         read.append(Path(pool_path))
-    method = AnonymizationMethod(kind=kind, model=model, pool=pool,
-                                 top_k=cfg.anonymize.top_k if top_k is None else top_k)
-    return method, read
+    return AnonymizationMethod(kind=kind, model=model, pool=pool, top_k=top_k), read
 
 
 def _same_file(a: str | Path, b: str | Path) -> bool:
@@ -413,6 +411,8 @@ def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path],
     corpus = read_corpus(args.in_path)
     method, method_files = _resolve_method(cfg, args.method, args.model, args.pool,
                                            args.top_k, corpus, Path(args.in_path))
+    if method.model is None and "model" in METHOD_NEEDS[method.kind]:
+        raise ValueError(f"method {method.kind!r} requires --model")
     anonymized = anonymize_corpus(corpus, method)
     out_path = Path(args.out_path)
     write_corpus(anonymized, out_path)
@@ -420,17 +420,22 @@ def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path],
     return [Path(args.in_path)] + method_files, [out_path]
 
 
+def _draw_trials(cfg: RunConfig, splits: list[Corpus]) -> TrialList:
+    """Trials enrolling the test split's speakers against valid-split utterances."""
+    return make_trials(splits[2], splits[1], cfg.trials.n_nontarget_per_target,
+                       derive_seed(cfg.seed, "evaluate"))
+
+
 def _evaluate_once(cfg: RunConfig, method: AnonymizationMethod, splits: list[Corpus],
-                   suffix: str = ""):
+                   trials: TrialList, suffix: str = ""):
     out = _out_dir(cfg)
     train_c, valid_c, test_c = splits
     # probe on the train split, enroll on the test split, score trial
     # utterances from the valid split
     original = (train_c, test_c, valid_c)
     anonymized = tuple(anonymize_corpus(corpus, method) for corpus in original)
-    seed = derive_seed(cfg.seed, "evaluate")
-    trials = make_trials(test_c, valid_c, cfg.trials.n_nontarget_per_target, seed)
-    report = evaluate_conditions(original, anonymized, trials, seed, cfg.dataset_tag)
+    report = evaluate_conditions(original, anonymized, trials, derive_seed(cfg.seed, "evaluate"),
+                                 cfg.dataset_tag)
     trials_path = out / f"trials{suffix}.csv"
     report_csv = out / f"report{suffix}.csv"
     report_txt = out / f"report{suffix}.txt"
@@ -445,9 +450,10 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], 
     model = str(out / "model.aan") if args.model is None else args.model
     pool = str(out / "train.csv") if args.pool is None else args.pool
     inputs, splits = _read_splits(out)
+    trials = _draw_trials(cfg, splits)
     method, method_files = _resolve_method(cfg, args.method, model, pool, args.top_k,
                                            splits[0], inputs[0])
-    report, outputs = _evaluate_once(cfg, method, splits)
+    report, outputs = _evaluate_once(cfg, method, splits, trials)
     print(format_report_table(report), end="")
     return inputs + method_files, outputs
 
@@ -468,30 +474,25 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Pat
     if clashing:
         raise ValueError(f"--lambdas values {', '.join(clashing)} name the same output files")
     inputs, splits = _read_splits(out)
+    trials = _draw_trials(cfg, splits)
+    method, _ = _resolve_method(cfg, None, None, str(out / "train.csv"), None,
+                                splits[0], inputs[0])
     outputs = []
     summary_rows = []
     for lam, tag in zip(lambdas, tags):
         checkpoint = out / f"model_lambda{tag}.aan"
         history_path = out / f"history_lambda{tag}.csv"
-        history = _train_once(cfg, lam, *splits[:2], checkpoint, history_path)
-        method, _ = _resolve_method(cfg, cfg.anonymize.method, str(checkpoint),
-                                    str(out / "train.csv"), cfg.anonymize.top_k,
-                                    splits[0], inputs[0])
-        report, report_files = _evaluate_once(cfg, method, splits, suffix=f"_lambda{tag}")
+        method.model, history = _train_once(cfg, lam, *splits[:2], checkpoint, history_path)
+        report, report_files = _evaluate_once(cfg, method, splits, trials, f"_lambda{tag}")
         last = history[-1]
-        summary_rows.append([tag, f"{last.valid.recon:.17g}",
-                             f"{last.valid_gender_acc:.17g}",
-                             f"{last.valid_accent_acc:.17g}",
-                             f"{last.valid_speaker_acc:.17g}"])
+        accs = last.valid_gender_acc, last.valid_accent_acc, last.valid_speaker_acc
+        summary_rows.append([tag] + [f"{v:.17g}" for v in (last.valid.recon, *accs)])
         outputs.extend([checkpoint, history_path] + report_files)
         print(f"lambda={tag}: valid recon loss {last.valid.recon:.5f}, "
               f"valid speaker acc {last.valid_speaker_acc:.3f}")
     summary_path = out / "sweep_summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "final_valid_recon_loss", "final_valid_gender_acc",
-                         "final_valid_accent_acc", "final_valid_speaker_acc"])
-        writer.writerows(summary_rows)
+    write_rows(summary_path, ["lambda", "final_valid_recon_loss", "final_valid_gender_acc",
+                              "final_valid_accent_acc", "final_valid_speaker_acc"], summary_rows)
     outputs.append(summary_path)
     return inputs, outputs
 

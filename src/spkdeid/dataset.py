@@ -9,8 +9,8 @@ D-dimensional embedding vector.  Vectors are composed additively as
 so the relative scales control how separable each attribute is.
 
 A ``Corpus`` is stored by column: the utterance ids, one index array per
-label (speaker, gender, accent) into that label's sorted vocabulary, and
-one C-contiguous (N, dim) float64 matrix.  No per-row objects exist unless
+label (speaker, gender, accent) into its vocabulary, a sorted name tuple,
+and one C-contiguous (N, dim) float64 matrix.  No per-row objects exist unless
 a caller asks for ``Corpus.embeddings``.  The CSV writer prints each float
 as ``"%.17g" % x`` does, so it reads back with the same bits.  It formats
 blocks of rows in numpy by the exact integer arithmetic of a correctly
@@ -24,7 +24,8 @@ sidecar.  The reader takes the columns from a sidecar whose size and digest
 match the CSV beside it, without parsing the text.  Otherwise it parses the
 file row by row with a ``csv.reader`` and Python ``float``.  Both give the
 same result and the same errors, and neither holds more than a row of text
-or a fixed-size buffer at a time.
+or a fixed-size buffer at a time.  Every other table the package writes is
+written by ``write_rows`` and read through ``csv_rows``.
 
 The sha256 of a CSV's bytes that the writer takes while writing it, and the
 one the sidecar check takes while reading it (also when the sidecar then
@@ -120,7 +121,7 @@ class Corpus:
 
     Row i is utterance ``utterance_ids[i]``; ``speakers[i]`` indexes
     ``speaker_vocab`` (likewise genders and accents) and ``vectors[i]`` is
-    its embedding.  A vocabulary maps the sorted labels to 0, 1, ...  The
+    its embedding.  A vocabulary is the sorted tuple of its labels.  The
     arrays are read-only views, handed out and shared without copying.
     """
 
@@ -129,9 +130,9 @@ class Corpus:
     genders: np.ndarray
     accents: np.ndarray
     vectors: np.ndarray
-    speaker_vocab: dict[str, int]
-    gender_vocab: dict[str, int]
-    accent_vocab: dict[str, int]
+    speaker_vocab: tuple[str, ...]
+    gender_vocab: tuple[str, ...]
+    accent_vocab: tuple[str, ...]
     split_tag: str = "unsplit"
 
     def __post_init__(self):
@@ -167,14 +168,11 @@ class Corpus:
         """The stored (gender, accent, speaker) label index arrays."""
         return self.genders, self.accents, self.speakers
 
-    def names(self, label: str) -> list[str]:
-        """The vocabulary of ``label`` ("speaker", "gender" or "accent") in index order."""
-        return list(getattr(self, f"{label}_vocab"))
-
     def _label_columns(self) -> list[list[str]]:
         """Per-row speaker, gender and accent labels."""
-        return [[names[i] for i in index.tolist()] for names, index in
-                zip(map(self.names, LABELS), (self.speakers, self.genders, self.accents))]
+        return [[vocab[i] for i in index.tolist()] for vocab, index in
+                zip((self.speaker_vocab, self.gender_vocab, self.accent_vocab),
+                    (self.speakers, self.genders, self.accents))]
 
     @property
     def embeddings(self) -> list[Embedding]:
@@ -211,9 +209,9 @@ def _build(ids: list[str], labels: list[list[str]], vectors: np.ndarray, split_t
         seen: set[str] = set()
         i = next(i for i, u in enumerate(ids) if u in seen or seen.add(u))
         raise ValueError(f"{where(i)}duplicate utterance_id {ids[i]!r}")
-    vocabs = [{label: i for i, label in enumerate(sorted(set(column)))} for column in labels]
-    speakers, genders, accents = (np.array([vocab[x] for x in column], dtype=np.intp)
-                                  for vocab, column in zip(vocabs, labels))
+    ranks = [{label: i for i, label in enumerate(sorted(set(column)))} for column in labels]
+    speakers, genders, accents = (np.array([rank[x] for x in column], dtype=np.intp)
+                                  for rank, column in zip(ranks, labels))
     first = np.unique(speakers, return_index=True)[1][speakers]  # each row's speaker's first row
     bad = (genders != genders[first]) | (accents != accents[first])
     if bad.any():
@@ -222,7 +220,7 @@ def _build(ids: list[str], labels: list[list[str]], vectors: np.ndarray, split_t
             f"{where(i)}speaker {labels[0][i]!r} has conflicting gender/accent labels "
             f"{(labels[1][j], labels[2][j])} vs {(labels[1][i], labels[2][i])}")
     return Corpus(list(ids), speakers, genders, accents,
-                  np.ascontiguousarray(vectors, dtype=np.float64), *vocabs, split_tag)
+                  np.ascontiguousarray(vectors, dtype=np.float64), *map(tuple, ranks), split_tag)
 
 
 def make_corpus(embeddings: list[Embedding], split_tag: str = "unsplit") -> Corpus:
@@ -297,7 +295,7 @@ def split_corpus(corpus: Corpus, n_heldout_per_speaker: int
     if short.any():
         speaker = speakers[short.argmax()]
         raise ValueError(
-            f"speaker {corpus.names('speaker')[speaker]!r} has {counts[speaker]} utterances, "
+            f"speaker {corpus.speaker_vocab[speaker]!r} has {counts[speaker]} utterances, "
             f"needs more than {2 * n} to hold out {n} per split")
     # each row's rank from the end of its speaker's rows in utterance_id order
     by_speaker = speakers.tolist()
@@ -318,8 +316,8 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _quoted(field: str) -> str:
-    """``field`` quoted as ``csv.writer`` quotes it, and also when it holds a
-    CR, which ``csv.writer`` leaves bare with a "\\n" terminator."""
+    """``field`` quoted as ``write_rows`` quotes it, and also when it holds a
+    CR, which ``write_rows`` leaves bare with its "\\n" terminator."""
     return '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
 
 
@@ -501,6 +499,12 @@ def decode_error(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
         exc = whole
     line = raw[:exc.start].count(b"\n") + 1
     return ValueError(f"{path}: line {line}: not {exc.encoding} text")
+
+
+def write_rows(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header``, then ``rows``, as a CSV table that ``csv_rows`` reads."""
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
 
 
 @contextmanager

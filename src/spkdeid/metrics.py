@@ -8,7 +8,7 @@ probes measure residual speaker/gender/accent leakage.
 
 A trial list (``TrialList``) is stored by column: index arrays for the
 enrollment speaker, the trial utterance's row, ``is_target`` and the
-gender, plus the name lists they index.  It is the only form of a trial
+gender, plus the name tuples they index.  It is the only form of a trial
 list; ``TrialList.from_rows`` builds one from (speaker, utterance,
 is_target, gender) rows and ``columns`` gives them back.  Every per-trial
 step below is an array operation:
@@ -55,11 +55,12 @@ parameter vector, in the operation order of ``dense_forward``,
 ``softmax_cross_entropy`` and ``dense_backward``; each probe comes out
 bit-identical to one trained on its own.  The loss is never computed,
 because nothing reads it.
+
+Trial lists and reports are ``dataset.write_rows`` tables.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Corpus, csv_rows
+from .dataset import Corpus, csv_rows, write_rows
 from .neural import AdamState, DivergenceError, adam_step, init_dense
 
 LOG2 = np.log(2.0)
@@ -84,9 +85,9 @@ class TrialList:
     Two trial lists are equal when their ``columns()`` are.
     """
 
-    speaker_names: list[str]
+    speaker_names: tuple[str, ...]
     utterance_ids: list[str]
-    gender_names: list[str]
+    gender_names: tuple[str, ...]
     speakers: np.ndarray
     rows: np.ndarray
     is_target: np.ndarray
@@ -95,7 +96,7 @@ class TrialList:
     @classmethod
     def from_rows(cls, rows) -> "TrialList":
         """A trial list from (enroll speaker, utterance, is_target, gender)
-        rows, each name list in first-seen order."""
+        rows, each name tuple in first-seen order."""
         speaker_index: dict[str, int] = {}
         utterance_index: dict[str, int] = {}
         gender_index: dict[str, int] = {}
@@ -105,7 +106,7 @@ class TrialList:
             utterances.append(utterance_index.setdefault(utterance, len(utterance_index)))
             is_target.append(target)
             genders.append(gender_index.setdefault(gender, len(gender_index)))
-        return cls(list(speaker_index), list(utterance_index), list(gender_index),
+        return cls(tuple(speaker_index), list(utterance_index), tuple(gender_index),
                    np.array(speakers, dtype=np.intp), np.array(utterances, dtype=np.intp),
                    np.array(is_target, dtype=bool), np.array(genders, dtype=np.intp))
 
@@ -172,7 +173,7 @@ def make_trials(enroll_corpus: Corpus, trial_corpus: Corpus,
         raise ValueError("enroll and trial corpora must share vocabularies")
     if n_nontarget_per_target < 0:
         raise ValueError(f"n_nontarget_per_target must be >= 0, got {n_nontarget_per_target}")
-    speaker_names, gender_names = trial_corpus.names("speaker"), trial_corpus.names("gender")
+    speaker_names, gender_names = trial_corpus.speaker_vocab, trial_corpus.gender_vocab
     # each enrolled speaker's gender (-1: not enrolled); a gender's group is
     # its enrolled speakers in vocabulary (= name) order
     gender_of = np.full(len(speaker_names), -1, dtype=np.intp)
@@ -246,7 +247,7 @@ def enroll_speaker_models(enroll_corpus: Corpus) -> dict[str, np.ndarray]:
             rows = order[starts[part][:, None] + np.arange(count)]
             with np.errstate(over="ignore", invalid="ignore"):  # score_trials refuses it
                 means[part] = enroll_corpus.vectors[rows].mean(axis=1)
-    names = enroll_corpus.names("speaker")
+    names = enroll_corpus.speaker_vocab
     by_first_row = np.argsort(order[starts]).tolist()
     return {names[speakers[order[starts[i]]]]: means[i] for i in by_first_row}
 
@@ -585,11 +586,10 @@ def evaluate_conditions(original: tuple[Corpus, Corpus, Corpus],
               for i, attribute in enumerate(PROBE_ATTRIBUTES)}
 
     models = {side: enroll_speaker_models(enroll) for side, (_, enroll, _) in corpora.items()}
-    genders = sorted(original[2].gender_vocab)
     rows: list[ReportRow] = []
     for enroll_cond, trial_cond in CONDITIONS:
         scored = score_trials(trials, models[enroll_cond], corpora[trial_cond][2])
-        for gender in genders:
+        for gender in original[2].gender_vocab:
             subset = scored.for_gender(gender)
             rows.append(ReportRow(
                 dataset=dataset_tag,
@@ -615,10 +615,7 @@ TRIAL_COLUMNS = ["enroll_speaker", "trial_utterance", "is_target", "gender"]
 def write_trials(trials: TrialList, path: str | Path) -> None:
     """CSV: enroll_speaker,trial_utterance,is_target{0|1},gender."""
     speakers, utterances, is_target, genders = trials.columns()
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_COLUMNS)
-        writer.writerows(zip(speakers, utterances, map(int, is_target), genders))
+    write_rows(path, TRIAL_COLUMNS, zip(speakers, utterances, map(int, is_target), genders))
 
 
 def read_trials(path: str | Path) -> TrialList:
@@ -650,10 +647,7 @@ def _report_cells(report: MetricsReport, number_format: str) -> list[list[str]]:
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(_report_cells(report, ".17g"))
+    write_rows(path, REPORT_COLUMNS, _report_cells(report, ".17g"))
 
 
 def _report_number(path: str | Path, line: int, column: str, text: str) -> float:

@@ -169,6 +169,15 @@ class TestTrain:
                            "valid_speaker_acc"]
         assert len(rows) == 1 + TINY_CONFIG["train"]["epochs"]
 
+    def test_history_bytes_pinned(self, tiny_run):
+        # sha256 of the tiny config's history.csv, computed before the tables
+        # were written by one writer
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        assert run_cli("train", "--config", config_path) == 0
+        assert digest(out / "history.csv") == \
+            "fd57bc162290df2aac1358ab7854e8a8fd9301fea62c8adae29736f70052b206"
+
     def test_lambda_flag_overrides_config(self, tiny_run):
         config_path, out = tiny_run
         run_cli("gen-data", "--config", config_path)
@@ -273,7 +282,8 @@ class TestTrain:
             "corpus": {"n_speakers": 10, "utterances_per_speaker": 9, "dim": 16},
             "split": {"n_heldout_per_speaker": 2},
             "model": {"hidden": 32, "latent": 4, "branch_hidden": 16},
-            "train": {"epochs": 1, "batch_size": 1000, "lr": 1e308}}))
+            "train": {"epochs": 1, "batch_size": 1000, "lr": 1e308},
+            "trials": {"n_nontarget_per_target": 3}}))
         assert run_cli("gen-data", "--config", path) == 0
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -541,7 +551,7 @@ class TestEvaluate:
             warnings.simplefilter("error")
             assert run_cli("evaluate", "--config", config_path, "--method", "identity") == 2
         err = capsys.readouterr().err.splitlines()
-        speaker = corpus.names("speaker")[corpus.speakers[0]]
+        speaker = corpus.speaker_vocab[corpus.speakers[0]]
         assert len(err) == 1 and err[0].startswith(message.format(speaker=speaker))
         assert not any((out / name).exists()
                        for name in ("trials.csv", "report.csv", "manifest_evaluate.json"))
@@ -633,6 +643,42 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: --lambdas: {message}"]
         assert list(out.glob("*lambda*")) == [] and not (out / "sweep_summary.csv").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({}, "cannot sample 10 nontarget speakers for gender 'f': only 4 available"),
+        ({"anonymize": {"method": "aan3"}},
+         "method must be one of ('identity', 'baseline_farthest', 'aan1', 'aan2'), got 'aan3'"),
+        ({"anonymize": {"method": "aan2", "top_k": 999}}, "top_k must be in [1, 50], got 999"),
+    ], ids=["too-few-nontarget-speakers", "unknown-method", "top-k-beyond-pool"])
+    def test_bad_evaluation_config_trains_nothing(self, tmp_path, capsys, config, message):
+        # 5 speakers per gender and a 50-row train split: each config fails
+        # in the evaluation, which the sweep checks before its first lambda
+        out = tmp_path / "run"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "out_dir": str(out),
+            "corpus": {"n_speakers": 10, "utterances_per_speaker": 9, "dim": 16},
+            "split": {"n_heldout_per_speaker": 2},
+            "model": {"hidden": 32, "latent": 4, "branch_hidden": 16},
+            "train": {"epochs": 2},
+            "trials": {"n_nontarget_per_target": 10 if config == {} else 3},
+            **config}))
+        assert run_cli("gen-data", "--config", path) == 0
+        capsys.readouterr()
+        assert run_cli("sweep-lambda", "--config", path, "--lambdas", "1,8") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
+        assert list(out.glob("*lambda*")) == [] and not (out / "sweep_summary.csv").exists()
+        assert not (out / "manifest_sweep-lambda.json").exists()
+
+    def test_summary_bytes_pinned(self, tiny_run):
+        # sha256 of the tiny config's sweep_summary.csv, computed before the
+        # tables were written by one writer
+        config_path, out = tiny_run
+        run_cli("gen-data", "--config", config_path)
+        assert run_cli("sweep-lambda", "--config", config_path, "--lambdas", "0,8") == 0
+        assert digest(out / "sweep_summary.csv") == \
+            "27be492b83bb8611b66832df7804c2abcca5271fc1df7f16ea9a87d26f7a696b"
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -78,10 +78,15 @@ class TestGenerate:
         assert sorted(len(s) for s in per_gender.values()) == [5, 5]
 
     def test_vocabs_lexicographic_contiguous(self):
+        # each vocabulary is the sorted tuple of its labels, and the index
+        # array uses every position of it
         corpus = generate_corpus(small_spec())
-        for vocab in (corpus.speaker_vocab, corpus.gender_vocab, corpus.accent_vocab):
-            assert list(vocab.keys()) == sorted(vocab)
-            assert sorted(vocab.values()) == list(range(len(vocab)))
+        for vocab, index in ((corpus.speaker_vocab, corpus.speakers),
+                             (corpus.gender_vocab, corpus.genders),
+                             (corpus.accent_vocab, corpus.accents)):
+            assert type(vocab) is tuple
+            assert list(vocab) == sorted(set(vocab))
+            assert set(index.tolist()) == set(range(len(vocab)))
 
     @pytest.mark.parametrize("field,value", [
         ("n_speakers", 0),
