@@ -24,11 +24,11 @@ by ``build_aan`` from the RNG or by ``load_model`` from the file.  Training
 updates, snapshots, restores and checkpoints it with one vector operation
 each.  No model holds gradients: ``aan_loss_and_grads`` writes them into a
 target that the caller passes in, an ``AanModel`` built on a gradient vector
-and so laid out like ``flat``, which ``train`` and ``aan_gradient_check``
-build once per call.  Each layer list is one contiguous slice of ``flat``,
-and the gradient check perturbs that slice and reads the same slice of the
-gradient vector.  Parameter names ("enc0.w", ...) exist only in
-``parameters()``.
+and so laid out like ``flat``, which ``train`` and
+``aan_gradient_differences`` build once per call.  Each layer list is one
+contiguous slice of ``flat``, and the gradient check perturbs that slice and
+reads the same slice of the gradient vector.  Parameter names ("enc0.w",
+...) exist only in ``parameters()``.
 
 Training computes only what it reads: the encoder's input gradient is never
 computed.  It holds six parameter-sized vectors: ``flat``, the gradient,
@@ -67,7 +67,6 @@ from .neural import (
     dense_forward,
     grl_backward,
     init_dense,
-    max_relative_error,
     mse_loss,
     sgd_step,
     softmax_cross_entropy,
@@ -586,12 +585,3 @@ def aan_gradient_differences(model: AanModel, x: np.ndarray, gender_labels: np.n
         results[attr] = central_differences(loss_and_grad, model.flat[start:stop],
                                             GRADCHECK_EPS)
     return results
-
-
-def aan_gradient_check(model: AanModel, x: np.ndarray, gender_labels: np.ndarray,
-                       accent_labels: np.ndarray, speaker_labels: np.ndarray
-                       ) -> dict[str, float]:
-    """The max relative error per group of ``aan_gradient_differences``."""
-    return {group: max_relative_error(analytic, numeric) for group, (_, analytic, numeric)
-            in aan_gradient_differences(model, x, gender_labels, accent_labels,
-                                        speaker_labels).items()}

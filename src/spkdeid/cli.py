@@ -246,16 +246,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _resources() -> dict:
-    """Peak RSS of this process so far, the numpy version, the BLAS numpy
-    was built with (None where numpy cannot report it as a dict, as on
-    numpy 1.24) and the BLAS thread variables (None where unset)."""
+    """Peak RSS of this process so far (``ru_maxrss`` is in KiB, but in bytes
+    on macOS), the numpy version, the BLAS numpy was built with (None where
+    numpy cannot report it as a dict, as on numpy 1.24) and the BLAS thread
+    variables (None where unset)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):
         blas = None
     return {
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                             / (1024 ** 2 if sys.platform == "darwin" else 1024), 1),
         "numpy": np.__version__,
         "blas": blas,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
@@ -587,13 +589,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args) if "config" in args else None  # report takes no run flags
         forget_file_digests()
-        started = time.time()
+        started = time.perf_counter()
         result = args.run(cfg, args)
         if isinstance(result, int):  # a tool's exit code
             return result
         inputs, outputs = result
         write_manifest(cfg, args.command, _unique_files(inputs), _unique_files(outputs),
-                       time.time() - started)
+                       time.perf_counter() - started)
         return 0
     except (ValueError, OSError, DivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -196,8 +196,11 @@ class Corpus:
 
 def _build(ids: list[str], labels: list[list[str]], vectors: np.ndarray, split_tag: str,
            where=lambda row: "") -> Corpus:
-    """A corpus from its columns, after the checks ``make_corpus`` names.
+    """A corpus from its columns, after checking its invariants.
 
+    Every vector is finite, utterance ids are unique and each speaker has one
+    gender and one accent.  Vocabularies are the sorted sets of labels
+    present, so a corpus is fully reconstructible from its rows alone.
     ``labels`` holds the per-row speaker, gender and accent labels;
     ``where(row)`` prefixes an error about that row.
     """
@@ -221,27 +224,6 @@ def _build(ids: list[str], labels: list[list[str]], vectors: np.ndarray, split_t
             f"{(labels[1][j], labels[2][j])} vs {(labels[1][i], labels[2][i])}")
     return Corpus(list(ids), speakers, genders, accents,
                   np.ascontiguousarray(vectors, dtype=np.float64), *map(tuple, ranks), split_tag)
-
-
-def make_corpus(embeddings: list[Embedding], split_tag: str = "unsplit") -> Corpus:
-    """Build a corpus from embeddings, validating invariants.
-
-    Every vector is finite and of one length, utterance ids are unique and
-    each speaker has one gender and one accent.  Vocabularies are the
-    lexicographically sorted sets of labels present, so a corpus is fully
-    reconstructible from its rows alone.
-    """
-    if not embeddings:
-        raise ValueError("empty corpus")
-    dim = embeddings[0].vector.shape[0] if embeddings[0].vector.ndim == 1 else -1
-    for e in embeddings:
-        if e.vector.ndim != 1 or e.vector.shape[0] != dim:
-            raise ValueError(
-                f"utterance {e.utterance_id!r}: vector length {e.vector.shape} != corpus dim {dim}")
-    return _build([e.utterance_id for e in embeddings],
-                  [[e.speaker_id for e in embeddings], [e.gender for e in embeddings],
-                   [e.accent for e in embeddings]],
-                  np.array([e.vector for e in embeddings], dtype=np.float64), split_tag)
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:

@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spkdeid.aan import TrainConfig, build_aan, desk_dims, train
-from spkdeid.dataset import AttributeStrength, CorpusSpec, generate_corpus, split_corpus
+from spkdeid.aan import TrainConfig, aan_gradient_differences, build_aan, desk_dims, train
+from spkdeid.dataset import AttributeStrength, CorpusSpec, _build, generate_corpus, split_corpus
+from spkdeid.neural import max_relative_error
 
 DESK_CORPUS_SEED = 7
 DESK_MODEL_SEED = 11
@@ -29,6 +30,20 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def corpus_from_rows(rows, split_tag="unsplit"):
+    """A corpus from ``Embedding`` rows, through the columnar builder and its checks."""
+    return _build([e.utterance_id for e in rows],
+                  [[e.speaker_id for e in rows], [e.gender for e in rows],
+                   [e.accent for e in rows]],
+                  np.array([e.vector for e in rows], dtype=np.float64), split_tag)
+
+
+def gradient_errors(model, *batch):
+    """The max relative error per parameter group, as ``spkdeid gradcheck`` prints it."""
+    return {group: max_relative_error(analytic, numeric) for group, (_, analytic, numeric)
+            in aan_gradient_differences(model, *batch).items()}
 
 
 def desk_spec(**overrides):

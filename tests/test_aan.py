@@ -19,7 +19,6 @@ from spkdeid.aan import (
     TrainConfig,
     VOXCELEB_DIMS,
     aan_forward,
-    aan_gradient_check,
     aan_loss_and_grads,
     build_aan,
     desk_dims,
@@ -29,10 +28,9 @@ from spkdeid.aan import (
     save_model,
     train,
 )
-from spkdeid.dataset import (AttributeStrength, Corpus, CorpusSpec, generate_corpus,
-                             make_corpus, split_corpus)
+from spkdeid.dataset import AttributeStrength, Corpus, CorpusSpec, generate_corpus, split_corpus
 from spkdeid.neural import DenseLayer, DivergenceError, mse_loss, softmax_cross_entropy
-from conftest import traced_peak
+from conftest import corpus_from_rows, gradient_errors, traced_peak
 from test_neural import per_tensor_adam
 
 TINY_DIMS = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
@@ -154,7 +152,7 @@ class TestLossAndGrads:
     def test_gradient_check_all_groups(self):
         model = tiny_model(lam=8.0, seed=1)
         x, g, a, s = tiny_batch(model, seed=0)
-        results = aan_gradient_check(model, x, g, a, s)
+        results = gradient_errors(model, x, g, a, s)
         assert set(results) == {"encoder", "decoder", "gender_head",
                                 "accent_head", "speaker_head"}
         assert max(results.values()) < 1e-4
@@ -167,7 +165,7 @@ class TestLossAndGrads:
         model = tiny_model(seed=seed)
         x, g, a, s = tiny_batch(model, seed=seed)
         before = model.flat.copy()
-        results = aan_gradient_check(model, x, g, a, s)
+        results = gradient_errors(model, x, g, a, s)
         expected = oracle_gradient_check(LayerListModel(tiny_model(seed=seed)), x, g, a, s)
         assert list(results) == list(expected) == [attr for attr, _ in GROUPS]
         assert [float(v).hex() for v in results.values()] == \
@@ -213,7 +211,7 @@ class TestGradientBuffer:
         trained = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4), 1.0, 0)
         checked = tiny_model()
         runs = ((trained, lambda: train(trained, train_c, valid_c, TrainConfig(epochs=2, seed=0))),
-                (checked, lambda: aan_gradient_check(checked, *tiny_batch(checked))))
+                (checked, lambda: gradient_errors(checked, *tiny_batch(checked))))
         for model, run in runs:
             targets.clear()
             run()
@@ -805,9 +803,9 @@ class TestTrain:
         # every index in range but shifted against the training corpus's
         train_c, valid_c, _ = tiny_corpus()
         first = min(getattr(valid_c, f"{attribute}_vocab"))
-        renamed = make_corpus([dataclasses.replace(e, **{field: "zz"})
-                               if getattr(e, field) == first else e
-                               for e in valid_c.embeddings], "valid")
+        renamed = corpus_from_rows([dataclasses.replace(e, **{field: "zz"})
+                                    if getattr(e, field) == first else e
+                                    for e in valid_c.embeddings], "valid")
         model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
                           1.0, seed=0)
         with pytest.raises(ValueError, match=f"{attribute} vocabularies differ"):

@@ -17,7 +17,6 @@ from spkdeid.aan import (
     AanDims,
     AanModel,
     TrainConfig,
-    aan_gradient_check,
     aan_loss_and_grads,
     build_aan,
     desk_dims,
@@ -46,7 +45,7 @@ from spkdeid.metrics import (
 )
 from spkdeid.neural import sgd_step
 
-from conftest import DESK_MODEL_SEED, DESK_TRAIN_SEED
+from conftest import DESK_MODEL_SEED, DESK_TRAIN_SEED, gradient_errors
 from test_aan import two_role_sgd_update
 
 
@@ -69,7 +68,7 @@ def test_criterion_1_gradient_correctness():
                    n_genders=2, n_accents=3, n_speakers=5)
     model = build_aan(dims, lam=8.0, seed=3, init_scale=0.1)
     x, gender, accent, speaker = sample_gradcheck_batch(model, batch_size=4, seed=100)
-    results = aan_gradient_check(model, x, gender, accent, speaker)
+    results = gradient_errors(model, x, gender, accent, speaker)
     elapsed = time.monotonic() - started
     assert set(results) == {"encoder", "decoder", "gender_head", "accent_head",
                             "speaker_head"}

@@ -15,10 +15,10 @@ from spkdeid.anonymize import (
     anonymize_corpus,
     baseline_anonymize,
 )
-from spkdeid.dataset import Embedding, make_corpus
+from spkdeid.dataset import Embedding
 from spkdeid.neural import dense_forward
 
-from conftest import traced_peak
+from conftest import corpus_from_rows, traced_peak
 
 rng = np.random.default_rng(77)
 
@@ -546,8 +546,8 @@ class TestAnonymizeCorpus:
         r = np.random.default_rng(seed)
         dim = small_trained_model.dims.input_dim
         pool = PseudoPool(r.normal(size=(3000, dim)))
-        corpus = make_corpus([Embedding(f"u{i}", f"s{i % 4}", "fm"[i % 2], "a", v)
-                              for i, v in enumerate(r.normal(size=(60, dim)))])
+        corpus = corpus_from_rows([Embedding(f"u{i}", f"s{i % 4}", "fm"[i % 2], "a", v)
+                                   for i, v in enumerate(r.normal(size=(60, dim)))])
         rows_per_block = _BLOCK_ELEMENTS // max(len(pool), top_k * dim)
         assert len(corpus) > rows_per_block
         per_vector = {

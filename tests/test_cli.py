@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import types
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from spkdeid import BLAS_THREAD_VARS
 from spkdeid import aan as aan_module
+from spkdeid import cli as cli_module
 from spkdeid import dataset as dataset_module
 from spkdeid.aan import GROUPS, AanModel, layer_table, load_model
 from spkdeid.anonymize import PseudoPool, anonymize_corpus, baseline_anonymize
@@ -965,6 +968,31 @@ class TestManifest:
             assert resources["blas"] is None or sorted(resources["blas"]) == ["name",
                                                                               "version"]
             assert "OPENBLAS_NUM_THREADS" in resources["blas_threads"]
+
+    @pytest.mark.parametrize("platform, expected", [("darwin", 1024.0), ("linux", 1048576.0)])
+    def test_peak_rss_is_in_mb(self, monkeypatch, platform, expected):
+        # getrusage reports ru_maxrss in bytes on macOS and in KiB on Linux
+        monkeypatch.setattr(cli_module.resource, "getrusage",
+                            lambda who: types.SimpleNamespace(ru_maxrss=2 ** 30))
+        monkeypatch.setattr(sys, "platform", platform)
+        assert cli_module._resources()["peak_rss_mb"] == expected
+
+    def test_elapsed_seconds_survive_a_wall_clock_step(self, tiny_run, monkeypatch):
+        # the wall clock steps back an hour while the command runs, as an NTP
+        # correction would
+        config_path, out = tiny_run
+        step, wall = [0.0], time.time
+        monkeypatch.setattr(time, "time", lambda: wall() - step[0])
+        generate = cli_module.generate_corpus
+
+        def stepping(spec):
+            step[0] = 3600.0
+            return generate(spec)
+
+        monkeypatch.setattr(cli_module, "generate_corpus", stepping)
+        assert run_cli("gen-data", "--config", config_path) == 0
+        manifest = json.loads((out / "manifest_gen-data.json").read_text())
+        assert manifest["elapsed_seconds"] >= 0
 
     @pytest.mark.parametrize("command, extra, expected", [
         ("evaluate", ["--method", "aan1"], ["train.csv", "valid.csv", "test.csv",

@@ -22,12 +22,13 @@ from spkdeid.dataset import (
     _format_rows,
     forget_file_digests,
     generate_corpus,
-    make_corpus,
     read_corpus,
     sha256_file,
     split_corpus,
     write_corpus,
 )
+
+from conftest import corpus_from_rows
 
 
 def by_speaker(corpus):
@@ -246,7 +247,7 @@ def oracle_read(path, split_tag="unsplit"):
             rows.append(Embedding(*row[:4], vector))
     if not rows:
         raise ValueError(f"{path}: empty corpus")
-    return make_corpus(rows, split_tag)
+    return corpus_from_rows(rows, split_tag)
 
 
 def oracle_write(corpus, path):
@@ -387,8 +388,8 @@ class TestWriterMatchesOracle:
     ], ids=["plain", "comma-quote-newline-empty", "cr-empty-id"])
     def test_same_bytes(self, tmp_path, labels):
         rng = np.random.default_rng(3)
-        corpus = make_corpus([Embedding(*row, rng.standard_normal(4)
-                                        * 10.0 ** rng.integers(-300, 300)) for row in labels])
+        corpus = corpus_from_rows([Embedding(*row, rng.standard_normal(4)
+                                             * 10.0 ** rng.integers(-300, 300)) for row in labels])
         write_corpus(corpus, tmp_path / "got.csv")
         oracle_write(corpus, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -509,8 +510,8 @@ class TestSidecar:
                           st.sampled_from(SPECIAL_FLOATS))
         rows = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
                                   min_size=n, max_size=n))
-        corpus = make_corpus([Embedding(u, s, *attributes[s], np.array(v))
-                              for u, s, v in zip(ids, speakers, rows)])
+        corpus = corpus_from_rows([Embedding(u, s, *attributes[s], np.array(v))
+                                   for u, s, v in zip(ids, speakers, rows)])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.csv"
             write_corpus(corpus, path)
@@ -583,8 +584,8 @@ class TestSidecar:
         ("s" * (csv.field_size_limit() + 1), False),
     ], ids=["comma", "quote", "cr", "lf", "nul", "longer-than-the-field-limit"])
     def test_no_sidecar_unless_labels_are_plain(self, tmp_path, label, reads_back):
-        corpus = make_corpus([Embedding("u1", label, "f", "a", np.array([1.5])),
-                              Embedding("u2", "s2", "m", "a", np.array([-0.0]))])
+        corpus = corpus_from_rows([Embedding("u1", label, "f", "a", np.array([1.5])),
+                                   Embedding("u2", "s2", "m", "a", np.array([-0.0]))])
         path = tmp_path / "corpus.csv"
         write_corpus(corpus, path)
         assert not sidecar(path).exists()
@@ -715,17 +716,17 @@ class TestInvariants:
     def test_duplicate_utterance_id_rejected(self):
         e = Embedding("u1", "s1", "f", "a00", np.zeros(2))
         with pytest.raises(ValueError, match="duplicate"):
-            make_corpus([e, e])
+            corpus_from_rows([e, e])
 
     def test_conflicting_speaker_attributes_rejected(self):
         rows = [Embedding("u1", "s1", "f", "a00", np.zeros(2)),
                 Embedding("u2", "s1", "m", "a00", np.zeros(2))]
         with pytest.raises(ValueError, match="s1"):
-            make_corpus(rows)
+            corpus_from_rows(rows)
 
     def test_non_finite_vector_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            make_corpus([Embedding("u1", "s1", "f", "a00", np.array([1.0, np.inf]))])
+            corpus_from_rows([Embedding("u1", "s1", "f", "a00", np.array([1.0, np.inf]))])
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 31),

@@ -11,8 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from spkdeid import metrics
 from spkdeid.anonymize import AnonymizationMethod, anonymize_corpus
-from spkdeid.dataset import AttributeStrength, CorpusSpec, Embedding, generate_corpus, \
-    make_corpus, split_corpus
+from spkdeid.dataset import AttributeStrength, CorpusSpec, Embedding, generate_corpus, split_corpus
 from spkdeid.metrics import (
     REPORT_COLUMNS,
     MetricsReport,
@@ -43,7 +42,7 @@ from spkdeid.neural import (
     init_dense,
     softmax_cross_entropy,
 )
-from conftest import traced_peak
+from conftest import corpus_from_rows, traced_peak
 from test_anonymize import ranked_rows
 
 rng = np.random.default_rng(314)
@@ -313,23 +312,23 @@ class TestMakeTrials:
 class TestEnrollModels:
     def test_single_utterance(self):
         v = rng.normal(size=4)
-        corpus = make_corpus([Embedding("u1", "s1", "f", "a00", v),
-                              Embedding("u2", "s2", "f", "a00", -v)])
+        corpus = corpus_from_rows([Embedding("u1", "s1", "f", "a00", v),
+                                   Embedding("u2", "s2", "f", "a00", -v)])
         models = enroll_speaker_models(corpus)
         np.testing.assert_array_equal(models["s1"], v)
 
     def test_copies_average_to_original(self):
         v = rng.normal(size=4)
-        corpus = make_corpus([Embedding(f"u{i}", "s1", "f", "a00", v.copy())
-                              for i in range(3)]
-                             + [Embedding("ux", "s2", "f", "a00", rng.normal(size=4))])
+        corpus = corpus_from_rows([Embedding(f"u{i}", "s1", "f", "a00", v.copy())
+                                   for i in range(3)]
+                                  + [Embedding("ux", "s2", "f", "a00", rng.normal(size=4))])
         np.testing.assert_allclose(enroll_speaker_models(corpus)["s1"], v, atol=1e-15)
 
     def test_opposite_vectors_flag_downstream(self):
         v = np.array([1.0, -2.0, 0.5])
-        corpus = make_corpus([Embedding("u1", "s1", "f", "a00", v),
-                              Embedding("u2", "s1", "f", "a00", -v),
-                              Embedding("u3", "s2", "f", "a00", v)])
+        corpus = corpus_from_rows([Embedding("u1", "s1", "f", "a00", v),
+                                   Embedding("u2", "s1", "f", "a00", -v),
+                                   Embedding("u3", "s2", "f", "a00", v)])
         models = enroll_speaker_models(corpus)
         np.testing.assert_array_equal(models["s1"], np.zeros(3))
         with pytest.raises(ValueError, match="degenerate"):
@@ -343,7 +342,7 @@ class TestEnrollModels:
         owners = r.permutation(np.repeat(np.arange(len(counts)), counts))
         rows = [Embedding(f"u{i}", f"s{owner}", "f", "a00", r.normal(size=dim))
                 for i, owner in enumerate(owners.tolist())]
-        corpus = make_corpus(rows)
+        corpus = corpus_from_rows(rows)
         models = enroll_speaker_models(corpus)
         first_rows = {}
         for i, owner in enumerate(owners.tolist()):
@@ -394,7 +393,7 @@ class TestScoreTrialsMatchesCosineLoop:
         rows = [Embedding(f"u{i}", f"s{i}", "f", "a00", distinct[data.draw(pick)].copy())
                 for i in range(n_utts)]
         rows.append(Embedding("uz", "sz", "f", "a00", np.zeros(dim)))
-        corpus = make_corpus(rows)
+        corpus = corpus_from_rows(rows)
         pairs = st.tuples(st.integers(0, n_models - 1), st.integers(0, n_utts - 1))
         trial_rows = [(f"s{m}", f"u{u}", m == u, "f")
                       for m, u in data.draw(st.lists(pairs, max_size=30))]
@@ -409,8 +408,8 @@ class TestScoreTrialsMatchesCosineLoop:
         rows = [Embedding(f"u{i}", f"s{i % 9}", "fm"[i % 9 % 2], "a00",
                           r.normal(size=dim) * 10.0 ** r.integers(-3, 4))
                 for i in range(45)]
-        enroll_c = make_corpus(rows[:18])
-        trial_c = make_corpus(rows[18:])
+        enroll_c = corpus_from_rows(rows[:18])
+        trial_c = corpus_from_rows(rows[18:])
         models = enroll_speaker_models(enroll_c)
         trial_rows = list(zip(*make_trials(enroll_c, trial_c, 3, seed=dim).columns()))
         trial_rows = [trial_rows[i] for i in r.permutation(len(trial_rows))]
@@ -426,8 +425,8 @@ class TestScoreTrialsMatchesCosineLoop:
         # (13761, 64) float64 matrix, 7 MB
         r = np.random.default_rng(3)
         n_trials, n_speakers, dim = 13_761, 1251, 64
-        corpus = make_corpus([Embedding(f"u{i}", f"s{i}", "f", "a00", r.normal(size=dim))
-                              for i in range(n_speakers)])
+        corpus = corpus_from_rows([Embedding(f"u{i}", f"s{i}", "f", "a00", r.normal(size=dim))
+                                   for i in range(n_speakers)])
         models = {f"s{i}": r.normal(size=dim) for i in range(n_speakers)}
         trials = TrialList([f"s{i}" for i in range(n_speakers)], corpus.utterance_ids, ["f"],
                            speakers=r.integers(0, n_speakers, n_trials),
@@ -440,8 +439,8 @@ class TestScoreTrialsMatchesCosineLoop:
 
     @pytest.mark.parametrize("speaker, utterance", [("zero", "u0"), ("s0", "uz")])
     def test_zero_vector_in_a_trial_rejected(self, speaker, utterance):
-        corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3)),
-                              Embedding("uz", "s1", "f", "a00", np.zeros(3))])
+        corpus = corpus_from_rows([Embedding("u0", "s0", "f", "a00", np.ones(3)),
+                                   Embedding("uz", "s1", "f", "a00", np.zeros(3))])
         models = {"s0": np.ones(3), "zero": np.zeros(3)}
         with pytest.raises(ValueError, match="degenerate"):
             score_trials(TrialList.from_rows([("s0", "u0", True, "f"),
@@ -484,19 +483,19 @@ class TestScoreTrialsMatchesCosineLoop:
             scaled, scaled_trial = enroll, list(trial)
             scaled_trial[row] = dataclasses.replace(trial[row],
                                                     vector=np.ldexp(trial[row].vector, k))
-        expected = score_trials(trials, enroll_speaker_models(make_corpus(enroll)),
-                                make_corpus(trial)).scores
-        got = score_trials(trials, enroll_speaker_models(make_corpus(scaled)),
-                           make_corpus(scaled_trial)).scores
+        expected = score_trials(trials, enroll_speaker_models(corpus_from_rows(enroll)),
+                                corpus_from_rows(trial)).scores
+        got = score_trials(trials, enroll_speaker_models(corpus_from_rows(scaled)),
+                           corpus_from_rows(scaled_trial)).scores
         assert same_bits(got, expected)
 
     def test_overflowing_mean_refused_where_a_trial_uses_it(self):
         # two finite rows whose sum, and so whose mean, overflows
         big = np.full(3, np.finfo(np.float64).max)
-        enroll = make_corpus([Embedding("e0", "s0", "f", "a00", big),
-                              Embedding("e1", "s0", "f", "a00", big),
-                              Embedding("e2", "s1", "f", "a00", np.ones(3))])
-        corpus = make_corpus([Embedding("u0", "s1", "f", "a00", np.ones(3))])
+        enroll = corpus_from_rows([Embedding("e0", "s0", "f", "a00", big),
+                                   Embedding("e1", "s0", "f", "a00", big),
+                                   Embedding("e2", "s1", "f", "a00", np.ones(3))])
+        corpus = corpus_from_rows([Embedding("u0", "s1", "f", "a00", np.ones(3))])
         models = enroll_speaker_models(enroll)
         assert np.isinf(models["s0"]).all()
         assert score_trials(TrialList.from_rows([("s1", "u0", True, "f")]), models,
@@ -507,15 +506,15 @@ class TestScoreTrialsMatchesCosineLoop:
                                               ("s0", "u0", False, "f")]), models, corpus)
 
     def test_zero_trial_vector_named(self):
-        corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3)),
-                              Embedding("u1", "s0", "f", "a00", np.zeros(3))])
+        corpus = corpus_from_rows([Embedding("u0", "s0", "f", "a00", np.ones(3)),
+                                   Embedding("u1", "s0", "f", "a00", np.zeros(3))])
         with pytest.raises(ValueError, match="degenerate vector: zero norm of trial "
                                              "utterance 'u1'"):
             score_trials(TrialList.from_rows([("s0", "u0", True, "f"), ("s0", "u1", True, "f")]),
                          {"s0": np.ones(3)}, corpus)
 
     def test_missing_speaker_and_utterance_named(self):
-        corpus = make_corpus([Embedding("u0", "s0", "f", "a00", np.ones(3))])
+        corpus = corpus_from_rows([Embedding("u0", "s0", "f", "a00", np.ones(3))])
         models = {"s0": np.ones(3)}
         with pytest.raises(ValueError, match="'s9'"):
             score_trials(TrialList.from_rows([("s9", "u0", True, "f")]), models, corpus)
@@ -586,14 +585,14 @@ class TestProbe:
             rows = [dataclasses.replace(e, speaker_id=first.setdefault((e.gender, e.accent),
                                                                        e.speaker_id))
                     for e in rows]
-        other = make_corpus(rows, split_tag="train")
+        other = corpus_from_rows(rows, split_tag="train")
         with pytest.raises(ValueError, match=f"probe pairs differ in {what}"):
             probe_attack([(train_c, test_c), (other, other)], "speaker", seed=0, epochs=1)
 
     def test_test_dim_must_match_train_dim(self):
         (train_c, test_c), _ = probe_pairs()
-        narrow = make_corpus([dataclasses.replace(e, vector=e.vector[:-1])
-                              for e in test_c.embeddings])
+        narrow = corpus_from_rows([dataclasses.replace(e, vector=e.vector[:-1])
+                                   for e in test_c.embeddings])
         with pytest.raises(ValueError, match="test corpus dim 5 != train corpus dim 6"):
             probe_attack([(train_c, narrow)], "gender", seed=0, epochs=1)
 
@@ -614,7 +613,7 @@ class TestProbe:
             rows = [Embedding(f"{prefix}{i}", f"{prefix}spk{i}", shuffled[i], "a00",
                               2.0 * gender_dirs[genders[i]] + 0.2 * r.normal(size=8))
                     for i in range(n)]
-            return make_corpus(rows)
+            return corpus_from_rows(rows)
 
         train_c = build(80, "tr")
         test_c = build(60, "te")
@@ -628,18 +627,18 @@ class TestProbe:
             for i in range(n):
                 rows.append(Embedding(f"{s}-u{i}", s, gender, "a00",
                                       np.ones(4)))
-        train_c = make_corpus(rows, split_tag="train")
+        train_c = corpus_from_rows(rows, split_tag="train")
         test_rows = [Embedding(f"t{i}", s, g, "a00", np.ones(4))
                      for i, (s, g) in enumerate([("s1", "f"), ("s2", "f"),
                                                  ("s3", "m"), ("s3", "m")])]
-        test_c = make_corpus(test_rows, split_tag="test")
+        test_c = corpus_from_rows(test_rows, split_tag="test")
         # train majority is f; test has 2/4 f
         assert probe_attack([(train_c, test_c)], "gender", seed=0) == [0.5]
 
     def test_single_class_attribute_rejected(self):
         rows = [Embedding(f"u{i}", f"s{i}", "f", "a00", rng.normal(size=3))
                 for i in range(4)]
-        corpus = make_corpus(rows)
+        corpus = corpus_from_rows(rows)
         with pytest.raises(ValueError, match="class"):
             probe_attack([(corpus, corpus)], "gender", seed=0)
 
