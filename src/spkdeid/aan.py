@@ -5,7 +5,8 @@ three adversarial branches (gender, accent, speaker) classify the latent
 code.  Each branch is trained to minimize its cross-entropy; the encoder
 receives the branch gradients through a gradient reversal layer scaled by
 -lam, so it simultaneously maximizes them.  The decoder only sees the
-reconstruction loss.
+reconstruction loss.  The run config's model and train sections are
+``ModelConfig`` (the widths that ``desk_dims`` takes) and ``TrainConfig``.
 
 Checkpoint byte layout (little endian throughout):
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,18 +115,10 @@ VOXCELEB_DIMS = AanDims(input_dim=512, hidden=512, latent=512, branch_hidden=128
                         n_genders=2, n_accents=30, n_speakers=1251)
 
 
-def desk_dims(corpus: Corpus, hidden: int = 128, latent: int = 8,
-              branch_hidden: int = 64) -> AanDims:
-    """Architecture sized for a small synthetic corpus.
-
-    The tight default latent keeps the encoder from smuggling per-speaker
-    detail past the adversarial branches.
-    """
-    return AanDims(input_dim=corpus.dim, hidden=hidden, latent=latent,
-                   branch_hidden=branch_hidden,
-                   n_genders=len(corpus.gender_vocab),
-                   n_accents=len(corpus.accent_vocab),
-                   n_speakers=len(corpus.speaker_vocab))
+def desk_dims(corpus: Corpus, model: ModelConfig) -> AanDims:
+    """Architecture of ``model``'s widths for the dim and classes of ``corpus``."""
+    return AanDims(input_dim=corpus.dim, **asdict(model), n_genders=len(corpus.gender_vocab),
+                   n_accents=len(corpus.accent_vocab), n_speakers=len(corpus.speaker_vocab))
 
 
 # Layer-list attribute and parameter-name prefix of each group, in
@@ -287,6 +280,16 @@ def aan_loss_and_grads(model: AanModel, grad: AanModel, x: np.ndarray,
         d_latent += grl_backward(d_branch_latent, model.lam)
     _chain_backward(model, grad, caches, "encoder", d_latent, input_grad=False)
     return breakdown
+
+
+@dataclass
+class ModelConfig:
+    """The desk widths.  The tight default latent keeps the encoder from
+    smuggling per-speaker detail past the adversarial branches."""
+
+    hidden: int = 128
+    latent: int = 8
+    branch_hidden: int = 64
 
 
 @dataclass

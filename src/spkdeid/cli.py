@@ -2,33 +2,35 @@
 evaluation, with JSON configs, per-stage derived seeds, and run manifests.
 
 ``build_parser`` is the command table.  Each subcommand sets its handler,
-which takes the config and the flags, as ``args.run``; the run flags and
-the method flags are each declared once, as argparse parents.  The five
-pipeline commands return the files they read and wrote, and ``main``, the
-one manifest writer, times each and writes manifest_<command>.json: its
-config snapshot and the sha256 of every input and output file, each file
-listed once, under the first path that named it.  The digests come from
+which takes the config and the flags, as ``args.run``; the run flags and the
+method flags are each declared once, as argparse parents.  The five pipeline
+commands return the files they read and wrote, and ``main``, the one
+manifest writer, times each and writes manifest_<command>.json: its config
+snapshot and the sha256 of every input and output file, each file listed
+once, under the first path that named it.  The digests come from
 ``dataset.sha256_file``, so a corpus CSV that the command wrote, or read
 through its sidecar, is not read again to hash it; ``main`` empties that
 record of digests before each command.  ``aan.train`` raises on a failed
-run, so train and sweep-lambda save only runs that it returns; a sweep
-draws its trials and resolves its method before its first lambda trains.
-Tables are written by ``dataset.write_rows``.  The tools (gradcheck,
-print-config, report) return their exit code; gradcheck's is 1 when its
-worst error/tolerance ratio is above 1.  Paths are compared by file
-identity: an ``--out`` that is one of the command's inputs is refused
-before anything is read, and a pool that is a split already read is reused.
+run, so train and sweep-lambda save only runs that it returns; a sweep draws
+its trials and resolves its method, which must use a model, before its first
+lambda trains.  Tables are written by ``dataset.write_rows``.  The tools
+(gradcheck, print-config, report) return their exit code; gradcheck's is 1
+when its worst error/tolerance ratio is above 1.  Paths are compared by file
+identity: an ``--out`` that is one of the command's inputs is refused before
+anything is read, and a pool that is a split already read is reused.
 
 The config file is ``RunConfig``: its top-level keys are the seed, the
 output directory and the dataset tag, and each of its sections (corpus,
 split, model, train, anonymize, trials) is one dataclass, whose fields are
 the section's keys, so a field added to a section is a key.  Every key is
 optional; ``spkdeid print-config`` shows them all with their defaults.  An
-unknown key, or a value of the wrong type (integers exclude booleans,
-floats must be finite), is an error naming the config file and the key, as
-is a file that is not JSON.  Flags override file values.  All randomness
-flows from the top-level seed through named per-stage seeds (sha256 of
-"<seed>:<stage>"), so stages are independently reproducible.
+unknown key, or a value of the wrong type (integers exclude booleans, floats
+must be finite), is an error naming the config file and the key, as is a
+file that is not JSON.  ``load_config`` sets the flags --seed, --out-dir,
+--lambda, --method and --top-k over the keys they override, so a command
+reads only the config and its manifest records the config that ran.  All
+randomness flows from the top-level seed through named per-stage seeds
+(sha256 of "<seed>:<stage>"), so stages are independently reproducible.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .aan import (
     AanDims,
     EpochStats,
     LossBreakdown,
+    ModelConfig,
     TrainConfig,
     aan_gradient_differences,
     build_aan,
@@ -108,13 +111,6 @@ def derive_seed(master_seed: int, stage: str) -> int:
 @dataclasses.dataclass
 class SplitConfig:
     n_heldout_per_speaker: int = 10
-
-
-@dataclasses.dataclass
-class ModelConfig:
-    hidden: int = 128
-    latent: int = 8
-    branch_hidden: int = 64
 
 
 @dataclasses.dataclass
@@ -222,6 +218,12 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
+# The flags that override config keys: argparse dest, which is also the key's
+# field name, -> the key's RunConfig section ("" for a top-level key).
+_FLAG_SECTIONS = {"seed": "", "out_dir": "", "lam": "train", "method": "anonymize",
+                 "top_k": "anonymize"}
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
@@ -238,10 +240,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             cfg = RunConfig.from_dict(data)
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
+    for dest, section in _FLAG_SECTIONS.items():
+        if getattr(args, dest, None) is not None:  # a command without the flag lacks it
+            setattr(getattr(cfg, section) if section else cfg, dest, getattr(args, dest))
     return cfg
 
 
@@ -327,7 +328,7 @@ def _read_splits(out: Path, names=("train", "valid", "test")
 
 def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: Corpus,
                 checkpoint: Path, history_path: Path):
-    dims = desk_dims(train_corpus, **dataclasses.asdict(cfg.model))
+    dims = desk_dims(train_corpus, cfg.model)
     model = build_aan(dims, lam, seed=derive_seed(cfg.seed, "build"))
     config = dataclasses.replace(cfg.train, lam=lam, seed=derive_seed(cfg.seed, "train"))
     model, history = train(model, train_corpus, valid_corpus, config)
@@ -338,31 +339,26 @@ def _train_once(cfg: RunConfig, lam: float, train_corpus: Corpus, valid_corpus: 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     out = _out_dir(cfg)
-    lam = cfg.train.lam if args.lam is None else args.lam
     checkpoint, history_path = out / "model.aan", out / "history.csv"
     inputs, corpora = _read_splits(out, ("train", "valid"))
-    _, history = _train_once(cfg, lam, *corpora, checkpoint, history_path)
+    _, history = _train_once(cfg, cfg.train.lam, *corpora, checkpoint, history_path)
     last = history[-1]
-    print(f"trained {len(history)} epochs (lambda={lam:g}): "
+    print(f"trained {len(history)} epochs (lambda={cfg.train.lam:g}): "
           f"valid recon loss {last.valid.recon:.5f}, "
           f"valid speaker acc {last.valid_speaker_acc:.3f}")
     return inputs, [checkpoint, history_path]
 
 
-def _resolve_method(cfg: RunConfig, kind: str | None, model_path: str | None,
-                    pool_path: str | None, top_k: int | None,
-                    corpus: Corpus, corpus_path: Path
-                    ) -> tuple[AnonymizationMethod, list[Path]]:
-    """The method (the config's kind and top_k where None; no model where
-    ``model_path`` is None), and the checkpoint and pool files it was built
-    from, checked against the dim of ``corpus`` and top_k against the pool;
-    that corpus, read from ``corpus_path``, is the pool when that file is."""
-    kind = kind or cfg.anonymize.method
+def _resolve_method(cfg: RunConfig, model_path: str | None, pool_path: str | None,
+                    corpus: Corpus, corpus_path: Path) -> tuple[AnonymizationMethod, list[Path]]:
+    """The config's method (with no model where ``model_path`` is None) and the
+    files it was built from, checked against the dim of ``corpus`` and top_k
+    against the pool, which is ``corpus`` when ``corpus_path`` is that file."""
+    kind, top_k = cfg.anonymize.method, cfg.anonymize.top_k
     if kind not in METHOD_KINDS:
         raise ValueError(f"method must be one of {METHOD_KINDS}, got {kind!r}")
     model = pool = None
     read = []
-    top_k = cfg.anonymize.top_k if top_k is None else top_k
     if "model" in METHOD_NEEDS[kind] and model_path is not None:
         model = load_model(model_path)
         if model.dims.input_dim != corpus.dim:
@@ -411,8 +407,8 @@ def cmd_anonymize(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path],
                                       "--pool": args.pool})
     _out_dir(cfg)
     corpus = read_corpus(args.in_path)
-    method, method_files = _resolve_method(cfg, args.method, args.model, args.pool,
-                                           args.top_k, corpus, Path(args.in_path))
+    method, method_files = _resolve_method(cfg, args.model, args.pool, corpus,
+                                           Path(args.in_path))
     if method.model is None and "model" in METHOD_NEEDS[method.kind]:
         raise ValueError(f"method {method.kind!r} requires --model")
     anonymized = anonymize_corpus(corpus, method)
@@ -453,8 +449,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Path], 
     pool = str(out / "train.csv") if args.pool is None else args.pool
     inputs, splits = _read_splits(out)
     trials = _draw_trials(cfg, splits)
-    method, method_files = _resolve_method(cfg, args.method, model, pool, args.top_k,
-                                           splits[0], inputs[0])
+    method, method_files = _resolve_method(cfg, model, pool, splits[0], inputs[0])
     report, outputs = _evaluate_once(cfg, method, splits, trials)
     print(format_report_table(report), end="")
     return inputs + method_files, outputs
@@ -477,8 +472,9 @@ def cmd_sweep_lambda(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[Pat
         raise ValueError(f"--lambdas values {', '.join(clashing)} name the same output files")
     inputs, splits = _read_splits(out)
     trials = _draw_trials(cfg, splits)
-    method, _ = _resolve_method(cfg, None, None, str(out / "train.csv"), None,
-                                splits[0], inputs[0])
+    method, _ = _resolve_method(cfg, None, str(out / "train.csv"), splits[0], inputs[0])
+    if "model" not in METHOD_NEEDS[method.kind]:
+        raise ValueError(f"method {method.kind!r} uses no model: every lambda gives one report")
     outputs = []
     summary_rows = []
     for lam, tag in zip(lambdas, tags):

@@ -283,7 +283,7 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
 
 
 def central_differences(loss_and_grad: Callable[[], tuple[float, np.ndarray]],
-                        params: np.ndarray, eps: float = 1e-5
+                        params: np.ndarray, eps: float
                         ) -> tuple[float, np.ndarray, np.ndarray]:
     """(loss, analytic gradient, central-difference gradient) at ``params``.
 

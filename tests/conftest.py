@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spkdeid.aan import TrainConfig, aan_gradient_differences, build_aan, desk_dims, train
+from spkdeid.aan import (ModelConfig, TrainConfig, aan_gradient_differences, build_aan,
+                         desk_dims, train)
 from spkdeid.dataset import AttributeStrength, CorpusSpec, _build, generate_corpus, split_corpus
 from spkdeid.neural import max_relative_error
 
@@ -67,7 +68,7 @@ def desk_run(desk_splits):
     """Default lam=8 training run on the desk corpus:
     (model, history, elapsed seconds)."""
     train_c, valid_c, _ = desk_splits
-    model = build_aan(desk_dims(train_c), lam=8.0, seed=DESK_MODEL_SEED)
+    model = build_aan(desk_dims(train_c, ModelConfig()), lam=8.0, seed=DESK_MODEL_SEED)
     config = TrainConfig(lam=8.0, seed=DESK_TRAIN_SEED)
     started = time.monotonic()
     model, history = train(model, train_c, valid_c, config)
@@ -92,7 +93,7 @@ def small_corpus_splits():
 @pytest.fixture(scope="session")
 def small_trained_model(small_corpus_splits):
     train_c, valid_c, _ = small_corpus_splits
-    model = build_aan(desk_dims(train_c, hidden=32, latent=4, branch_hidden=16),
+    model = build_aan(desk_dims(train_c, ModelConfig(hidden=32, latent=4, branch_hidden=16)),
                       lam=8.0, seed=5)
     config = TrainConfig(lam=8.0, epochs=300, batch_size=16, lr=5e-3, seed=6)
     trained, _ = train(model, train_c, valid_c, config)

@@ -16,6 +16,7 @@ from spkdeid.aan import (
     AanModel,
     EpochStats,
     LossBreakdown,
+    ModelConfig,
     TrainConfig,
     VOXCELEB_DIMS,
     aan_forward,
@@ -33,6 +34,8 @@ from spkdeid.neural import DenseLayer, DivergenceError, mse_loss, softmax_cross_
 from conftest import corpus_from_rows, gradient_errors, traced_peak
 from test_neural import per_tensor_adam
 
+# the widths of the tiny_corpus models
+TINY_WIDTHS = ModelConfig(hidden=8, latent=4, branch_hidden=4)
 TINY_DIMS = AanDims(input_dim=8, hidden=8, latent=4, branch_hidden=8,
                     n_genders=2, n_accents=3, n_speakers=5)
 
@@ -208,7 +211,7 @@ class TestGradientBuffer:
         loss_and_grads = aan_module.aan_loss_and_grads
         monkeypatch.setattr(aan_module, "aan_loss_and_grads", recording)
         train_c, valid_c, _ = tiny_corpus()
-        trained = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4), 1.0, 0)
+        trained = build_aan(desk_dims(train_c, TINY_WIDTHS), 1.0, 0)
         checked = tiny_model()
         runs = ((trained, lambda: train(trained, train_c, valid_c, TrainConfig(epochs=2, seed=0))),
                 (checked, lambda: gradient_errors(checked, *tiny_batch(checked))))
@@ -666,7 +669,7 @@ def tiny_corpus(seed=3):
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         train_c, valid_c, _ = tiny_corpus()
-        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+        model = build_aan(desk_dims(train_c, TINY_WIDTHS),
                           8.0, seed=0)
         before = model.snapshot()
         _, history = train(model, train_c, valid_c,
@@ -679,8 +682,7 @@ class TestTrain:
         config = TrainConfig(lam=2.0, epochs=4, batch_size=8, seed=5)
 
         def run():
-            model = build_aan(desk_dims(train_c, hidden=8, latent=4,
-                                        branch_hidden=4), 2.0, seed=1)
+            model = build_aan(desk_dims(train_c, TINY_WIDTHS), 2.0, seed=1)
             return train(model, train_c, valid_c, config)
 
         model_a, hist_a = run()
@@ -692,7 +694,7 @@ class TestTrain:
     def test_divergence_raises_naming_the_epoch(self):
         # 28 finite epochs, then a non-finite epoch loss: no partial history
         train_c, valid_c, _ = tiny_corpus()
-        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+        model = build_aan(desk_dims(train_c, TINY_WIDTHS),
                           8.0, seed=0)
         with pytest.raises(DivergenceError, match=r"^training diverged in epoch 29 "
                            r"\(lambda=8, lr=100000\); no checkpoint written$"):
@@ -703,7 +705,7 @@ class TestTrain:
         # every epoch is finite, but the best valid recon loss is about 4e5
         # times that of predicting the train mean
         train_c, valid_c, _ = tiny_corpus()
-        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+        model = build_aan(desk_dims(train_c, TINY_WIDTHS),
                           8.0, seed=0)
         with pytest.raises(DivergenceError, match=r"^training exploded \(lambda=8, lr=1000\)"):
             train(model, train_c, valid_c, TrainConfig(epochs=20, lr=1e3, seed=0))
@@ -712,7 +714,7 @@ class TestTrain:
         train_c, valid_c, _ = tiny_corpus()
         at_mean = valid_c.with_vectors(np.broadcast_to(train_c.matrix().mean(axis=0),
                                                        valid_c.matrix().shape))
-        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+        model = build_aan(desk_dims(train_c, TINY_WIDTHS),
                           8.0, seed=0)
         before = model.snapshot()
         with pytest.raises(ValueError, match="no spread around the train mean"):
@@ -721,7 +723,7 @@ class TestTrain:
 
     def test_history_shape(self):
         train_c, valid_c, _ = tiny_corpus()
-        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+        model = build_aan(desk_dims(train_c, TINY_WIDTHS),
                           1.0, seed=0)
         _, history = train(model, train_c, valid_c,
                            TrainConfig(lam=1.0, epochs=3, batch_size=8, seed=2))
@@ -734,7 +736,7 @@ class TestTrain:
         # oracle: the training loop over separate per-layer arrays and a
         # per-tensor Adam; the flat-vector loop must agree bit for bit
         train_c, valid_c, _ = tiny_corpus()
-        dims = desk_dims(train_c, hidden=8, latent=4, branch_hidden=4)
+        dims = desk_dims(train_c, TINY_WIDTHS)
         config = TrainConfig(lam=2.0, epochs=5, batch_size=7, lr=0.02, beta1=0.8,
                              beta2=0.99, eps=1e-6, seed=3)
         expected_params, expected_history = reference_train(
@@ -806,7 +808,7 @@ class TestTrain:
         renamed = corpus_from_rows([dataclasses.replace(e, **{field: "zz"})
                                     if getattr(e, field) == first else e
                                     for e in valid_c.embeddings], "valid")
-        model = build_aan(desk_dims(train_c, hidden=8, latent=4, branch_hidden=4),
+        model = build_aan(desk_dims(train_c, TINY_WIDTHS),
                           1.0, seed=0)
         with pytest.raises(ValueError, match=f"{attribute} vocabularies differ"):
             train(model, train_c, renamed, TrainConfig(epochs=1, seed=0))
@@ -915,7 +917,7 @@ class TestTrainDynamics:
         # lam=0 sanity run: reconstruction collapses by >= 90% and its
         # 10-epoch moving average never increases
         train_c, valid_c, _ = desk_splits
-        model = build_aan(desk_dims(train_c), 0.0, seed=11)
+        model = build_aan(desk_dims(train_c, ModelConfig()), 0.0, seed=11)
         _, history = train(model, train_c, valid_c,
                            TrainConfig(lam=0.0, epochs=200, lr=1e-3, seed=13))
         assert history[-1].valid.recon <= 0.1 * history[0].valid.recon
@@ -928,7 +930,7 @@ class TestTrainDynamics:
         # roughly chance accuracy (the step noise at this rate prevents the
         # encoder/head pursuit that would fake high branch losses)
         train_c, valid_c, _ = desk_splits
-        model = build_aan(desk_dims(train_c), 8.0, seed=11)
+        model = build_aan(desk_dims(train_c, ModelConfig()), 8.0, seed=11)
         _, history = train(model, train_c, valid_c,
                            TrainConfig(lam=8.0, epochs=1500, lr=0.02, seed=14))
         chance = 1.0 / model.dims.n_speakers

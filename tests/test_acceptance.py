@@ -16,6 +16,7 @@ import pytest
 from spkdeid.aan import (
     AanDims,
     AanModel,
+    ModelConfig,
     TrainConfig,
     aan_loss_and_grads,
     build_aan,
@@ -299,7 +300,7 @@ def test_criterion_8_lambda_sweep_monotonicity(desk_splits, desk_run):
 
     finals = {}
     for lam in (0.0, 1.0):
-        model = build_aan(desk_dims(train_c), lam, seed=DESK_MODEL_SEED)
+        model = build_aan(desk_dims(train_c, ModelConfig()), lam, seed=DESK_MODEL_SEED)
         _, history = train(model, train_c, valid_c,
                            TrainConfig(lam=lam, seed=DESK_TRAIN_SEED))
         finals[lam] = history[-1]

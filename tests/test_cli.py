@@ -674,6 +674,20 @@ class TestSweep:
         assert list(out.glob("*lambda*")) == [] and not (out / "sweep_summary.csv").exists()
         assert not (out / "manifest_sweep-lambda.json").exists()
 
+    @pytest.mark.parametrize("method", ["identity", "baseline_farthest"])
+    def test_method_without_a_model_trains_nothing(self, tiny_run, capsys, method):
+        # lambda changes only the model, so each lambda would give the same report
+        config_path, out = tiny_run
+        config_path.write_text(json.dumps(dict(TINY_CONFIG, out_dir=str(out),
+                                               anonymize={"method": method, "top_k": 3})))
+        assert run_cli("gen-data", "--config", config_path) == 0
+        capsys.readouterr()
+        assert run_cli("sweep-lambda", "--config", config_path, "--lambdas", "0,8") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: method {method!r} uses no model: every lambda gives one report"]
+        assert list(out.glob("*lambda*")) == [] and not (out / "sweep_summary.csv").exists()
+        assert not (out / "manifest_sweep-lambda.json").exists()
+
     def test_summary_bytes_pinned(self, tiny_run):
         # sha256 of the tiny config's sweep_summary.csv, computed before the
         # tables were written by one writer
@@ -1017,15 +1031,35 @@ class TestManifest:
             assert digest(Path(path)) == recorded
 
     def test_config_snapshot_reproduces_run(self, tiny_run, tmp_path):
+        # each manifest records the config that ran, its override flags
+        # applied: rerun from that snapshot with the same path flags and no
+        # override flag, the command writes the same bytes (the tiny config's
+        # method is aan1 and its top_k 3)
         config_path, out = tiny_run
-        run_cli("gen-data", "--config", config_path)
-        manifest = json.loads((out / "manifest_gen-data.json").read_text())
-        snapshot = dict(manifest["config"], out_dir=str(tmp_path / "replay"))
-        replay_config = tmp_path / "replay.json"
-        replay_config.write_text(json.dumps(snapshot))
-        run_cli("gen-data", "--config", replay_config)
-        for name in ("train.csv", "valid.csv", "test.csv"):
-            assert digest(tmp_path / "replay" / name) == digest(out / name)
+        replay = tmp_path / "replay"
+        method_flags = ["--method", "baseline_farthest", "--top-k", "2"]
+        method = {"anonymize": {"method": "baseline_farthest", "top_k": 2}}
+        for command, overrides, recorded, paths in [
+                ("gen-data", [], {}, []),
+                ("train", ["--lambda", "2.5"], {"train": {"lambda": 2.5}}, []),
+                ("anonymize", method_flags, method,
+                 ["--pool", "OUT/train.csv", "--in", "OUT/test.csv", "--out", "OUT/anon.csv"]),
+                ("evaluate", method_flags, method, [])]:
+            assert run_cli(*pipeline_argv(command, overrides + paths, config_path, out)) == 0
+            manifest = json.loads((out / f"manifest_{command}.json").read_text())
+            for section, values in recorded.items():
+                assert {key: manifest["config"][section][key] for key in values} == values
+            snapshot = dict(manifest["config"], out_dir=str(replay))
+            replay_config = tmp_path / f"replay_{command}.json"
+            replay_config.write_text(json.dumps(snapshot))
+            assert run_cli(*pipeline_argv(command, paths, replay_config, replay)) == 0
+            replayed = json.loads((replay / f"manifest_{command}.json").read_text())
+            assert replayed["config"] == snapshot
+            assert sorted(map(Path, replayed["outputs"])) == \
+                sorted(replay / Path(path).name for path in manifest["outputs"])
+            for path in manifest["outputs"]:
+                assert digest(replay / Path(path).name) == digest(Path(path)), (command, path)
+        assert load_model(out / "model.aan").lam == 2.5
 
 
 # the tiny pipeline, one command after another, each reading what the ones
